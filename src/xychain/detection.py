@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import DataError, ExtrapolationWarning
 
@@ -196,25 +195,3 @@ def scale_excitation_large_n(
     p = np.asarray(p_excited, dtype=float)
     factor = (1.0 - epsilon_model(times)) ** (n_atoms - 1)
     return p * factor
-
-
-def invert_detection(observed, epsilon: float) -> np.ndarray:
-    """Least-squares inverse of the binary loss channel (optional helper).
-
-    Recovers the ground-vs-Rydberg pattern distribution that best explains an
-    observed recapture distribution under non-negativity.  Not used by any
-    scenario; the pipeline only ever applies the forward direction.
-    """
-    obs = np.asarray(observed, dtype=float).ravel()
-    base, n_atoms = _infer_levels(obs.size)
-    if base != 2:
-        raise DataError("observed distribution must have length 2^N")
-    if not 0.0 <= epsilon < 1.0:
-        raise DataError(f"epsilon must be in [0, 1), got {epsilon}")
-    single = np.array([[1.0, epsilon], [0.0, 1.0 - epsilon]])  # obs x true(0=r, 1=g)
-    full = np.array([[1.0]])
-    for _ in range(n_atoms):
-        full = np.kron(full, single)
-    solution, _ = nnls(full, obs)
-    total = solution.sum()
-    return solution / total if total > 0 else solution

@@ -152,6 +152,83 @@ def angular_c3(c3_tilde: float, theta: float) -> float:
     return c3_tilde * (1.0 - 3.0 * math.cos(theta) ** 2)
 
 
+class PairFlight:
+    """Ballistic pair separations and their c3 / R^3 couplings, batched.
+
+    Realization b carries each chosen pair p = (i, j) at separation
+    ``rel0[b, p] + relv[b, p] * t`` (um): the rest positions plus the atoms'
+    initial displacements, moving with the atoms' relative velocity.
+    ``displacements`` and ``velocities`` have shape (B, N, 3) in um and
+    um/us; omitted, they describe one realization at rest.  ``pairs``
+    defaults to every pair i < j and is kept as a (P, 2) index array.
+    """
+
+    def __init__(
+        self,
+        geometry: ChainGeometry,
+        params: PhysicalParams,
+        displacements=None,
+        velocities=None,
+        pairs=None,
+    ):
+        n = geometry.n_atoms
+        if pairs is None:
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self.pairs = np.array(pairs, dtype=int).reshape(-1, 2)    # (P, 2)
+        i, j = self.pairs.T
+        disp = np.zeros((1, n, 3)) if displacements is None else np.asarray(displacements)
+        vel = np.zeros_like(disp) if velocities is None else np.asarray(velocities)
+        base = geometry.positions[i] - geometry.positions[j]      # (P, 3)
+        self.c3 = params.c3
+        self._rel0 = base + (disp[:, i] - disp[:, j])             # (B, P, 3)
+        self._relv = vel[:, i] - vel[:, j]                        # (B, P, 3)
+        #: True when no pair moves and every realization sits at rest.
+        self.static = not np.any(self._relv) and np.array_equal(
+            self._rel0, np.broadcast_to(base, self._rel0.shape)
+        )
+
+    def _check(self, r: np.ndarray) -> None:
+        if np.any(r < _MIN_SEPARATION):
+            b, p = np.unravel_index(np.argmin(r), r.shape)
+            i, j = self.pairs[p]
+            raise GeometryError(f"atoms {i} and {j} coincide (R = {r[b, p]:g} um)")
+
+    def couplings(self, t) -> np.ndarray:
+        """Hopping frequencies (MHz) at time t (scalar or (B,)), shape (B, P)."""
+        t = np.asarray(t, dtype=float)
+        rel = self._rel0 + self._relv * t.reshape(-1, 1, 1)
+        r = np.linalg.norm(rel, axis=-1)
+        self._check(r)
+        return self.c3 / r**3
+
+    def bound(self, t_lo, t_hi) -> float:
+        """Largest coupling (MHz) any pair reaches for t in [t_lo, t_hi].
+
+        Free flight is ballistic, so the smallest separation of a pair is at
+        a window end or at the vertex of |rel0 + relv t|^2 when that falls
+        inside the window; sizing a fixed step from this bound keeps it valid
+        even when a thermal draw brings atoms closer together mid-window.
+        ``t_lo`` and ``t_hi`` are scalars or (B,).
+        """
+        t_lo = np.asarray(t_lo, dtype=float).reshape(-1, 1)
+        t_hi = np.asarray(t_hi, dtype=float).reshape(-1, 1)
+        rel0, relv = self._rel0, self._relv
+        r_sq = np.minimum(
+            ((rel0 + relv * t_lo[..., None]) ** 2).sum(axis=-1),
+            ((rel0 + relv * t_hi[..., None]) ** 2).sum(axis=-1),
+        )
+        speed_sq = (relv**2).sum(axis=-1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t_star = -(rel0 * relv).sum(axis=-1) / speed_sq
+        t_star = np.where(speed_sq > 0.0, t_star, np.inf)
+        in_window = (t_star > t_lo) & (t_star < t_hi)
+        rel_star = rel0 + relv * np.where(in_window, t_star, 0.0)[..., None]
+        r_star_sq = np.where(in_window, (rel_star**2).sum(axis=-1), np.inf)
+        r = np.sqrt(np.minimum(r_sq, r_star_sq))
+        self._check(r)
+        return float(self.c3 / r.min(initial=np.inf) ** 3)
+
+
 def pair_coupling(
     geometry: ChainGeometry,
     params: PhysicalParams,
@@ -167,16 +244,12 @@ def pair_coupling(
     """
     if i == j:
         raise GeometryError("pair coupling requires two distinct atoms")
-    ri = geometry.positions[i].copy()
-    rj = geometry.positions[j].copy()
+    disp = np.zeros((1, geometry.n_atoms, 3))
     if displacement_i is not None:
-        ri += np.asarray(displacement_i, dtype=float)
+        disp[0, i] = displacement_i
     if displacement_j is not None:
-        rj += np.asarray(displacement_j, dtype=float)
-    r = np.linalg.norm(ri - rj)
-    if r < _MIN_SEPARATION:
-        raise GeometryError(f"atoms {i} and {j} are coincident (R = {r:g} um)")
-    return params.c3 / r**3
+        disp[0, j] = displacement_j
+    return float(PairFlight(geometry, params, disp, pairs=[(i, j)]).couplings(0.0)[0, 0])
 
 
 def validate(geometry: ChainGeometry, params: PhysicalParams) -> list[str]:

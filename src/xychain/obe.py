@@ -38,13 +38,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    njit = None
-
-from .errors import ConfigError, GeometryError, IntegrationError
-from .model import ChainGeometry, PhysicalParams
+from .errors import ConfigError, IntegrationError
+from .model import ChainGeometry, PairFlight, PhysicalParams
 from .thermal import ThermalSample
 
 SEGMENT_KINDS = ("optical", "microwave", "free_evolution")
@@ -79,52 +74,6 @@ class Level(IntEnum):
     G = 0
     UP = 1
     DOWN = 2
-
-
-# Fused single-pass kernels for the bandwidth-bound parts of the RK4 loop;
-# the numpy fallbacks below compute exactly the same expressions.
-if njit is not None:
-
-    @njit(cache=True)
-    def _rhs_finish_kernel(out, m, rho, w, idx_g, idx_up, idx_dn, rates_up, rate_down):
-        batch, dim = out.shape[0], out.shape[1]
-        n_atoms, block = idx_g.shape
-        two_pi = 2.0 * np.pi
-        for b in range(batch):
-            for r in range(dim):
-                for c in range(dim):
-                    z = m[b, r, c] - np.conj(m[b, c, r])
-                    out[b, r, c] = -1j * two_pi * z - w[r, c] * rho[b, r, c]
-            for a in range(n_atoms):
-                rate = rates_up[a]
-                for i in range(block):
-                    gi, ui, di = idx_g[a, i], idx_up[a, i], idx_dn[a, i]
-                    for j in range(block):
-                        out[b, gi, idx_g[a, j]] += (
-                            rate * rho[b, ui, idx_up[a, j]]
-                            + rate_down * rho[b, di, idx_dn[a, j]]
-                        )
-
-    @njit(cache=True)
-    def _axpy_kernel(out, x, alpha, y):
-        flat_out = out.reshape(-1)
-        flat_x = x.reshape(-1)
-        flat_y = y.reshape(-1)
-        for i in range(flat_out.size):
-            flat_out[i] = flat_x[i] + alpha * flat_y[i]
-
-    @njit(cache=True)
-    def _rk4_combine_kernel(rho, k1, k2, k3, k4, h6):
-        flat_r = rho.reshape(-1)
-        f1, f2 = k1.reshape(-1), k2.reshape(-1)
-        f3, f4 = k3.reshape(-1), k4.reshape(-1)
-        for i in range(flat_r.size):
-            flat_r[i] += h6 * (f1[i] + 2.0 * (f2[i] + f3[i]) + f4[i])
-
-else:  # pragma: no cover - exercised only without numba
-    _rhs_finish_kernel = None
-    _axpy_kernel = None
-    _rk4_combine_kernel = None
 
 
 _LEVEL_CHARS = {"g": Level.G, "u": Level.UP, "d": Level.DOWN}
@@ -307,9 +256,6 @@ class _OperatorTable:
             self.idx_g.append(sel)
             self.idx_up.append(sel + stride)
             self.idx_down.append(sel + 2 * stride)
-        self.idx_g_stack = np.stack(self.idx_g).astype(np.int64)
-        self.idx_up_stack = np.stack(self.idx_up).astype(np.int64)
-        self.idx_down_stack = np.stack(self.idx_down).astype(np.int64)
         pairs = [(i, j) for i in range(n_atoms) for j in range(i + 1, n_atoms)]
         self.pairs = pairs
         hop = []
@@ -410,22 +356,13 @@ class _Engine:
             if s.n_atoms != n:
                 raise ConfigError("trajectory sample does not match the geometry")
         self.batch = len(samples)
-        pairs = self.ops.pairs
-        pos = geometry.positions
-        base = np.array([pos[i] - pos[j] for i, j in pairs])  # (P, 3)
-        disp = np.stack([s.displacements for s in samples])   # (B, N, 3)
-        vel = np.stack([s.velocities for s in samples])
-        self._rel0 = base[None, :, :] + np.stack(
-            [disp[:, i] - disp[:, j] for i, j in pairs], axis=1
-        ) if pairs else np.zeros((self.batch, 0, 3))
-        self._relv = (
-            np.stack([vel[:, i] - vel[:, j] for i, j in pairs], axis=1)
-            if pairs
-            else np.zeros((self.batch, 0, 3))
+        self.flight = PairFlight(
+            geometry,
+            params,
+            np.stack([s.displacements for s in samples]),
+            np.stack([s.velocities for s in samples]),
+            self.ops.pairs,
         )
-        self.static = not np.any(self._relv) and np.array_equal(
-            self._rel0, np.broadcast_to(base, self._rel0.shape)
-        ) if pairs else True
 
         self.omega_opt = params.omega_opt_per_atom(n)
         self.delta_opt = params.delta_opt_per_atom(n)
@@ -438,48 +375,6 @@ class _Engine:
         self._m1 = np.empty(shape, dtype=complex)
         self._m2 = np.empty(shape, dtype=complex)
         self._hflat = np.empty((self.batch, self.d * self.d), dtype=complex)
-
-    def couplings(self, t) -> np.ndarray:
-        """Pair hopping frequencies nu_ij(t), shape (B, P)."""
-        if not self.ops.pairs:
-            return np.zeros((self.batch, 0))
-        t = np.asarray(t, dtype=float)
-        rel = self._rel0 + self._relv * t.reshape(-1, 1, 1)
-        r = np.linalg.norm(rel, axis=-1)
-        if np.any(r < 1e-9):
-            raise GeometryError("atoms passed through each other during free flight")
-        return self.params.c3 / r**3
-
-    def coupling_bound(self, t_start, duration: float) -> float:
-        """Largest coupling reachable anywhere in [t_start, t_start+duration].
-
-        Free flight is ballistic, so the minimum separation of each pair is
-        at a window endpoint or at the analytic vertex of |rel0 + relv t|^2;
-        sizing the step from this bound keeps the fixed step valid even when
-        a thermal draw brings atoms closer together mid-segment.
-        """
-        if not self.ops.pairs:
-            return 0.0
-        t_lo = np.asarray(t_start, dtype=float).reshape(-1, 1, 1)
-        t_hi = t_lo + duration
-        r_sq = np.minimum(
-            ((self._rel0 + self._relv * t_lo) ** 2).sum(axis=-1),
-            ((self._rel0 + self._relv * t_hi) ** 2).sum(axis=-1),
-        )
-        speed_sq = (self._relv**2).sum(axis=-1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t_star = -(self._rel0 * self._relv).sum(axis=-1) / speed_sq
-        # the vertex only counts when it falls inside the window
-        t_star = np.where(speed_sq > 0.0, t_star, np.inf)
-        in_window = (t_star > t_lo[:, :, 0]) & (t_star < t_hi[:, :, 0])
-        rel_star = self._rel0 + self._relv * np.where(
-            in_window, t_star, 0.0
-        )[:, :, None]
-        r_star_sq = np.where(in_window, (rel_star**2).sum(axis=-1), np.inf)
-        r_min = float(np.sqrt(np.minimum(r_sq, r_star_sq).min()))
-        if r_min < 1e-9:
-            raise GeometryError("atoms pass through each other during free flight")
-        return self.params.c3 / r_min**3
 
     def _segment_cache(self, segment: PulseSegment, t_start) -> _SegmentCache:
         ops = self.ops
@@ -516,10 +411,11 @@ class _Engine:
             w += rates_up[i] * ops.diag_up[i] + rate_down * ops.diag_down[i]
         w_matrix = 0.5 * (w[:, None] + w[None, :])
 
-        nu_max = self.coupling_bound(np.atleast_1d(t_start), segment.duration)
+        t_start = np.atleast_1d(t_start)
+        nu_max = self.flight.bound(t_start, t_start + segment.duration)
         scale = max(drive_max, float(np.max(np.abs(delta_eff))), nu_max)
         if segment.kind == "free_evolution":
-            margin = _MARGIN_FREE_STATIC if self.static else _MARGIN_FREE
+            margin = _MARGIN_FREE_STATIC if self.flight.static else _MARGIN_FREE
             budget = _REF_BUDGET_FREE
         elif np.max(np.abs(delta_eff)) > drive_max:
             margin = _MARGIN_ADDRESSED
@@ -538,8 +434,8 @@ class _Engine:
         cache = _SegmentCache(
             h_drive.astype(complex).reshape(-1), w_matrix, rates_up, rate_down, dt
         )
-        if self.static:
-            nu = self.couplings(np.zeros(1))[0]
+        if self.flight.static:
+            nu = self.flight.couplings(np.zeros(1))[0]
             h_int = (nu @ ops.hop_flat).reshape(self.d, self.d)
             cache.h_static = cache.h_drive_flat.reshape(self.d, self.d) + h_int
         return cache
@@ -552,25 +448,12 @@ class _Engine:
         if cache.h_static is not None:
             h = cache.h_static
         else:
-            nu = self.couplings(t).astype(complex)
+            nu = self.flight.couplings(t).astype(complex)
             np.matmul(nu, self.ops.hop_flat, out=self._hflat)
             self._hflat += cache.h_drive_flat
             h = self._hflat.reshape(-1, d, d)
         np.matmul(h, rho, out=m1)
         ops = self.ops
-        if _rhs_finish_kernel is not None:
-            _rhs_finish_kernel(
-                out,
-                m1,
-                rho,
-                cache.w_matrix,
-                ops.idx_g_stack,
-                ops.idx_up_stack,
-                ops.idx_down_stack,
-                cache.rates_up,
-                cache.rate_down,
-            )
-            return out
         m2 = self._m2
         np.conjugate(m1, out=m2)
         np.subtract(m1, m2.transpose(0, 2, 1), out=out)
@@ -591,11 +474,8 @@ class _Engine:
     @staticmethod
     def _axpy(out, x, alpha: float, y):
         """out = x + alpha * y."""
-        if _axpy_kernel is not None:
-            _axpy_kernel(out, x, alpha, y)
-        else:
-            np.multiply(y, alpha, out=out)
-            out += x
+        np.multiply(y, alpha, out=out)
+        out += x
 
     def _advance(self, rho, t_start, span: float, cache: _SegmentCache):
         """In-place RK4 from t_start over span; t_start has shape (B,)."""
@@ -615,16 +495,13 @@ class _Engine:
             self._rhs(t + 0.5 * h, tmp, cache, k3)
             self._axpy(tmp, rho, h, k3)
             self._rhs(t + h, tmp, cache, k4)
-            if _rk4_combine_kernel is not None:
-                _rk4_combine_kernel(rho, k1, k2, k3, k4, h / 6.0)
-            else:
-                # rho += (h/6) (k1 + 2 k2 + 2 k3 + k4), clobbering k2
-                k2 += k3
-                k2 *= 2.0
-                k2 += k1
-                k2 += k4
-                k2 *= h / 6.0
-                rho += k2
+            # rho += (h/6) (k1 + 2 k2 + 2 k3 + k4), clobbering k2
+            k2 += k3
+            k2 *= 2.0
+            k2 += k1
+            k2 += k4
+            k2 *= h / 6.0
+            rho += k2
             offset += h
         return rho
 
@@ -669,7 +546,7 @@ def hamiltonian_at(
     """Effective Hamiltonian (MHz) at absolute time t within a segment."""
     engine = _Engine(geometry, params, trajectories, check_positivity=False)
     cache = engine._segment_cache(segment, np.zeros(1))
-    nu = engine.couplings(np.atleast_1d(float(t)))
+    nu = engine.flight.couplings(np.atleast_1d(float(t)))
     h_int = (nu @ engine.ops.hop_flat).reshape(engine.d, engine.d)
     return cache.h_drive_flat.reshape(engine.d, engine.d) + h_int
 

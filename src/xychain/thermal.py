@@ -59,10 +59,6 @@ class ThermalSample:
     def n_atoms(self) -> int:
         return self.displacements.shape[0]
 
-    def displacements_at(self, t: float) -> np.ndarray:
-        """Per-atom displacement after free flight of duration t (us)."""
-        return self.displacements + self.velocities * t
-
     @classmethod
     def at_rest(cls, n_atoms: int, seed: int = 0) -> "ThermalSample":
         zero = np.zeros((n_atoms, 3))
@@ -94,7 +90,7 @@ def free_flight(sample: ThermalSample, t: float) -> np.ndarray:
     """Displacement of every atom at time t (us): r0 + v0 t."""
     if t < 0:
         raise ValueError(f"free flight time must be >= 0, got {t}")
-    return sample.displacements_at(t)
+    return sample.displacements + sample.velocities * t
 
 
 def realization_seeds(base_seed: int, n_realizations: int) -> list[int]:

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
-from .model import ChainGeometry, PhysicalParams
+from .errors import ConfigError
+from .model import ChainGeometry, PairFlight, PhysicalParams
 from .thermal import ThermalSample
 
 RANGE_MODES = ("full", "nearest_neighbor")
@@ -88,21 +88,22 @@ class SpinState:
         return np.abs(self.amplitudes) ** 2
 
 
-def _coupling_entries(
-    geometry: ChainGeometry,
-    params: PhysicalParams,
-    displacements: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    pos = geometry.positions
-    if displacements is not None:
-        pos = pos + displacements
-    diff = pos[:, None, :] - pos[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
-    n = r.shape[0]
-    if np.any(r[~np.eye(n, dtype=bool)] < 1e-9):
-        raise GeometryError("coincident (displaced) atoms while building couplings")
-    np.fill_diagonal(r, np.inf)
-    return params.c3 / r**3
+def _pairs(n: int, range_mode: str) -> list[tuple[int, int]]:
+    """Coupled pairs i < j: all of them, or the neighbors in input order."""
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if range_mode == "full" or j == i + 1
+    ]
+
+
+def _scatter(n: int, pairs: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Symmetric N x N hopping matrix holding ``nu`` at the (P, 2) ``pairs``."""
+    entries = np.zeros((n, n))
+    entries[pairs[:, 0], pairs[:, 1]] = nu
+    entries[pairs[:, 1], pairs[:, 0]] = nu
+    return entries
 
 
 def build_coupling_matrix(
@@ -118,7 +119,8 @@ def build_coupling_matrix(
     """
     if range_mode not in RANGE_MODES:
         raise ConfigError(f"range_mode must be one of {RANGE_MODES}, got {range_mode!r}")
-    entries = _coupling_entries(geometry, params)
+    flight = PairFlight(geometry, params, pairs=_pairs(geometry.n_atoms, range_mode))
+    entries = _scatter(geometry.n_atoms, flight.pairs, flight.couplings(0.0)[0])
     if range_mode == "nearest_neighbor":
         along = geometry.positions @ geometry.quantization_axis
         steps = np.diff(along)
@@ -128,9 +130,6 @@ def build_coupling_matrix(
                 "nearest_neighbor truncation follows the input order",
                 stacklevel=2,
             )
-        n = entries.shape[0]
-        band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
-        entries = np.where(band, entries, 0.0)
     return CouplingMatrix(entries=entries, range_mode=range_mode)
 
 
@@ -164,49 +163,6 @@ def _step_count(duration: float, dt: float) -> int:
     return max(1, int(np.ceil(duration / dt)))
 
 
-def _coupling_bound(
-    geometry: ChainGeometry,
-    params: PhysicalParams,
-    trajectories: Optional[ThermalSample],
-    t_max: float,
-    band: Optional[np.ndarray],
-) -> float:
-    """Largest coupling reachable during the run, from the closest approach.
-
-    Free flight is ballistic, so each pair separation |r0 + v t| attains its
-    minimum over [0, t_max] either at an endpoint or at the analytic vertex
-    of the quadratic; the bound makes the fixed step rigorous even when a
-    thermal draw brings two atoms closer together mid-run.
-    """
-    n = geometry.n_atoms
-    if n < 2:
-        return 0.0
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if band is None or band[i, j]
-    ]
-    pos = geometry.positions
-    r_min = np.inf
-    for i, j in pairs:
-        rel0 = pos[i] - pos[j]
-        dvel = np.zeros(3)
-        if trajectories is not None:
-            rel0 = rel0 + trajectories.displacements[i] - trajectories.displacements[j]
-            dvel = trajectories.velocities[i] - trajectories.velocities[j]
-        candidates = [rel0, rel0 + dvel * t_max]
-        speed_sq = float(dvel @ dvel)
-        if speed_sq > 0.0:
-            t_star = -float(rel0 @ dvel) / speed_sq
-            if 0.0 < t_star < t_max:
-                candidates.append(rel0 + dvel * t_star)
-        r_min = min(r_min, min(np.linalg.norm(c) for c in candidates))
-    if r_min < 1e-9:
-        raise GeometryError("atoms pass through each other during free flight")
-    return params.c3 / r_min**3
-
-
 def propagate_time_dependent(
     geometry: ChainGeometry,
     params: PhysicalParams,
@@ -235,19 +191,11 @@ def propagate_time_dependent(
     if trajectories is not None and trajectories.n_atoms != n:
         raise ValueError("trajectory sample does not match geometry")
 
-    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
-
-    def entries_at(t: float) -> np.ndarray:
-        disp = trajectories.displacements_at(t) if trajectories is not None else None
-        e = _coupling_entries(geometry, params, disp)
-        if range_mode == "nearest_neighbor":
-            e = np.where(band, e, 0.0)
-        return e
-
-    nu_bound = _coupling_bound(
-        geometry, params, trajectories, float(times[-1]),
-        band if range_mode == "nearest_neighbor" else None,
-    )
+    disp = vel = None
+    if trajectories is not None:
+        disp, vel = trajectories.displacements[None], trajectories.velocities[None]
+    flight = PairFlight(geometry, params, disp, vel, _pairs(n, range_mode))
+    nu_bound = flight.bound(0.0, float(times[-1]))
     if dt is None:
         dt = (
             MAX_PHASE_PER_STEP / (2.0 * np.pi * nu_bound * 1.05)
@@ -268,14 +216,14 @@ def propagate_time_dependent(
         n_steps = _step_count(span, dt)
         h = span / n_steps if n_steps else 0.0
         for _ in range(n_steps):
-            entries = entries_at(t_now + 0.5 * h)
-            nu_max = float(np.max(np.abs(entries)))
+            nu = flight.couplings(t_now + 0.5 * h)[0]
+            nu_max = float(np.max(np.abs(nu), initial=0.0))
             if 2.0 * np.pi * nu_max * h >= MAX_PHASE_PER_STEP:
                 raise ConfigError(
                     f"step size violation at t = {t_now:.4g} us: "
                     f"2*pi*nu_max*dt = {2 * np.pi * nu_max * h:.3g}"
                 )
-            values, vectors = np.linalg.eigh(entries)
+            values, vectors = np.linalg.eigh(_scatter(n, flight.pairs, nu))
             psi = vectors @ (np.exp(-2j * np.pi * values * h) * (vectors.T @ psi))
             t_now += h
         t_now = t_target

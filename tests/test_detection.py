@@ -6,7 +6,6 @@ from xychain.detection import (
     EpsilonModel,
     fit_epsilon,
     forward_detection,
-    invert_detection,
     loss_partitions,
     scale_excitation_large_n,
 )
@@ -163,13 +162,3 @@ class TestLargeNScaling:
         scaled = scale_excitation_large_n(np.array([3.0]), np.array([1.0]), model, 20)
         assert scaled[0] == pytest.approx(0.8**19)
         assert scaled[0] == pytest.approx(0.0144, abs=2e-4)
-
-
-class TestInversion:
-    def test_round_trips_forward_model(self, rng):
-        probs = rng.random(8)
-        probs /= probs.sum()
-        eps = 0.15
-        observed = forward_detection(probs, eps)
-        recovered = invert_detection(observed, eps)
-        assert np.abs(recovered - probs).max() < 1e-9

@@ -6,6 +6,7 @@ from xychain.model import (
     DEFAULT_C3,
     MAGIC_ANGLE,
     ChainGeometry,
+    PairFlight,
     PhysicalParams,
     angular_c3,
     pair_coupling,
@@ -13,6 +14,9 @@ from xychain.model import (
     to_ordinary,
     validate,
 )
+from xychain.thermal import free_flight, sample_thermal
+
+A20 = 7965.0 / 20**3  # nearest-neighbor coupling at 20 um
 
 
 class TestUnits:
@@ -78,6 +82,70 @@ class TestPairCoupling:
             pair_coupling(geom, params, 0, 1, displacement_i=(1.0, 0.0, 0.0))
         with pytest.raises(GeometryError):
             pair_coupling(geom, params, 0, 0)
+
+
+class TestPairFlight:
+    def test_couplings_match_pair_coupling_under_free_flight(self, params):
+        geometry = ChainGeometry.line(4, 20.0)
+        hot = PhysicalParams(temperature=50.0)
+        samples = [sample_thermal(hot, 4, seed) for seed in (1, 2, 3)]
+        flight = PairFlight(
+            geometry,
+            params,
+            np.stack([s.displacements for s in samples]),
+            np.stack([s.velocities for s in samples]),
+        )
+        assert flight.pairs.shape == (6, 2)
+        assert not flight.static
+        for t in (0.0, 2.5, 9.0):
+            nu = flight.couplings(t)
+            for b, sample in enumerate(samples):
+                disp = free_flight(sample, t)
+                for p, (i, j) in enumerate(flight.pairs):
+                    expected = pair_coupling(geometry, params, i, j, disp[i], disp[j])
+                    assert nu[b, p] == pytest.approx(expected, rel=1e-12)
+
+    def test_at_rest_is_static(self, chain3, params):
+        flight = PairFlight(chain3, params)
+        assert flight.static
+        assert flight.couplings(5.0)[0] == pytest.approx([A20, A20 / 8, A20])
+        assert flight.bound(0.0, 5.0) == pytest.approx(A20, rel=1e-15)
+
+    def test_bound_covers_a_dense_grid(self, params, rng):
+        geometry = ChainGeometry.line(4, 6.0)
+        disp = rng.normal(0.0, 0.5, size=(3, 4, 3))
+        vel = rng.normal(0.0, 1.0, size=(3, 4, 3))
+        flight = PairFlight(geometry, params, disp, vel)
+        grid = np.linspace(1.0, 6.0, 5001)
+        peak = max(float(flight.couplings(t).max()) for t in grid)
+        assert flight.bound(1.0, 6.0) >= peak
+        # per-realization window starts, as the master-equation batch uses
+        assert flight.bound(np.full(3, 1.0), np.full(3, 6.0)) == flight.bound(1.0, 6.0)
+
+    def test_bound_is_exact_at_an_interior_vertex(self, params):
+        # atom 0 flies past atom 1 at impact parameter 5 um; closest at t = 10
+        geometry = ChainGeometry(positions=[[0.0, 0.0, 0.0], [30.0, 5.0, 0.0]])
+        vel = np.array([[[3.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+        flight = PairFlight(geometry, params, velocities=vel)
+        grid = np.linspace(2.0, 16.0, 1401)
+        peak = max(float(flight.couplings(t).max()) for t in grid)
+        assert flight.bound(2.0, 16.0) >= peak
+        assert flight.bound(2.0, 16.0) == pytest.approx(params.c3 / 5.0**3, rel=1e-12)
+        assert peak == pytest.approx(params.c3 / 5.0**3, rel=1e-12)
+        # vertex outside the window: the nearer endpoint decides
+        assert flight.bound(0.0, 6.0) == pytest.approx(
+            float(flight.couplings(6.0).max()), rel=1e-12
+        )
+
+    def test_coincidence_rejected(self, params):
+        geometry = ChainGeometry.line(2, 30.0)
+        vel = np.array([[[3.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+        flight = PairFlight(geometry, params, velocities=vel)
+        assert flight.bound(0.0, 9.0) > 0.0
+        with pytest.raises(GeometryError, match="atoms 0 and 1"):
+            flight.bound(0.0, 12.0)
+        with pytest.raises(GeometryError, match="atoms 0 and 1"):
+            flight.couplings(10.0)
 
 
 class TestValidate:

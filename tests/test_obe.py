@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xychain import xy
-from xychain.errors import ConfigError, IntegrationError
+from xychain.errors import ConfigError, GeometryError, IntegrationError
 from xychain.model import ChainGeometry, PhysicalParams
 from xychain.obe import (
     Level,
@@ -18,9 +18,10 @@ from xychain.obe import (
     project_to_readout,
     readout_scan,
     run_sequence,
+    _Engine,
 )
 from xychain.scenarios import deexcite_suffix, exchange_prefix
-from xychain.thermal import sample_thermal
+from xychain.thermal import ThermalSample, sample_thermal
 
 
 @pytest.fixture
@@ -121,6 +122,38 @@ class TestDissipator:
         for kind in ("optical", "microwave", "free_evolution"):
             out = lindblad_dissipator(rho, params, kind)
             assert abs(np.trace(out)) < 1e-12
+
+
+class TestRhsOracle:
+    """The engine's right-hand side against the reference operators."""
+
+    @pytest.mark.parametrize("moving", [False, True], ids=["static", "moving"])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+    def test_matches_commutator_plus_dissipator(self, n_atoms, moving, params, rng):
+        geometry = ChainGeometry.line(n_atoms, 20.0)
+        samples = [sample_thermal(params, n_atoms, s) for s in (5, 6, 7)] if moving else None
+        engine = _Engine(geometry, params, samples, check_positivity=False)
+        mask = tuple(k == 0 for k in range(n_atoms))
+        segments = (
+            PulseSegment.optical(0.1),
+            PulseSegment.optical(0.1, addressing_mask=mask),
+            PulseSegment.microwave(0.1),
+            PulseSegment.free(3.0),
+        )
+        d, batch, t = engine.d, engine.batch, 1.7
+        for segment in segments:
+            cache = engine._segment_cache(segment, np.zeros(batch))
+            a = rng.normal(size=(batch, d, d)) + 1j * rng.normal(size=(batch, d, d))
+            rho = (a + a.conj().transpose(0, 2, 1)) / d
+            out = engine._rhs(np.full(batch, t), rho, cache, np.empty_like(rho))
+            for b in range(batch):
+                h = hamiltonian_at(
+                    t, segment, params, geometry, samples[b] if moving else None
+                )
+                expected = -2j * np.pi * (h @ rho[b] - rho[b] @ h) + lindblad_dissipator(
+                    rho[b], params, segment.kind
+                )
+                assert np.abs(out[b] - expected).max() < 1e-12
 
 
 class TestRunSequence:
@@ -233,6 +266,16 @@ class TestReadoutScan:
         # the batch shares one step size, so agreement is at integration
         # tolerance rather than bitwise
         assert np.abs(scan.populations[1] - single.populations[0]).max() < 5e-8
+
+    def test_pass_through_rejected(self, pair30, params):
+        # atom 0 reaches atom 1 at t = 10 us, inside the free evolution
+        sample = ThermalSample(
+            displacements=np.zeros((2, 3)),
+            velocities=[[3.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            seed=0,
+        )
+        with pytest.raises(GeometryError):
+            readout_scan(pair30, params, [], [12.0], [], trajectories=sample, initial="ud")
 
     def test_total_durations(self, pair30, params):
         taus = np.array([0.0, 1.0])

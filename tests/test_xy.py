@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_populations
-from xychain.errors import ConfigError
+from xychain.errors import ConfigError, GeometryError
 from xychain.model import ChainGeometry, PhysicalParams
 from xychain.thermal import ThermalSample, sample_thermal
 from xychain.xy import (
@@ -203,6 +203,18 @@ class TestPropagateTimeDependent:
         )
         assert np.abs(pops.sum(axis=0) - 1.0).max() < 1e-8
         assert pops[19].max() > 0.2
+
+    def test_pass_through_rejected(self, pair30, params):
+        # atom 0 reaches atom 1 at t = 10 us, before the only sample time
+        sample = ThermalSample(
+            displacements=np.zeros((2, 3)),
+            velocities=[[3.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            seed=0,
+        )
+        with pytest.raises(GeometryError):
+            propagate_time_dependent(
+                pair30, params, sample, "full", SpinState.excitation_at(2, 0), [12.0]
+            )
 
     def test_step_size_violation_rejected(self, chain3, params):
         with pytest.raises(ConfigError, match="step size"):
