@@ -126,15 +126,26 @@ class TestRun:
         assert prov["seed"] == 2
 
     def test_provenance_rerun_is_byte_identical(self, tmp_path):
-        out1 = tmp_path / "first"
-        out2 = tmp_path / "second"
-        run_cli(["run", "three-chain", *IDEAL_ARGS, "--output-dir", str(out1),
-                 "--seed", "42"])
-        # the provenance record is itself a valid config
-        assert run_cli(["run", str(out1 / "provenance.yaml"),
-                        "--output-dir", str(out2)]) == EXIT_OK
-        for name in ("three-chain_populations.csv", "three-chain_summary.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        runs = {
+            "three-chain": (IDEAL_ARGS, ("populations.csv", "summary.json")),
+            # thermal run with options.temperature unset
+            "long-chain": (
+                ["--set", "options.n_atoms=4", "--set", "options.tau_max=2.0",
+                 "--set", "options.tau_step=0.2", "--n-realizations", "3"],
+                ("populations.csv", "observed.csv", "summary.json"),
+            ),
+        }
+        for scenario, (args, outputs) in runs.items():
+            out1 = tmp_path / scenario / "first"
+            out2 = tmp_path / scenario / "second"
+            assert run_cli(["run", scenario, *args, "--output-dir", str(out1),
+                            "--seed", "42"]) == EXIT_OK
+            # the provenance record is itself a valid config
+            assert run_cli(["run", str(out1 / "provenance.yaml"),
+                            "--output-dir", str(out2)]) == EXIT_OK
+            for name in outputs:
+                path = f"{scenario}_{name}"
+                assert (out1 / path).read_bytes() == (out2 / path).read_bytes()
 
     def test_tsv_format(self, tmp_path):
         run_cli(["run", "calibrate-epsilon", "--output-dir", str(tmp_path),
