@@ -33,7 +33,7 @@ import yaml
 from . import __version__
 from .errors import ConfigError, DataError, FitError, IntegrationError, XYChainError
 from .model import PhysicalParams
-from .scenarios import SCENARIOS, ScenarioResult, catalog, run_scenario
+from .scenarios import SCENARIOS, ScenarioResult, catalog, run_scenario, scenario_options
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -106,13 +106,10 @@ def validate_config_dict(raw: dict) -> RunConfig:
                 f"{', '.join(sorted(_PARAM_KEYS))})"
             )
     options = _check_mapping(raw.get("options"), "options")
-    spec = SCENARIOS[scenario]
-    for key in options:
-        if key not in spec.options:
-            raise ConfigError(
-                f"config: options.{key}: unknown key for scenario {scenario!r} "
-                f"(expected one of: {', '.join(sorted(spec.options))})"
-            )
+    try:
+        scenario_options(scenario, options)
+    except ConfigError as exc:
+        raise ConfigError(f"config: {exc}") from None
     table_format = raw.get("table_format", "csv")
     if table_format not in _TABLE_DELIMS:
         raise ConfigError(
@@ -379,8 +376,8 @@ def cmd_list_scenarios() -> int:
     for spec in catalog():
         print(f"{spec.name}  [{spec.anchor}]")
         print(f"  {spec.summary}")
-        for key, doc in spec.options.items():
-            print(f"    {key} (default {doc.default!r}): {doc.help}")
+        for key, (default, help_text) in spec.options.items():
+            print(f"    {key} (default {default!r}): {help_text}")
     return EXIT_OK
 
 

@@ -277,6 +277,66 @@ class _OperatorTable:
         return cls._cache[n_atoms]
 
 
+def _dense_operators(n_atoms: int) -> _OperatorTable:
+    """Operator table of a chain the dense master equation accepts."""
+    if n_atoms > _MAX_OBE_ATOMS:
+        raise ConfigError(
+            f"dense 3^N master equation is capped at N = {_MAX_OBE_ATOMS} "
+            f"atoms, got {n_atoms}; use the closed-system module for long chains"
+        )
+    return _OperatorTable.get(n_atoms)
+
+
+def _pair_flight(geometry: ChainGeometry, params: PhysicalParams, trajectories, pairs):
+    """Batch size and batched pair flight of the trajectories (a single one
+    at rest when None)."""
+    n = geometry.n_atoms
+    if trajectories is None:
+        samples = [ThermalSample.at_rest(n)]
+    elif isinstance(trajectories, ThermalSample):
+        samples = [trajectories]
+    else:
+        samples = list(trajectories)
+    for s in samples:
+        if s.n_atoms != n:
+            raise ConfigError("trajectory sample does not match the geometry")
+    return len(samples), PairFlight(
+        geometry,
+        params,
+        np.stack([s.displacements for s in samples]),
+        np.stack([s.velocities for s in samples]),
+        pairs,
+    )
+
+
+def _drive_hamiltonian(segment: PulseSegment, params: PhysicalParams, ops: _OperatorTable):
+    """Drive Hamiltonian (MHz, real d x d) of one segment, the detunings it
+    applies per atom and its largest Rabi frequency."""
+    n, d = ops.n, ops.d
+    h_drive = np.zeros((d, d))
+    delta_eff = np.zeros(n)
+    drive_max = 0.0
+    if segment.kind == "optical":
+        mask = segment.addressing_mask
+        if mask is not None and len(mask) != n:
+            raise ConfigError(f"addressing mask length {len(mask)} != {n} atoms")
+        omega_opt = params.omega_opt_per_atom(n)
+        delta_eff = params.delta_opt_per_atom(n)
+        if mask is not None:
+            delta_eff += np.asarray(mask, dtype=float) * params.addressing_shift
+        diag = np.zeros(d)
+        for i in range(n):
+            h_drive = h_drive + 0.5 * omega_opt[i] * ops.x_gu[i]
+            diag -= delta_eff[i] * ops.diag_rydberg[i]
+        h_drive[np.diag_indices(d)] += diag
+        drive_max = float(np.max(np.abs(omega_opt)))
+    elif segment.kind == "microwave":
+        for i in range(n):
+            h_drive = h_drive + 0.5 * params.omega_mw * ops.x_ud[i]
+        drive_max = abs(params.omega_mw)
+    return h_drive, delta_eff, drive_max
+
+
 def _resolve_initial(initial, n_atoms: int) -> np.ndarray:
     d = 3**n_atoms
     if initial is None:
@@ -331,41 +391,16 @@ class _Engine:
         check_positivity: bool = True,
     ):
         n = geometry.n_atoms
-        if n > _MAX_OBE_ATOMS:
-            raise ConfigError(
-                f"dense 3^N master equation is capped at N = {_MAX_OBE_ATOMS} "
-                f"atoms, got {n}; use the closed-system module for long chains"
-            )
+        self.ops = _dense_operators(n)
         if not 0 < dt_scale <= 1.0:
             raise ConfigError(f"dt_scale must be in (0, 1], got {dt_scale}")
         self.geometry = geometry
         self.params = params
         self.n = n
-        self.ops = _OperatorTable.get(n)
         self.d = self.ops.d
         self.dt_scale = dt_scale
         self.check_positivity = check_positivity
-
-        if trajectories is None:
-            samples = [ThermalSample.at_rest(n)]
-        elif isinstance(trajectories, ThermalSample):
-            samples = [trajectories]
-        else:
-            samples = list(trajectories)
-        for s in samples:
-            if s.n_atoms != n:
-                raise ConfigError("trajectory sample does not match the geometry")
-        self.batch = len(samples)
-        self.flight = PairFlight(
-            geometry,
-            params,
-            np.stack([s.displacements for s in samples]),
-            np.stack([s.velocities for s in samples]),
-            self.ops.pairs,
-        )
-
-        self.omega_opt = params.omega_opt_per_atom(n)
-        self.delta_opt = params.delta_opt_per_atom(n)
+        self.batch, self.flight = _pair_flight(geometry, params, trajectories, self.ops.pairs)
         self.gamma_eff = params.gamma_eff_per_atom(n)
 
         # scratch buffers for the allocation-free RK4 hot path
@@ -378,29 +413,7 @@ class _Engine:
 
     def _segment_cache(self, segment: PulseSegment, t_start) -> _SegmentCache:
         ops = self.ops
-        h_drive = np.zeros((self.d, self.d))
-        delta_eff = np.zeros(self.n)
-        drive_max = 0.0
-        if segment.kind == "optical":
-            mask = segment.addressing_mask
-            if mask is not None and len(mask) != self.n:
-                raise ConfigError(
-                    f"addressing mask length {len(mask)} != {self.n} atoms"
-                )
-            delta_eff = self.delta_opt.copy()
-            if mask is not None:
-                delta_eff += np.asarray(mask, dtype=float) * self.params.addressing_shift
-            diag = np.zeros(self.d)
-            for i in range(self.n):
-                h_drive = h_drive + 0.5 * self.omega_opt[i] * ops.x_gu[i]
-                diag -= delta_eff[i] * ops.diag_rydberg[i]
-            h_drive[np.diag_indices(self.d)] += diag
-            drive_max = float(np.max(np.abs(self.omega_opt)))
-        elif segment.kind == "microwave":
-            for i in range(self.n):
-                h_drive = h_drive + 0.5 * self.params.omega_mw * ops.x_ud[i]
-            drive_max = abs(self.params.omega_mw)
-
+        h_drive, delta_eff, drive_max = _drive_hamiltonian(segment, self.params, ops)
         gamma_optical = self.gamma_eff if segment.kind == "optical" else 0.0
         rates_up = self.params.gamma_up + np.broadcast_to(
             gamma_optical, (self.n,)
@@ -544,11 +557,12 @@ def hamiltonian_at(
     trajectories: Optional[ThermalSample] = None,
 ) -> np.ndarray:
     """Effective Hamiltonian (MHz) at absolute time t within a segment."""
-    engine = _Engine(geometry, params, trajectories, check_positivity=False)
-    cache = engine._segment_cache(segment, np.zeros(1))
-    nu = engine.flight.couplings(np.atleast_1d(float(t)))
-    h_int = (nu @ engine.ops.hop_flat).reshape(engine.d, engine.d)
-    return cache.h_drive_flat.reshape(engine.d, engine.d) + h_int
+    ops = _dense_operators(geometry.n_atoms)
+    h_drive, _, _ = _drive_hamiltonian(segment, params, ops)
+    _, flight = _pair_flight(geometry, params, trajectories, ops.pairs)
+    h = (flight.couplings(np.atleast_1d(float(t))) @ ops.hop_flat).reshape(ops.d, ops.d)
+    h += h_drive
+    return h
 
 
 def lindblad_dissipator(

@@ -13,12 +13,18 @@ calibration.  Scenarios come in two modes where applicable:
 
 Every scenario is deterministic under its master seed; Monte-Carlo draws and
 noise realizations derive from it through a fixed seed lineage.
+
+A runner declares each of its options once, as a parameter
+``name: Annotated[<type>, "<help>"] = <default>``; the catalog, the
+option-key check and the options echoed in a result all derive from it.
 """
 
 from __future__ import annotations
 
+import copy
+import inspect
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Annotated, Callable, Optional, get_type_hints
 
 import numpy as np
 
@@ -35,6 +41,15 @@ RECAPTURE_TRAP_DEPTH = 2092.0
 #: linearly to ~20% at 7 us of trap-off time.
 EPSILON_FLOOR = 0.01
 EPSILON_SLOPE = 0.027  # per us
+
+_EPSILON_HELP = (
+    "loss-model options: backend (table | recapture_mc | none), table_path, "
+    "table_kind (epsilon | p111), floor, slope, trap_depth, n_mc"
+)
+
+#: Runner parameters that ``run_scenario`` supplies itself; every other
+#: parameter is a scenario option.
+_NOT_OPTIONS = ("params", "seed", "workers")
 
 
 @dataclass(frozen=True)
@@ -67,19 +82,38 @@ class ScenarioResult:
     summary: dict
 
 
-@dataclass(frozen=True)
-class OptionDoc:
-    default: object
-    help: str
+def _runner_options(runner: Callable) -> dict[str, tuple[object, str]]:
+    """Option name -> (default, help), read off the runner's signature.
+
+    Each option parameter is declared ``Annotated[<type>, "<help>"] =
+    <default>``; one without help text or default is a programming error.
+    """
+    hints = get_type_hints(runner, include_extras=True)
+    options = {}
+    for name, param in inspect.signature(runner).parameters.items():
+        if name in _NOT_OPTIONS:
+            continue
+        helps = [m for m in getattr(hints.get(name), "__metadata__", ()) if isinstance(m, str)]
+        if not helps or param.default is param.empty:
+            raise TypeError(
+                f"{runner.__name__}: option {name!r} needs Annotated[type, help] = default"
+            )
+        options[name] = (param.default, helps[0])
+    return options
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A catalog entry; its options are derived from the runner signature."""
+
     name: str
     summary: str
     anchor: str
-    options: dict[str, OptionDoc]
-    runner: Callable = field(repr=False, compare=False, default=None)
+    runner: Callable = field(repr=False, compare=False)
+    options: dict[str, tuple[object, str]] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "options", _runner_options(self.runner))
 
 
 def _tau_grid(tau_max: float, tau_step: float) -> np.ndarray:
@@ -121,6 +155,22 @@ def deexcite_suffix(params: PhysicalParams, n_atoms: int):
     return [obe.PulseSegment.optical(t_opt)]
 
 
+def _scan_span(params: PhysicalParams, n_atoms: int, tau_max: float) -> float:
+    """Longest sequence (us) of a readout scan: preparation, tau_max of free
+    evolution and the readout pulse; the time span the loss model covers."""
+    prefix_dur = sum(s.duration for s in exchange_prefix(params, n_atoms))
+    suffix_dur = sum(s.duration for s in deexcite_suffix(params, n_atoms))
+    return tau_max + prefix_dur + suffix_dur
+
+
+def _observe(level_mean: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Observed recapture patterns of each row of level populations, under
+    the loss probability of the same row."""
+    return np.stack(
+        [detection.forward_detection(row, float(e)) for row, e in zip(level_mean, eps)]
+    )
+
+
 def default_epsilon_table(t_max: float = 12.0) -> detection.EpsilonModel:
     """Bundled loss calibration consistent with the measured endpoints."""
     t = np.linspace(0.0, t_max, 25)
@@ -132,9 +182,10 @@ _EPSILON_KEYS = {"backend", "table_path", "table_kind", "floor", "slope",
 
 
 def resolve_epsilon_model(
-    epsilon_options: dict, params: PhysicalParams, seed: int, t_max: float
+    epsilon_options: Optional[dict], params: PhysicalParams, seed: int, t_max: float
 ) -> detection.EpsilonModel:
     """Build the epsilon backend a scenario declared in its options."""
+    epsilon_options = epsilon_options or {}
     for key in epsilon_options:
         if key not in _EPSILON_KEYS:
             raise ConfigError(
@@ -236,13 +287,7 @@ def run_sequence_scan(
     if epsilon_model is None:
         observed = true_patterns.copy()
     else:
-        eps = epsilon_model(scan.total_durations)
-        observed = np.stack(
-            [
-                detection.forward_detection(level_mean[k], float(eps[k]))
-                for k in range(len(tau_grid))
-            ]
-        )
+        observed = _observe(level_mean, epsilon_model(scan.total_durations))
     return SequenceScanRun(
         tau_grid=tau_grid,
         level_mean=level_mean,
@@ -269,27 +314,19 @@ def _fit_summary(fit: analysis.OscillationFit) -> dict:
 def two_atom_exchange(
     params: PhysicalParams,
     seed: int,
-    spacing: float = 30.0,
-    tau_max: float = 10.0,
-    tau_step: float = 0.05,
-    mode: str = "full",
-    n_realizations: int = 100,
-    epsilon: Optional[dict] = None,
+    spacing: Annotated[float, "atom spacing, um (2 to 100)"] = 30.0,
+    tau_max: Annotated[float, "longest free-evolution time, us"] = 10.0,
+    tau_step: Annotated[float, "free-evolution sampling step, us"] = 0.05,
+    mode: Annotated[str, "ideal (theory) or full (open-system) pipeline"] = "full",
+    n_realizations: Annotated[int, "thermal Monte-Carlo realizations"] = 100,
+    epsilon: Annotated[dict, _EPSILON_HELP] = {},
     workers: int = 1,
-) -> ScenarioResult:
+) -> tuple[dict[str, Table], dict]:
     """Exchange oscillation between two atoms at the given spacing."""
     if not 2.0 <= spacing <= 100.0:
         raise ConfigError(f"spacing must be in [2, 100] um, got {spacing}")
     taus = _tau_grid(tau_max, tau_step)
     geometry = ChainGeometry.line(2, spacing)
-    options = {
-        "spacing": spacing,
-        "tau_max": tau_max,
-        "tau_step": tau_step,
-        "mode": mode,
-        "n_realizations": n_realizations,
-        "epsilon": dict(epsilon or {}),
-    }
     seeds = _seed_lineage(seed)
 
     if mode == "ideal":
@@ -305,14 +342,12 @@ def two_atom_exchange(
             "eigenvalues_mhz": [float(v) for v in values],
             "fit_P_10": _fit_summary(fit),
         }
-        return ScenarioResult("two-atom-exchange", seed, options, {"populations": table}, summary)
+        return {"populations": table}, summary
 
     if mode != "full":
         raise ConfigError(f"mode must be 'ideal' or 'full', got {mode!r}")
-    prefix_dur = sum(s.duration for s in exchange_prefix(params, 2))
-    suffix_dur = sum(s.duration for s in deexcite_suffix(params, 2))
     eps_model = resolve_epsilon_model(
-        options["epsilon"], params, seeds[2], tau_max + prefix_dur + suffix_dur
+        epsilon, params, seeds[2], _scan_span(params, 2, tau_max)
     )
     run = run_sequence_scan(geometry, params, taus, n_realizations, seeds[0], eps_model)
     labels = obe.pattern_labels(2)
@@ -326,28 +361,22 @@ def two_atom_exchange(
         "max_trace_deviation": run.max_trace_deviation,
         "fit_P_10": _fit_summary(fit),
     }
-    return ScenarioResult(
-        "two-atom-exchange",
-        seed,
-        options,
-        {"observed": observed_table, "true_patterns": true_table},
-        summary,
-    )
+    return {"observed": observed_table, "true_patterns": true_table}, summary
 
 
 def distance_scan(
     params: PhysicalParams,
     seed: int,
-    radii=(20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0),
-    tau_max: float = 10.0,
-    tau_step: float = 0.05,
-    mode: str = "ideal",
-    r_noise_frac: float = 0.0,
-    n_trials: int = 1,
-    n_realizations: int = 20,
-    epsilon: Optional[dict] = None,
+    radii: Annotated[list, "spacings, um"] = [20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0],
+    tau_max: Annotated[float, "longest free-evolution time, us"] = 10.0,
+    tau_step: Annotated[float, "free-evolution sampling step, us"] = 0.05,
+    mode: Annotated[str, "ideal or full pipeline per point"] = "ideal",
+    r_noise_frac: Annotated[float, "fractional spacing-calibration noise"] = 0.0,
+    n_trials: Annotated[int, "noisy-scan repetitions for scatter statistics"] = 1,
+    n_realizations: Annotated[int, "realizations per point in full mode"] = 20,
+    epsilon: Annotated[dict, _EPSILON_HELP] = {},
     workers: int = 1,
-) -> ScenarioResult:
+) -> tuple[dict[str, Table], dict]:
     """Interaction energy versus distance, with a power-law fit.
 
     ``r_noise_frac`` perturbs the true atom spacing while the nominal value
@@ -357,16 +386,6 @@ def distance_scan(
     radii = [float(r) for r in radii]
     if len(radii) < 3:
         raise DataError(f"distance scan needs at least 3 radii, got {len(radii)}")
-    options = {
-        "radii": radii,
-        "tau_max": tau_max,
-        "tau_step": tau_step,
-        "mode": mode,
-        "r_noise_frac": r_noise_frac,
-        "n_trials": n_trials,
-        "n_realizations": n_realizations,
-        "epsilon": dict(epsilon or {}),
-    }
     seeds = _seed_lineage(seed)
     rng = np.random.default_rng(seeds[1])
 
@@ -374,7 +393,7 @@ def distance_scan(
         # scan long enough to cover the expected period at weak coupling
         expected_freq = 2.0 * params.c3 / r_nominal**3
         window = max(tau_max, 1.6 / expected_freq)
-        result = two_atom_exchange(
+        _, summary = two_atom_exchange(
             params,
             sub_seed,
             spacing=r_true,
@@ -382,10 +401,10 @@ def distance_scan(
             tau_step=tau_step,
             mode=mode,
             n_realizations=n_realizations,
-            epsilon=options["epsilon"],
+            epsilon=epsilon,
         )
         # oscillation frequency is twice the exchange coupling
-        return result.summary["fit_P_10"]["frequency_mhz"] / 2.0
+        return summary["fit_P_10"]["frequency_mhz"] / 2.0
 
     exponents = []
     prefactors = []
@@ -413,39 +432,28 @@ def distance_scan(
         "trial_exponents": exponents,
         "exponent_scatter": float(np.std(exponents, ddof=1)) if n_trials > 1 else 0.0,
     }
-    return ScenarioResult("distance-scan", seed, options, {"scan": table}, summary)
+    return {"scan": table}, summary
 
 
 def three_chain(
     params: PhysicalParams,
     seed: int,
-    spacing: float = 20.0,
-    tau_max: float = 7.0,
-    tau_step: float = 0.05,
-    range_mode: str = "full",
-    mode: str = "full",
-    temperature: Optional[float] = None,
-    n_realizations: int = 100,
-    with_detection: bool = True,
-    epsilon: Optional[dict] = None,
+    spacing: Annotated[float, "nearest-neighbor spacing, um"] = 20.0,
+    tau_max: Annotated[float, "longest free-evolution time, us"] = 7.0,
+    tau_step: Annotated[float, "free-evolution sampling step, us"] = 0.05,
+    range_mode: Annotated[str, "full or nearest_neighbor coupling (ideal mode)"] = "full",
+    mode: Annotated[str, "ideal (theory) or full (open-system) pipeline"] = "full",
+    temperature: Annotated[Optional[float], "override temperature, uK"] = None,
+    n_realizations: Annotated[int, "thermal Monte-Carlo realizations"] = 100,
+    with_detection: Annotated[bool, "apply the loss forward model"] = True,
+    epsilon: Annotated[dict, _EPSILON_HELP] = {},
     workers: int = 1,
-) -> ScenarioResult:
+) -> tuple[dict[str, Table], dict]:
     """Excitation transfer along the three-atom chain."""
     taus = _tau_grid(tau_max, tau_step)
     geometry = ChainGeometry.line(3, spacing)
     if temperature is not None:
         params = replace(params, temperature=float(temperature))
-    options = {
-        "spacing": spacing,
-        "tau_max": tau_max,
-        "tau_step": tau_step,
-        "range_mode": range_mode,
-        "mode": mode,
-        "temperature": params.temperature,
-        "n_realizations": n_realizations,
-        "with_detection": with_detection,
-        "epsilon": dict(epsilon or {}),
-    }
     seeds = _seed_lineage(seed)
 
     if mode == "ideal":
@@ -464,18 +472,14 @@ def three_chain(
             "eigenvalues_mhz": [float(v) for v in values],
             "beat_frequencies_mhz": [float(b) for b in analysis.beat_spectrum(values)],
         }
-        return ScenarioResult("three-chain", seed, options, {"populations": table}, summary)
+        return {"populations": table}, summary
 
     if mode != "full":
         raise ConfigError(f"mode must be 'ideal' or 'full', got {mode!r}")
     if range_mode != "full":
         raise ConfigError("the open-system model always keeps the full-range coupling")
-    prefix_dur = sum(s.duration for s in exchange_prefix(params, 3))
-    suffix_dur = sum(s.duration for s in deexcite_suffix(params, 3))
     eps_model = (
-        resolve_epsilon_model(
-            options["epsilon"], params, seeds[2], tau_max + prefix_dur + suffix_dur
-        )
+        resolve_epsilon_model(epsilon, params, seeds[2], _scan_span(params, 3, tau_max))
         if with_detection
         else None
     )
@@ -493,21 +497,21 @@ def three_chain(
         "max_trace_deviation": run.max_trace_deviation,
         "pattern_sum_deviation": float(np.abs(run.observed.sum(axis=1) - 1.0).max()),
     }
-    return ScenarioResult("three-chain", seed, options, tables, summary)
+    return tables, summary
 
 
 def temperature_ablation(
     params: PhysicalParams,
     seed: int,
-    spacing: float = 20.0,
-    tau_max: float = 7.0,
-    tau_step: float = 0.05,
-    temperature: float = 50.0,
-    n_realizations: int = 100,
-    envelope_window: float = 1.0,
-    epsilon: Optional[dict] = None,
+    spacing: Annotated[float, "nearest-neighbor spacing, um"] = 20.0,
+    tau_max: Annotated[float, "longest free-evolution time, us"] = 7.0,
+    tau_step: Annotated[float, "free-evolution sampling step, us"] = 0.05,
+    temperature: Annotated[float, "ensemble temperature, uK"] = 50.0,
+    n_realizations: Annotated[int, "thermal Monte-Carlo realizations"] = 100,
+    envelope_window: Annotated[float, "sliding window for envelopes, us"] = 1.0,
+    epsilon: Annotated[dict, _EPSILON_HELP] = {},
     workers: int = 1,
-) -> ScenarioResult:
+) -> tuple[dict[str, Table], dict]:
     """Decompose thermal damping of the far-site signal into loss and motion.
 
     Four curves of the probability that only the far atom is recaptured:
@@ -516,39 +520,18 @@ def temperature_ablation(
     """
     taus = _tau_grid(tau_max, tau_step)
     geometry = ChainGeometry.line(3, spacing)
-    options = {
-        "spacing": spacing,
-        "tau_max": tau_max,
-        "tau_step": tau_step,
-        "temperature": temperature,
-        "n_realizations": n_realizations,
-        "envelope_window": envelope_window,
-        "epsilon": dict(epsilon or {}),
-    }
     seeds = _seed_lineage(seed)
     params_zero = replace(params, temperature=0.0)
     params_hot = replace(params, temperature=float(temperature))
-    prefix_dur = sum(s.duration for s in exchange_prefix(params, 3))
-    suffix_dur = sum(s.duration for s in deexcite_suffix(params, 3))
     eps_model = resolve_epsilon_model(
-        options["epsilon"], params_hot, seeds[2], tau_max + prefix_dur + suffix_dur
+        epsilon, params_hot, seeds[2], _scan_span(params, 3, tau_max)
     )
 
     cold = run_sequence_scan(geometry, params_zero, taus, 1, seeds[0], None)
     hot = run_sequence_scan(geometry, params_hot, taus, n_realizations, seeds[0], None)
     eps = eps_model(cold.total_durations)
-    loss_only = np.stack(
-        [
-            detection.forward_detection(cold.level_mean[k], float(eps[k]))
-            for k in range(len(taus))
-        ]
-    )
-    both = np.stack(
-        [
-            detection.forward_detection(hot.level_mean[k], float(eps[k]))
-            for k in range(len(taus))
-        ]
-    )
+    loss_only = _observe(cold.level_mean, eps)
+    both = _observe(hot.level_mean, eps)
     idx = obe.pattern_labels(3).index("001")
     curves = {
         "zero_temperature": cold.true_patterns[:, idx],
@@ -573,29 +556,23 @@ def temperature_ablation(
         "max_trace_deviation": max(cold.max_trace_deviation, hot.max_trace_deviation),
         "envelope_window_us": envelope_window,
     }
-    return ScenarioResult(
-        "temperature-ablation",
-        seed,
-        options,
-        {"p001": table, "envelopes": env_table},
-        summary,
-    )
+    return {"p001": table, "envelopes": env_table}, summary
 
 
 def long_chain(
     params: PhysicalParams,
     seed: int,
-    n_atoms: int = 20,
-    spacing: float = 20.0,
-    temperature: Optional[float] = None,
-    tau_max: float = 10.0,
-    tau_step: float = 0.05,
-    n_realizations: int = 100,
-    range_mode: str = "full",
-    baseline_window: float = 1.0,
-    epsilon: Optional[dict] = None,
+    n_atoms: Annotated[int, "chain length (up to 100)"] = 20,
+    spacing: Annotated[float, "nearest-neighbor spacing, um"] = 20.0,
+    temperature: Annotated[Optional[float], "override temperature, uK"] = None,
+    tau_max: Annotated[float, "longest interaction time, us"] = 10.0,
+    tau_step: Annotated[float, "sampling step, us"] = 0.05,
+    n_realizations: Annotated[int, "thermal Monte-Carlo realizations"] = 100,
+    range_mode: Annotated[str, "full or nearest_neighbor coupling"] = "full",
+    baseline_window: Annotated[float, "pre-arrival window for the far site, us"] = 1.0,
+    epsilon: Annotated[dict, _EPSILON_HELP] = {},
     workers: int = 1,
-) -> ScenarioResult:
+) -> tuple[dict[str, Table], dict]:
     """Single-excitation transport along a long chain with thermal motion.
 
     Assumes perfect preparation of the excitation at site 1; temperature
@@ -608,17 +585,6 @@ def long_chain(
     geometry = ChainGeometry.line(n_atoms, spacing)
     if temperature is not None:
         params = replace(params, temperature=float(temperature))
-    options = {
-        "n_atoms": n_atoms,
-        "spacing": spacing,
-        "temperature": params.temperature,
-        "tau_max": tau_max,
-        "tau_step": tau_step,
-        "n_realizations": n_realizations,
-        "range_mode": range_mode,
-        "baseline_window": baseline_window,
-        "epsilon": dict(epsilon or {}),
-    }
     seeds = _seed_lineage(seed)
     initial = xy.SpinState.excitation_at(n_atoms, 0)
 
@@ -631,7 +597,7 @@ def long_chain(
     n_eff = 1 if params.temperature == 0.0 else n_realizations
     ensemble = thermal.monte_carlo(realization, n_eff, seeds[0], n_workers=workers)
     true_mean = ensemble.mean                                  # (N, T)
-    eps_model = resolve_epsilon_model(options["epsilon"], params, seeds[2], tau_max)
+    eps_model = resolve_epsilon_model(epsilon, params, seeds[2], tau_max)
     observed = detection.scale_excitation_large_n(taus, true_mean, eps_model, n_atoms)
 
     site_cols = [f"P_site_{i + 1:02d}" for i in range(n_atoms)]
@@ -652,34 +618,26 @@ def long_chain(
         "far_site_baseline": float(far_obs[pre_arrival].max()),
         "far_site_true_peak": float(far_true.max()),
     }
-    return ScenarioResult("long-chain", seed, options, tables, summary)
+    return tables, summary
 
 
 def calibrate_epsilon(
     params: PhysicalParams,
     seed: int,
-    t_max: float = 10.0,
-    n_points: int = 41,
-    degree: int = 2,
-    floor: float = EPSILON_FLOOR,
-    slope: float = EPSILON_SLOPE,
-    table_path: Optional[str] = None,
+    t_max: Annotated[float, "longest trap-off time, us"] = 10.0,
+    n_points: Annotated[int, "calibration grid size"] = 41,
+    degree: Annotated[int, "polynomial degree of the fit"] = 2,
+    floor: Annotated[float, "background loss at t = 0"] = EPSILON_FLOOR,
+    slope: Annotated[float, "synthetic loss slope, 1/us"] = EPSILON_SLOPE,
+    table_path: Annotated[Optional[str], "measured (t, epsilon) table to ingest"] = None,
     workers: int = 1,
-) -> ScenarioResult:
+) -> tuple[dict[str, Table], dict]:
     """Fit the loss probability from an all-ground recapture experiment.
 
     Without an input table, a synthetic all-recaptured series consistent with
     the measured endpoints is generated, fitted, and compared against the
     closed-form recapture partitions; with one, the measured data are used.
     """
-    options = {
-        "t_max": t_max,
-        "n_points": n_points,
-        "degree": degree,
-        "floor": floor,
-        "slope": slope,
-        "table_path": table_path,
-    }
     if table_path:
         t, eps_true = load_epsilon_table(table_path, "epsilon")
         p_all = (1.0 - eps_true) ** 3
@@ -712,13 +670,8 @@ def calibrate_epsilon(
         "epsilon_at_7us": float(model(7.0)),
         "max_roundtrip_error": float(np.abs(eps_fit - eps_true).max()),
     }
-    return ScenarioResult("calibrate-epsilon", seed, options, tables, summary)
+    return tables, summary
 
-
-_EPSILON_HELP = (
-    "loss-model options: backend (table | recapture_mc | none), table_path, "
-    "table_kind (epsilon | p111), floor, slope, trap_depth, n_mc"
-)
 
 SCENARIOS: dict[str, ScenarioSpec] = {
     spec.name: spec
@@ -727,93 +680,36 @@ SCENARIOS: dict[str, ScenarioSpec] = {
             name="two-atom-exchange",
             summary="Exchange oscillation between two atoms at fixed spacing",
             anchor="fig2b",
-            options={
-                "spacing": OptionDoc(30.0, "atom spacing, um (2 to 100)"),
-                "tau_max": OptionDoc(10.0, "longest free-evolution time, us"),
-                "tau_step": OptionDoc(0.05, "free-evolution sampling step, us"),
-                "mode": OptionDoc("full", "ideal (theory) or full (open-system) pipeline"),
-                "n_realizations": OptionDoc(100, "thermal Monte-Carlo realizations"),
-                "epsilon": OptionDoc({}, _EPSILON_HELP),
-            },
             runner=two_atom_exchange,
         ),
         ScenarioSpec(
             name="distance-scan",
             summary="Interaction energy versus spacing with a power-law fit",
             anchor="fig2c",
-            options={
-                "radii": OptionDoc([20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0], "spacings, um"),
-                "tau_max": OptionDoc(10.0, "longest free-evolution time, us"),
-                "tau_step": OptionDoc(0.05, "free-evolution sampling step, us"),
-                "mode": OptionDoc("ideal", "ideal or full pipeline per point"),
-                "r_noise_frac": OptionDoc(0.0, "fractional spacing-calibration noise"),
-                "n_trials": OptionDoc(1, "noisy-scan repetitions for scatter statistics"),
-                "n_realizations": OptionDoc(20, "realizations per point in full mode"),
-                "epsilon": OptionDoc({}, _EPSILON_HELP),
-            },
             runner=distance_scan,
         ),
         ScenarioSpec(
             name="three-chain",
             summary="Excitation transfer along the three-atom chain",
             anchor="fig3",
-            options={
-                "spacing": OptionDoc(20.0, "nearest-neighbor spacing, um"),
-                "tau_max": OptionDoc(7.0, "longest free-evolution time, us"),
-                "tau_step": OptionDoc(0.05, "free-evolution sampling step, us"),
-                "range_mode": OptionDoc("full", "full or nearest_neighbor coupling (ideal mode)"),
-                "mode": OptionDoc("full", "ideal (theory) or full (open-system) pipeline"),
-                "temperature": OptionDoc(None, "override temperature, uK"),
-                "n_realizations": OptionDoc(100, "thermal Monte-Carlo realizations"),
-                "with_detection": OptionDoc(True, "apply the loss forward model"),
-                "epsilon": OptionDoc({}, _EPSILON_HELP),
-            },
             runner=three_chain,
         ),
         ScenarioSpec(
             name="temperature-ablation",
             summary="Far-site signal with loss only, motion only, and both",
             anchor="fig4",
-            options={
-                "spacing": OptionDoc(20.0, "nearest-neighbor spacing, um"),
-                "tau_max": OptionDoc(7.0, "longest free-evolution time, us"),
-                "tau_step": OptionDoc(0.05, "free-evolution sampling step, us"),
-                "temperature": OptionDoc(50.0, "ensemble temperature, uK"),
-                "n_realizations": OptionDoc(100, "thermal Monte-Carlo realizations"),
-                "envelope_window": OptionDoc(1.0, "sliding window for envelopes, us"),
-                "epsilon": OptionDoc({}, _EPSILON_HELP),
-            },
             runner=temperature_ablation,
         ),
         ScenarioSpec(
             name="long-chain",
             summary="Single-excitation transport along a long chain",
             anchor="figS4",
-            options={
-                "n_atoms": OptionDoc(20, "chain length (up to 100)"),
-                "spacing": OptionDoc(20.0, "nearest-neighbor spacing, um"),
-                "temperature": OptionDoc(None, "override temperature, uK"),
-                "tau_max": OptionDoc(10.0, "longest interaction time, us"),
-                "tau_step": OptionDoc(0.05, "sampling step, us"),
-                "n_realizations": OptionDoc(100, "thermal Monte-Carlo realizations"),
-                "range_mode": OptionDoc("full", "full or nearest_neighbor coupling"),
-                "baseline_window": OptionDoc(1.0, "pre-arrival window for the far site, us"),
-                "epsilon": OptionDoc({}, _EPSILON_HELP),
-            },
             runner=long_chain,
         ),
         ScenarioSpec(
             name="calibrate-epsilon",
             summary="Loss-probability calibration from recapture data",
             anchor="figS1",
-            options={
-                "t_max": OptionDoc(10.0, "longest trap-off time, us"),
-                "n_points": OptionDoc(41, "calibration grid size"),
-                "degree": OptionDoc(2, "polynomial degree of the fit"),
-                "floor": OptionDoc(EPSILON_FLOOR, "background loss at t = 0"),
-                "slope": OptionDoc(EPSILON_SLOPE, "synthetic loss slope, 1/us"),
-                "table_path": OptionDoc(None, "measured (t, epsilon) table to ingest"),
-            },
             runner=calibrate_epsilon,
         ),
     ]
@@ -825,6 +721,24 @@ def catalog() -> list[ScenarioSpec]:
     return [SCENARIOS[name] for name in sorted(SCENARIOS)]
 
 
+def scenario_options(name: str, options: Optional[dict] = None) -> dict:
+    """The options a scenario runs with: copies of its defaults, overlaid by
+    ``options``.  An unknown scenario or option key raises ConfigError."""
+    if name not in SCENARIOS:
+        known = ", ".join(sorted(SCENARIOS))
+        raise ConfigError(f"unknown scenario {name!r} (expected one of: {known})")
+    spec = SCENARIOS[name]
+    merged = copy.deepcopy({key: default for key, (default, _) in spec.options.items()})
+    for key, value in (options or {}).items():
+        if key not in merged:
+            raise ConfigError(
+                f"options.{key}: unknown key for scenario {name!r} "
+                f"(expected one of: {', '.join(sorted(merged))})"
+            )
+        merged[key] = value
+    return merged
+
+
 def run_scenario(
     name: str,
     params: Optional[PhysicalParams] = None,
@@ -832,20 +746,9 @@ def run_scenario(
     options: Optional[dict] = None,
     workers: int = 1,
 ) -> ScenarioResult:
-    """Dispatch a scenario by name after validating its option keys."""
-    if name not in SCENARIOS:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ConfigError(f"unknown scenario {name!r} (expected one of: {known})")
-    spec = SCENARIOS[name]
-    merged = {k: doc.default for k, doc in spec.options.items()}
-    for key, value in (options or {}).items():
-        if key not in spec.options:
-            known = ", ".join(sorted(spec.options))
-            raise ConfigError(
-                f"options.{key}: unknown key for scenario {name!r} "
-                f"(expected one of: {known})"
-            )
-        merged[key] = value
+    """Run a scenario by name; the result echoes the options it ran with."""
+    merged = scenario_options(name, options)
     if params is None:
         params = PhysicalParams()
-    return spec.runner(params, seed, workers=workers, **merged)
+    tables, summary = SCENARIOS[name].runner(params, seed, workers=workers, **merged)
+    return ScenarioResult(name, seed, merged, tables, summary)

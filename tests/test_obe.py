@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,19 @@ class TestHamiltonian:
             hamiltonian_at(
                 0.0, PulseSegment.optical(0.1, (True,)), params, chain3
             )
+
+    def test_allocates_little_beyond_its_result(self, params):
+        geometry = ChainGeometry.line(4, 20.0)
+        segment = PulseSegment.optical(0.1, addressing_mask=(True, False, False, False))
+        sample = sample_thermal(PhysicalParams(temperature=50.0), 4, seed=3)
+        hamiltonian_at(0.0, segment, params, geometry, sample)  # builds the operator table
+        tracemalloc.start()
+        try:
+            h = hamiltonian_at(0.3, segment, params, geometry, sample)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * h.nbytes
 
     def test_time_dependence_follows_trajectories(self, pair30, params):
         sample = sample_thermal(PhysicalParams(temperature=50.0), 2, seed=4)

@@ -4,11 +4,13 @@ import pytest
 from xychain.errors import ConfigError, DataError
 from xychain.model import PhysicalParams
 from xychain.scenarios import (
+    ScenarioSpec,
     catalog,
     default_epsilon_table,
     load_epsilon_table,
     resolve_epsilon_model,
     run_scenario,
+    scenario_options,
 )
 
 # small grids keep the open-system runs fast; physics tests live in
@@ -41,6 +43,23 @@ class TestCatalog:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
             run_scenario("does-not-exist")
+
+    def test_option_without_help_text_refused(self):
+        def runner(params, seed, tau_max: float = 1.0, workers: int = 1):
+            return {}, {}
+
+        with pytest.raises(TypeError, match="tau_max"):
+            ScenarioSpec("bare", "no help text", "fig0", runner)
+
+    def test_option_defaults_are_copied_per_run(self):
+        # a run's options are echoed in its result; editing them must not
+        # change the defaults of later runs
+        options = scenario_options("distance-scan")
+        options["radii"].append(60.0)
+        options["epsilon"]["backend"] = "none"
+        again = scenario_options("distance-scan")
+        assert again["radii"][-1] == 50.0
+        assert again["epsilon"] == {}
 
     def test_unknown_option_rejected_with_path(self):
         with pytest.raises(ConfigError, match="options.bogus"):
