@@ -17,6 +17,9 @@ noise realizations derive from it through a fixed seed lineage.
 A runner declares each of its options once, as a parameter
 ``name: Annotated[<type>, "<help>"] = <default>``; the catalog, the
 option-key check and the options echoed in a result all derive from it.
+A default is one object shared by every direct call of its runner, so
+runners treat option values as read-only; ``run_scenario`` passes each run
+its own copies.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import copy
 import inspect
 from dataclasses import dataclass, field, replace
-from typing import Annotated, Callable, Optional, get_type_hints
+from typing import Annotated, Callable, Optional
 
 import numpy as np
 
@@ -88,12 +91,12 @@ def _runner_options(runner: Callable) -> dict[str, tuple[object, str]]:
     Each option parameter is declared ``Annotated[<type>, "<help>"] =
     <default>``; one without help text or default is a programming error.
     """
-    hints = get_type_hints(runner, include_extras=True)
     options = {}
-    for name, param in inspect.signature(runner).parameters.items():
+    for name, param in inspect.signature(runner, eval_str=True).parameters.items():
         if name in _NOT_OPTIONS:
             continue
-        helps = [m for m in getattr(hints.get(name), "__metadata__", ()) if isinstance(m, str)]
+        metadata = getattr(param.annotation, "__metadata__", ())
+        helps = [m for m in metadata if isinstance(m, str)]
         if not helps or param.default is param.empty:
             raise TypeError(
                 f"{runner.__name__}: option {name!r} needs Annotated[type, help] = default"
