@@ -189,14 +189,18 @@ class PairFlight:
 
     def _check(self, r: np.ndarray) -> None:
         if np.any(r < _MIN_SEPARATION):
-            b, p = np.unravel_index(np.argmin(r), r.shape)
-            i, j = self.pairs[p]
-            raise GeometryError(f"atoms {i} and {j} coincide (R = {r[b, p]:g} um)")
+            at = np.unravel_index(np.argmin(r), r.shape)
+            i, j = self.pairs[at[-1]]
+            raise GeometryError(f"atoms {i} and {j} coincide (R = {r[at]:g} um)")
 
     def couplings(self, t) -> np.ndarray:
-        """Hopping frequencies (MHz) at time t (scalar or (B,)), shape (B, P)."""
+        """Hopping frequencies (MHz) at time t, shape (..., B, P).
+
+        ``t`` is a scalar, (B,), or (..., B) for several copies of the batch,
+        each at its own times.
+        """
         t = np.asarray(t, dtype=float)
-        rel = self._rel0 + self._relv * t.reshape(-1, 1, 1)
+        rel = self._rel0 + self._relv * t[..., None, None]
         r = np.linalg.norm(rel, axis=-1)
         self._check(r)
         return self.c3 / r**3

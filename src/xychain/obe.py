@@ -23,8 +23,12 @@ fixed-step 4th-order Runge-Kutta is
 
 The step size obeys 2 pi dt max(Omega, delta, nu_max) < 0.05 with additional
 per-segment-kind safety margins chosen so that halving dt changes sampled
-populations by less than 1e-6.  All states are batchable: a leading batch
-axis carries independent thermal realizations or readout branches.
+populations by less than 1e-6; every step checks the couplings it integrates
+against that bound.  All states are batchable: a leading batch axis carries
+independent thermal realizations, and in a readout scan several readout
+branches of the whole realization batch at once.  Those branches run in
+chunks sized to a fixed scratch budget and share one step plan, so the
+output does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -66,6 +70,15 @@ _REF_BUDGET_FREE = 7.0
 
 _MAX_OBE_ATOMS = 6
 _POSITIVITY_TOL = -1e-7
+
+#: Scratch bytes the readout branches of one scan may hold at once.  Small,
+#: because the branches gain little from batches beyond a few hundred
+#: density matrices while peak memory keeps growing.
+_BRANCH_BUDGET_BYTES = 2 * 2**20
+# B x d x d complex arrays one branch occupies while it runs: its state in
+# the branch buffer, the engine's four RK4 stages, three RHS scratch arrays
+# and the RHS temporaries.
+_ARRAYS_PER_BRANCH = 10
 
 
 class Level(IntEnum):
@@ -287,19 +300,23 @@ def _dense_operators(n_atoms: int) -> _OperatorTable:
     return _OperatorTable.get(n_atoms)
 
 
-def _pair_flight(geometry: ChainGeometry, params: PhysicalParams, trajectories, pairs):
-    """Batch size and batched pair flight of the trajectories (a single one
-    at rest when None)."""
-    n = geometry.n_atoms
+def _samples(trajectories, n_atoms: int) -> list[ThermalSample]:
+    """The trajectories as a list (a single one at rest when None)."""
     if trajectories is None:
-        samples = [ThermalSample.at_rest(n)]
+        samples = [ThermalSample.at_rest(n_atoms)]
     elif isinstance(trajectories, ThermalSample):
         samples = [trajectories]
     else:
         samples = list(trajectories)
     for s in samples:
-        if s.n_atoms != n:
+        if s.n_atoms != n_atoms:
             raise ConfigError("trajectory sample does not match the geometry")
+    return samples
+
+
+def _pair_flight(geometry: ChainGeometry, params: PhysicalParams, trajectories, pairs):
+    """Batch size and batched pair flight of the trajectories."""
+    samples = _samples(trajectories, geometry.n_atoms)
     return len(samples), PairFlight(
         geometry,
         params,
@@ -354,7 +371,8 @@ def _resolve_initial(initial, n_atoms: int) -> np.ndarray:
 
 
 class _SegmentCache:
-    """Per-segment constants: drive Hamiltonian, decay rates, step size."""
+    """Per-segment constants: drive Hamiltonian, decay rates, step size; for
+    motionless atoms also the full Hamiltonian and its largest coupling."""
 
     __slots__ = (
         "h_drive_flat",
@@ -363,6 +381,7 @@ class _SegmentCache:
         "rate_down",
         "dt",
         "h_static",
+        "nu_static",
     )
 
     def __init__(self, h_drive_flat, w_matrix, rates_up, rate_down, dt):
@@ -372,14 +391,17 @@ class _SegmentCache:
         self.rate_down = rate_down
         self.dt = dt
         self.h_static = None
+        self.nu_static = 0.0
 
 
 class _Engine:
     """Batched RK4 integrator for the master equation.
 
     The batch axis carries independent realizations (distinct thermal
-    trajectories) or readout branches; all states evolve under the same
-    segment structure but their own time-dependent couplings.
+    trajectories); all states evolve under the same segment structure but
+    their own time-dependent couplings.  The scratch holds ``branches``
+    copies of the batch, so that a state of up to ``branches * batch`` rows
+    (branch-major, times of shape (branches, batch)) advances in one pass.
     """
 
     def __init__(
@@ -389,6 +411,7 @@ class _Engine:
         trajectories: Union[None, ThermalSample, Sequence[ThermalSample]] = None,
         dt_scale: float = 1.0,
         check_positivity: bool = True,
+        branches: int = 1,
     ):
         n = geometry.n_atoms
         self.ops = _dense_operators(n)
@@ -403,15 +426,19 @@ class _Engine:
         self.batch, self.flight = _pair_flight(geometry, params, trajectories, self.ops.pairs)
         self.gamma_eff = params.gamma_eff_per_atom(n)
 
-        # scratch buffers for the allocation-free RK4 hot path
-        shape = (self.batch, self.d, self.d)
+        # scratch buffers for the allocation-free RK4 hot path; a smaller
+        # state uses their leading rows
+        rows = branches * self.batch
+        shape = (rows, self.d, self.d)
         self._k = [np.empty(shape, dtype=complex) for _ in range(4)]
         self._tmp = np.empty(shape, dtype=complex)
         self._m1 = np.empty(shape, dtype=complex)
         self._m2 = np.empty(shape, dtype=complex)
-        self._hflat = np.empty((self.batch, self.d * self.d), dtype=complex)
+        self._hflat = np.empty((rows, self.d * self.d), dtype=complex)
 
-    def _segment_cache(self, segment: PulseSegment, t_start) -> _SegmentCache:
+    def _segment_cache(self, segment: PulseSegment, t_start, t_end=None) -> _SegmentCache:
+        """Constants of one segment whose step suits the couplings over
+        [t_start, t_end], by default the segment itself."""
         ops = self.ops
         h_drive, delta_eff, drive_max = _drive_hamiltonian(segment, self.params, ops)
         gamma_optical = self.gamma_eff if segment.kind == "optical" else 0.0
@@ -425,7 +452,9 @@ class _Engine:
         w_matrix = 0.5 * (w[:, None] + w[None, :])
 
         t_start = np.atleast_1d(t_start)
-        nu_max = self.flight.bound(t_start, t_start + segment.duration)
+        if t_end is None:
+            t_end = t_start + segment.duration
+        nu_max = self.flight.bound(t_start, t_end)
         scale = max(drive_max, float(np.max(np.abs(delta_eff))), nu_max)
         if segment.kind == "free_evolution":
             margin = _MARGIN_FREE_STATIC if self.flight.static else _MARGIN_FREE
@@ -451,23 +480,33 @@ class _Engine:
             nu = self.flight.couplings(np.zeros(1))[0]
             h_int = (nu @ ops.hop_flat).reshape(self.d, self.d)
             cache.h_static = cache.h_drive_flat.reshape(self.d, self.d) + h_int
+            cache.nu_static = float(np.max(np.abs(nu), initial=0.0))
         return cache
 
-    def _rhs(self, t, rho, cache: _SegmentCache, out) -> np.ndarray:
+    def _rhs(self, t, rho, cache: _SegmentCache, out, step: float = 0.0) -> np.ndarray:
         """drho/dt into ``out``; the commutator uses rho H = (H rho)^dagger,
-        which keeps the result Hermitian to machine precision."""
-        d = self.d
-        m1 = self._m1
+        which keeps the result Hermitian to machine precision.
+
+        A nonzero ``step`` first checks the couplings at t against an RK4
+        step of that size: one whose phase 2 pi nu h reaches PHASE_CAP means
+        the step plan under-estimated the couplings, and raises.
+        """
+        rows, d = len(rho), self.d
+        m1, m2 = self._m1[:rows], self._m2[:rows]
         if cache.h_static is not None:
             h = cache.h_static
+            if step and 2.0 * np.pi * cache.nu_static * step >= PHASE_CAP:
+                self._step_violation(t, cache.nu_static, step)
         else:
-            nu = self.flight.couplings(t).astype(complex)
-            np.matmul(nu, self.ops.hop_flat, out=self._hflat)
-            self._hflat += cache.h_drive_flat
-            h = self._hflat.reshape(-1, d, d)
+            nu = self.flight.couplings(t).reshape(rows, -1)
+            if step and 2.0 * np.pi * np.abs(nu).max(initial=0.0) * step >= PHASE_CAP:
+                self._step_violation(t, nu, step)
+            hflat = self._hflat[:rows]
+            np.matmul(nu.astype(complex), self.ops.hop_flat, out=hflat)
+            hflat += cache.h_drive_flat
+            h = hflat.reshape(rows, d, d)
         np.matmul(h, rho, out=m1)
         ops = self.ops
-        m2 = self._m2
         np.conjugate(m1, out=m2)
         np.subtract(m1, m2.transpose(0, 2, 1), out=out)
         out *= -2j * np.pi
@@ -485,23 +524,38 @@ class _Engine:
         return out
 
     @staticmethod
+    def _step_violation(t, nu, step: float):
+        """Raise, naming the time of the state row (of nu, (rows, P), or a
+        scalar for every row) that carries the largest coupling."""
+        size = np.abs(np.atleast_2d(nu))
+        row = int(np.argmax(size)) // size.shape[-1]
+        phase = 2.0 * np.pi * float(size.max()) * step
+        t_row = float(np.ravel(t)[row % np.size(t)])
+        raise IntegrationError(
+            f"step size violation at t = {t_row:.6g} us: 2*pi*nu_max*dt = "
+            f"{phase:.3g} >= {PHASE_CAP} (the step plan under-estimated the couplings)"
+        )
+
+    @staticmethod
     def _axpy(out, x, alpha: float, y):
         """out = x + alpha * y."""
         np.multiply(y, alpha, out=out)
         out += x
 
     def _advance(self, rho, t_start, span: float, cache: _SegmentCache):
-        """In-place RK4 from t_start over span; t_start has shape (B,)."""
+        """In-place RK4 from t_start over span; t_start has shape (B,), or
+        (branches, B) for a stack of branches."""
         if span <= 0.0:
             return rho
         n_steps = max(1, int(np.ceil(span / cache.dt)))
         h = span / n_steps
-        k1, k2, k3, k4 = self._k
-        tmp = self._tmp
+        rows = len(rho)
+        k1, k2, k3, k4 = (k[:rows] for k in self._k)
+        tmp = self._tmp[:rows]
         offset = 0.0
         for _ in range(n_steps):
             t = t_start + offset
-            self._rhs(t, rho, cache, k1)
+            self._rhs(t, rho, cache, k1, step=h)
             self._axpy(tmp, rho, 0.5 * h, k1)
             self._rhs(t + 0.5 * h, tmp, cache, k2)
             self._axpy(tmp, rho, 0.5 * h, k2)
@@ -537,14 +591,18 @@ class _Engine:
         return rho, snaps
 
     def check_state(self, rho, t) -> float:
-        """Trace deviation; raises on positivity violation at time t."""
+        """Largest trace deviation of the stacked states; raises on a
+        positivity violation, naming the time (of t, one per row or
+        broadcast) of the offending row."""
         trace_dev = float(np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)))
         if self.check_positivity:
-            min_eig = float(np.min(np.linalg.eigvalsh(rho)))
-            if min_eig < _POSITIVITY_TOL:
+            min_eigs = np.linalg.eigvalsh(rho).min(axis=-1)
+            row = int(np.argmin(min_eigs))
+            if min_eigs[row] < _POSITIVITY_TOL:
+                t_row = float(np.broadcast_to(np.ravel(t), min_eigs.shape)[row])
                 raise IntegrationError(
-                    f"density matrix positivity violated at t = {float(np.max(t)):.6g} "
-                    f"us (min eigenvalue {min_eig:.3g})"
+                    f"density matrix positivity violated at t = {t_row:.6g} "
+                    f"us (min eigenvalue {min_eigs[row]:.3g})"
                 )
         return trace_dev
 
@@ -669,6 +727,12 @@ def run_sequence(
     )
 
 
+def _branch_chunk(batch: int, n_atoms: int) -> int:
+    """Readout branches that run together within the scratch budget."""
+    per_branch = _ARRAYS_PER_BRANCH * batch * 9**n_atoms * np.dtype(complex).itemsize
+    return max(1, _BRANCH_BUDGET_BYTES // per_branch)
+
+
 def readout_scan(
     geometry: ChainGeometry,
     params: PhysicalParams,
@@ -687,26 +751,43 @@ def readout_scan(
     level populations are recorded.  With a batch of thermal trajectories all
     realizations advance together, so a full Monte-Carlo scan is a single
     pass.  Equivalent to running the full sequence separately for every tau.
+
+    The branches wait in a buffer and run the suffix together, as many at a
+    time as fit the module's scratch budget (one at a time for 100
+    realizations of two or more atoms).  Each suffix segment has one step
+    size for all branches, sized for its couplings from the first branch's
+    start to the last branch's end, so the result does not depend on how the
+    branches are chunked.  Every branch's state is checked for trace and
+    positivity as it enters and leaves the suffix.
     """
     n = geometry.n_atoms
-    engine = _Engine(geometry, params, trajectories, dt_scale, check_positivity)
     taus = np.atleast_1d(np.asarray(tau_grid, dtype=float))
-    if np.any(taus < 0) or np.any(np.diff(taus) <= 0):
-        raise ConfigError("tau grid must be non-negative and strictly increasing")
+    if taus.size == 0 or np.any(taus < 0) or np.any(np.diff(taus) <= 0):
+        raise ConfigError("tau grid must be non-empty, non-negative and strictly increasing")
     prefix = list(prefix)
     suffix = list(suffix)
+    samples = _samples(trajectories, n)
+    chunk = min(_branch_chunk(len(samples), n), len(taus))
+    engine = _Engine(geometry, params, samples, dt_scale, check_positivity, chunk)
+    batch, d = engine.batch, engine.d
 
-    rho = np.broadcast_to(
-        _resolve_initial(initial, n), (engine.batch, engine.d, engine.d)
-    ).copy()
-    t_now = np.zeros(engine.batch)
+    rho = np.broadcast_to(_resolve_initial(initial, n), (batch, d, d)).copy()
+    t_now = np.zeros(batch)
     for seg in prefix:
         rho, _ = engine.integrate_segment(rho, t_now, seg)
         t_now = t_now + seg.duration
     prefix_duration = float(sum(s.duration for s in prefix))
     suffix_duration = float(sum(s.duration for s in suffix))
 
-    populations = np.empty((engine.batch, len(taus), engine.d))
+    plan = []
+    first, last = t_now + taus[0], t_now + taus[-1]
+    for seg in suffix:
+        plan.append((seg.duration, engine._segment_cache(seg, first, last + seg.duration)))
+        first, last = first + seg.duration, last + seg.duration
+
+    branches = np.empty((chunk * batch, d, d), dtype=complex)
+    starts = np.empty((chunk, batch))
+    populations = np.empty((batch, len(taus), d))
     max_dev = 0.0
     cursor = 0.0
     for k, tau in enumerate(taus):
@@ -715,14 +796,19 @@ def readout_scan(
             rho, _ = engine.integrate_segment(rho, t_now, segment)
             t_now = t_now + (tau - cursor)
             cursor = tau
-        max_dev = max(max_dev, engine.check_state(rho, t_now))
-        branch = rho.copy()
-        t_branch = t_now.copy()
-        for seg in suffix:
-            branch, _ = engine.integrate_segment(branch, t_branch, seg)
-            t_branch = t_branch + seg.duration
-        max_dev = max(max_dev, engine.check_state(branch, t_branch))
-        populations[:, k, :] = np.real(np.diagonal(branch, axis1=-2, axis2=-1))
+        j = k % chunk
+        branches[j * batch : (j + 1) * batch] = rho
+        starts[j] = t_now
+        if j + 1 < chunk and k + 1 < len(taus):
+            continue
+        stack, t_branch = branches[: (j + 1) * batch], starts[: j + 1]
+        max_dev = max(max_dev, engine.check_state(stack, t_branch))
+        for duration, cache in plan:
+            engine._advance(stack, t_branch, duration, cache)
+            t_branch = t_branch + duration
+        max_dev = max(max_dev, engine.check_state(stack, t_branch))
+        pops = np.real(np.diagonal(stack, axis1=-2, axis2=-1)).reshape(j + 1, batch, d)
+        populations[:, k - j : k + 1, :] = pops.transpose(1, 0, 2)
     return ReadoutScanResult(
         tau_grid=taus,
         populations=populations,

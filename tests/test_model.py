@@ -105,6 +105,17 @@ class TestPairFlight:
                     expected = pair_coupling(geometry, params, i, j, disp[i], disp[j])
                     assert nu[b, p] == pytest.approx(expected, rel=1e-12)
 
+    def test_stacked_times_give_stacked_couplings(self, params, rng):
+        # (copies, B) times, as the readout branches of a scan use them
+        geometry = ChainGeometry.line(3, 20.0)
+        flight = PairFlight(geometry, params, rng.normal(0.0, 0.5, size=(2, 3, 3)),
+                            rng.normal(0.0, 1.0, size=(2, 3, 3)))
+        t = np.array([[0.5, 1.5], [2.0, 3.0], [4.0, 0.0]])
+        stacked = flight.couplings(t)
+        assert stacked.shape == (3, 2, 3)
+        for copy, t_copy in enumerate(t):
+            assert np.array_equal(stacked[copy], flight.couplings(t_copy))
+
     def test_at_rest_is_static(self, chain3, params):
         flight = PairFlight(chain3, params)
         assert flight.static
@@ -146,6 +157,8 @@ class TestPairFlight:
             flight.bound(0.0, 12.0)
         with pytest.raises(GeometryError, match="atoms 0 and 1"):
             flight.couplings(10.0)
+        with pytest.raises(GeometryError, match="atoms 0 and 1"):
+            flight.couplings(np.array([[0.0], [10.0]]))
 
 
 class TestValidate:

@@ -1,11 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from xychain import xy
+from xychain import obe, xy
 from xychain.errors import ConfigError, GeometryError, IntegrationError
-from xychain.model import ChainGeometry, PhysicalParams
+from xychain.model import ChainGeometry, PairFlight, PhysicalParams
 from xychain.obe import (
     Level,
     ProductDensityMatrix,
@@ -291,6 +292,87 @@ class TestReadoutScan:
         )
         with pytest.raises(GeometryError):
             readout_scan(pair30, params, [], [12.0], [], trajectories=sample, initial="ud")
+
+    # at 10 um the couplings, not the drive, set the readout step, so a step
+    # plan that depended on the chunk would show
+    @pytest.mark.parametrize(
+        "n_atoms, spacing, moving, with_suffix",
+        [
+            (2, 10.0, True, True),
+            (3, 20.0, False, True),
+            (3, 20.0, True, True),
+            (2, 20.0, True, False),
+        ],
+        ids=["moving-n2", "static-n3", "moving-n3", "empty-suffix"],
+    )
+    def test_chunk_size_does_not_change_output(
+        self, n_atoms, spacing, moving, with_suffix, params, monkeypatch
+    ):
+        geometry = ChainGeometry.line(n_atoms, spacing)
+        samples = [sample_thermal(params, n_atoms, s) for s in (4, 5)] if moving else None
+        suffix = deexcite_suffix(params, n_atoms) if with_suffix else []
+        initial = "u" + "d" * (n_atoms - 1)
+        taus = np.linspace(0.0, 0.4, 5)
+        per_branch = obe._ARRAYS_PER_BRANCH * (2 if moving else 1) * 9**n_atoms * 16
+        scans = []
+        # one branch at a time, two at a time (the last chunk partial), all at once
+        for budget in (0, 2 * per_branch, 10**9):
+            monkeypatch.setattr(obe, "_BRANCH_BUDGET_BYTES", budget)
+            scans.append(readout_scan(geometry, params, [], taus, suffix, samples, initial))
+        for scan in scans[1:]:
+            assert np.array_equal(scan.populations, scans[0].populations)
+            assert scan.max_trace_deviation == scans[0].max_trace_deviation
+
+    def test_production_batch_runs_one_branch_at_a_time(self):
+        for n_atoms in range(2, 7):
+            assert obe._branch_chunk(100, n_atoms) == 1
+        assert obe._branch_chunk(10, 2) > 1
+
+    def test_branch_memory_is_bounded(self, chain3, params):
+        samples = [sample_thermal(params, 3, s) for s in (1, 2)]
+        suffix = deexcite_suffix(params, 3)
+        taus = np.linspace(0.0, 0.15, 30)
+        readout_scan(chain3, params, [], taus[:2], suffix, samples, "udd")  # operator tables
+        tracemalloc.start()
+        try:
+            scan = readout_scan(chain3, params, [], taus, suffix, samples, "udd")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        inputs = taus.nbytes + sum(s.displacements.nbytes + s.velocities.nbytes
+                                   for s in samples)
+        outputs = (scan.populations.nbytes + scan.tau_grid.nbytes
+                   + scan.total_durations.nbytes)
+        # all 30 branches at once would hold about 6.5 MB
+        assert peak < obe._BRANCH_BUDGET_BYTES + inputs + outputs
+
+    @pytest.mark.parametrize("moving", [True, False], ids=["approach", "static"])
+    def test_under_reported_coupling_bound_raises(self, pair30, params, moving,
+                                                  monkeypatch):
+        # atom 0 passes 2 um from atom 1 at t = 10 us; a bound read at the
+        # window start alone misses the approach.  At rest the bound is zero.
+        sample = ThermalSample(
+            displacements=[[0.0, 2.0 if moving else 0.0, 0.0], [0.0, 0.0, 0.0]],
+            velocities=[[3.0 if moving else 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            seed=0,
+        )
+        monkeypatch.setattr(
+            PairFlight,
+            "bound",
+            lambda flight, t_lo, t_hi: (
+                float(np.abs(flight.couplings(t_lo)).max()) if moving else 0.0
+            ),
+        )
+        with pytest.raises(IntegrationError, match="step size violation") as err:
+            readout_scan(pair30, params, [], [12.0], [], trajectories=sample,
+                         initial="ud")
+        t_raised = float(re.search(r"at t = (\S+) us", str(err.value)).group(1))
+        assert t_raised < 10.0
+
+    @pytest.mark.parametrize("taus", [[], [0.5, 0.5], [-0.1, 0.2]])
+    def test_bad_tau_grid_rejected(self, pair30, params, taus):
+        with pytest.raises(ConfigError, match="tau grid"):
+            readout_scan(pair30, params, [], taus, [])
 
     def test_total_durations(self, pair30, params):
         taus = np.array([0.0, 1.0])
