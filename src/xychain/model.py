@@ -205,14 +205,14 @@ class PairFlight:
         self._check(r)
         return self.c3 / r**3
 
-    def bound(self, t_lo, t_hi) -> float:
-        """Largest coupling (MHz) any pair reaches for t in [t_lo, t_hi].
+    def bound(self, t_lo, t_hi) -> np.ndarray:
+        """Largest coupling (MHz) each realization reaches for t in [t_lo, t_hi].
 
         Free flight is ballistic, so the smallest separation of a pair is at
         a window end or at the vertex of |rel0 + relv t|^2 when that falls
         inside the window; sizing a fixed step from this bound keeps it valid
         even when a thermal draw brings atoms closer together mid-window.
-        ``t_lo`` and ``t_hi`` are scalars or (B,).
+        ``t_lo`` and ``t_hi`` are scalars or (B,); the result is (B,).
         """
         t_lo = np.asarray(t_lo, dtype=float).reshape(-1, 1)
         t_hi = np.asarray(t_hi, dtype=float).reshape(-1, 1)
@@ -230,7 +230,7 @@ class PairFlight:
         r_star_sq = np.where(in_window, (rel_star**2).sum(axis=-1), np.inf)
         r = np.sqrt(np.minimum(r_sq, r_star_sq))
         self._check(r)
-        return float(self.c3 / r.min(initial=np.inf) ** 3)
+        return self.c3 / r.min(axis=-1, initial=np.inf) ** 3
 
 
 def pair_coupling(

@@ -454,7 +454,7 @@ class _Engine:
         t_start = np.atleast_1d(t_start)
         if t_end is None:
             t_end = t_start + segment.duration
-        nu_max = self.flight.bound(t_start, t_end)
+        nu_max = float(np.max(self.flight.bound(t_start, t_end)))
         scale = max(drive_max, float(np.max(np.abs(delta_eff))), nu_max)
         if segment.kind == "free_evolution":
             margin = _MARGIN_FREE_STATIC if self.flight.static else _MARGIN_FREE

@@ -591,14 +591,12 @@ def long_chain(
     seeds = _seed_lineage(seed)
     initial = xy.SpinState.excitation_at(n_atoms, 0)
 
-    def realization(sample_seed: int) -> np.ndarray:
-        sample = thermal.sample_thermal(params, n_atoms, sample_seed)
-        return xy.propagate_time_dependent(
-            geometry, params, sample, range_mode, initial, taus
-        )
+    def realizations(sample_seeds: list[int]) -> np.ndarray:
+        samples = [thermal.sample_thermal(params, n_atoms, s) for s in sample_seeds]
+        return xy.propagate_ensemble(geometry, params, samples, range_mode, initial, taus)
 
     n_eff = 1 if params.temperature == 0.0 else n_realizations
-    ensemble = thermal.monte_carlo(realization, n_eff, seeds[0], n_workers=workers)
+    ensemble = thermal.monte_carlo(realizations, n_eff, seeds[0], n_workers=workers)
     true_mean = ensemble.mean                                  # (N, T)
     eps_model = resolve_epsilon_model(epsilon, params, seeds[2], tau_max)
     observed = detection.scale_excitation_large_n(taus, true_mean, eps_model, n_atoms)

@@ -102,36 +102,51 @@ def realization_seeds(base_seed: int, n_realizations: int) -> list[int]:
 
 
 def monte_carlo(
-    run: Callable[[int], np.ndarray],
+    run: Callable[[list[int]], np.ndarray],
     n_realizations: int,
     base_seed: int,
     n_workers: int = 1,
 ) -> EnsembleResult:
-    """Average ``run(seed)`` over deterministically seeded realizations.
+    """Average ``run(seeds)`` over deterministically seeded realizations.
 
-    Results are accumulated in realization order regardless of execution
-    order, so the mean is bit-identical for any ``n_workers``.  Failures are
-    re-raised with the offending realization index and seed attached.
+    ``run`` takes a list of seeds and returns one result per seed, stacked
+    along axis 0.  The seeds are split into at most ``n_workers`` contiguous
+    chunks, run on that many threads, and the results are joined in
+    realization order, so the mean is bit-identical for any ``n_workers``
+    as long as a row of ``run`` does not depend on the other seeds of its
+    chunk.  When a chunk fails, its seeds are run again one at a time and
+    the first failure is re-raised with the offending realization index and
+    seed attached.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     seeds = realization_seeds(base_seed, n_realizations)
+    chunks = np.array_split(np.arange(n_realizations), min(max(n_workers, 1), n_realizations))
 
-    def call(index: int) -> np.ndarray:
+    def call(indices: np.ndarray) -> np.ndarray:
         try:
-            return np.asarray(run(seeds[index]), dtype=float)
+            return np.asarray(run([seeds[i] for i in indices]), dtype=float)
         except Exception as exc:
+            for i in indices:
+                try:
+                    run([seeds[i]])
+                except Exception as single:
+                    raise MonteCarloError(
+                        f"realization {i} (seed {seeds[i]}) failed: {single}"
+                    ) from single
             raise MonteCarloError(
-                f"realization {index} (seed {seeds[index]}) failed: {exc}"
+                f"realizations {indices[0]}-{indices[-1]} failed together: {exc}"
             ) from exc
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(call, range(n_realizations)))
+    if len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            results = list(pool.map(call, chunks))
     else:
-        results = [call(i) for i in range(n_realizations)]
+        results = [call(chunks[0])]
 
-    stacked = np.stack(results, axis=0)
+    stacked = np.concatenate(results, axis=0)
+    if len(stacked) != n_realizations:
+        raise ValueError(f"run returned {len(stacked)} results for {n_realizations} seeds")
     mean = stacked.mean(axis=0)
     if n_realizations == 1:
         stderr = np.zeros_like(mean)

@@ -1,14 +1,19 @@
 """Independent brute-force oracles shared by the test modules.
 
 These deliberately use different algorithms from the package code: full
-2^N Hilbert-space matrix exponentials for the spin dynamics, and explicit
-enumeration of every true state and loss outcome for the detection channel.
+2^N Hilbert-space matrix exponentials for the spin dynamics, dense matrix
+exponentials of each step's midpoint couplings for the moving chain, and
+explicit enumeration of every true state and loss outcome for the detection
+channel.
 """
 
 import itertools
 
 import numpy as np
 from scipy.linalg import expm
+
+from xychain.model import PairFlight
+from xychain.xy import MAX_PHASE_PER_STEP
 
 
 def is_power_of(x: int, base: int) -> bool:
@@ -49,6 +54,39 @@ def brute_force_populations(entries: np.ndarray, initial_site: int, times):
     for k, t in enumerate(times):
         psi = expm(-2j * np.pi * ham * t) @ psi0
         pops[:, k] = masks @ (np.abs(psi) ** 2)
+    return pops
+
+
+def midpoint_populations(geometry, params, sample, initial, times):
+    """One realization of the moving chain, one step at a time: (N, T).
+
+    Follows the step plan of ``xychain.xy.propagate_time_dependent`` with
+    every pair coupled: dt safely inside 2*pi*nu_max*dt < MAX_PHASE_PER_STEP
+    for the bound over the run, ceil(span / dt) equal steps per sample
+    interval, and each step the exact exponential (``scipy.linalg.expm``) of
+    the hopping matrix at its midpoint.
+    """
+    n = geometry.n_atoms
+    flight = PairFlight(
+        geometry, params, sample.displacements[None], sample.velocities[None]
+    )
+    nu_bound = float(flight.bound(0.0, float(times[-1]))[0])
+    dt = MAX_PHASE_PER_STEP / (2.0 * np.pi * nu_bound * 1.05)
+    psi = np.asarray(initial, dtype=complex)
+    pops = np.empty((n, len(times)))
+    t_now = 0.0
+    for k, t_target in enumerate(times):
+        span = t_target - t_now
+        n_steps = max(1, int(np.ceil(span / dt))) if span > 0 else 0
+        for _ in range(n_steps):
+            h = span / n_steps
+            ham = np.zeros((n, n))
+            for (i, j), nu in zip(flight.pairs, flight.couplings(t_now + 0.5 * h)[0]):
+                ham[i, j] = ham[j, i] = nu
+            psi = expm(-2j * np.pi * h * ham) @ psi
+            t_now += h
+        t_now = t_target
+        pops[:, k] = np.abs(psi) ** 2
     return pops
 
 

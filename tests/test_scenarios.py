@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from xychain import thermal
 from xychain.errors import ConfigError, DataError
 from xychain.model import PhysicalParams
 from xychain.scenarios import (
     ScenarioSpec,
+    _seed_lineage,
     catalog,
     default_epsilon_table,
     load_epsilon_table,
@@ -241,6 +243,26 @@ class TestLongChain:
         one = run_scenario("long-chain", options=opts, seed=11, workers=1)
         four = run_scenario("long-chain", options=opts, seed=11, workers=4)
         assert np.array_equal(one.tables["observed"].data, four.tables["observed"].data)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_names_the_realization(self, monkeypatch, workers):
+        # the third of four realizations flies atom 0 through atom 1 at t = 4/3 us
+        seeds = thermal.realization_seeds(_seed_lineage(11)[0], 4)
+        draw = thermal.sample_thermal
+
+        def sample(params, n_atoms, seed):
+            if seed == seeds[2]:
+                vel = np.zeros((n_atoms, 3))
+                vel[0, 0] = 15.0
+                return thermal.ThermalSample(np.zeros((n_atoms, 3)), vel, seed)
+            return draw(params, n_atoms, seed)
+
+        monkeypatch.setattr(thermal, "sample_thermal", sample)
+        opts = {"n_atoms": 3, "tau_max": 2.0, "tau_step": 0.2, "n_realizations": 4}
+        with pytest.raises(thermal.MonteCarloError) as failure:
+            run_scenario("long-chain", options=opts, seed=11, workers=workers)
+        assert str(failure.value).startswith(f"realization 2 (seed {seeds[2]}) failed")
+        assert "atoms 0 and 1 coincide" in str(failure.value)
 
 
 class TestCalibrateEpsilon:

@@ -66,24 +66,24 @@ class TestFreeFlight:
 
 class TestMonteCarlo:
     def test_single_realization_mean_is_the_run(self):
-        result = monte_carlo(lambda seed: np.array([float(seed % 7), 1.0]), 1, 99)
+        result = monte_carlo(
+            lambda seeds: np.array([[float(seed % 7), 1.0] for seed in seeds]), 1, 99
+        )
         assert result.n_realizations == 1
         assert np.all(result.stderr == 0.0)
 
     def test_zero_temperature_has_zero_variance(self):
         params = PhysicalParams(temperature=0.0)
 
-        def run(seed):
-            sample = sample_thermal(params, 3, seed)
-            return sample.displacements.ravel()
+        def run(seeds):
+            return np.stack([sample_thermal(params, 3, s).displacements.ravel() for s in seeds])
 
         result = monte_carlo(run, 10, 4)
         assert np.all(result.stderr == 0.0)
 
     def test_mean_is_order_independent(self):
-        def run(seed):
-            rng = np.random.default_rng(seed)
-            return rng.normal(size=5)
+        def run(seeds):
+            return np.stack([np.random.default_rng(s).normal(size=5) for s in seeds])
 
         sequential = monte_carlo(run, 24, 123, n_workers=1)
         threaded = monte_carlo(run, 24, 123, n_workers=4)
@@ -95,18 +95,30 @@ class TestMonteCarlo:
         assert realization_seeds(42, 5) != realization_seeds(43, 5)
 
     def test_failures_carry_seed_identification(self):
-        def run(seed):
+        def run(seeds):
             raise RuntimeError("boom")
 
         with pytest.raises(MonteCarloError, match=r"realization 0 \(seed \d+\)"):
             monte_carlo(run, 3, 7)
 
+    def test_failure_only_in_a_batch_names_the_chunk(self):
+        def run(seeds):
+            if len(seeds) > 1:
+                raise RuntimeError("batch too large")
+            return np.zeros((1, 2))
+
+        with pytest.raises(MonteCarloError, match=r"realizations 0-2 failed together"):
+            monte_carlo(run, 3, 7)
+
     def test_mean_and_stderr_definitions(self):
         values = {}
 
-        def run(seed):
-            values[len(values)] = float(len(values))
-            return np.array([values[len(values) - 1]])
+        def run(seeds):
+            rows = []
+            for _ in seeds:
+                values[len(values)] = float(len(values))
+                rows.append([values[len(values) - 1]])
+            return np.array(rows)
 
         result = monte_carlo(run, 4, 0)
         data = np.array([0.0, 1.0, 2.0, 3.0])

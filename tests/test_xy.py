@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_populations
+from scipy.linalg import expm
+
+from oracles import brute_force_populations, midpoint_populations
 from xychain.errors import ConfigError, GeometryError
 from xychain.model import ChainGeometry, PhysicalParams
 from xychain.thermal import ThermalSample, sample_thermal
 from xychain.xy import (
     CouplingMatrix,
     SpinState,
+    _taylor_step,
     build_coupling_matrix,
     eigenmodes,
     propagate,
+    propagate_ensemble,
     propagate_time_dependent,
 )
 
@@ -222,6 +226,64 @@ class TestPropagateTimeDependent:
                 chain3, params, None, "full",
                 SpinState.excitation_at(3, 0), [1.0], dt=0.5,
             )
+
+
+class TestPropagateEnsemble:
+    @staticmethod
+    def samples(n_atoms, seeds):
+        hot = PhysicalParams(temperature=50.0)
+        return [sample_thermal(hot, n_atoms, seed) for seed in seeds]
+
+    def test_moving_batch_matches_midpoint_oracle(self, params):
+        geometry = ChainGeometry.line(5, 10.0)
+        samples = self.samples(5, (1, 2, 3, 4))
+        times = np.linspace(0.0, 2.0, 11)
+        state = SpinState.excitation_at(5, 0)
+        pops = propagate_ensemble(geometry, params, samples, "full", state, times)
+        assert pops.shape == (4, 5, 11)
+        for row, sample in zip(pops, samples):
+            oracle = midpoint_populations(geometry, params, sample, state.amplitudes, times)
+            assert np.abs(row - oracle).max() < 1e-12
+
+    def test_dense_cluster_matches_midpoint_oracle(self, params):
+        # 8 sites of a 3 x 3 um grid: the row sums of the hopping matrix are
+        # several times its largest entry, so the steps need high orders
+        grid = [(1.5 * i, 1.5 * j, 0.0) for i in range(3) for j in range(3)][:8]
+        geometry = ChainGeometry(positions=grid)
+        entries = build_coupling_matrix(geometry, params).entries
+        assert entries.sum(axis=1).max() > 4.0 * entries.max()
+        samples = self.samples(8, (5, 6))
+        times = np.linspace(0.0, 0.003, 4)
+        state = SpinState.excitation_at(8, 4)
+        pops = propagate_ensemble(geometry, params, samples, "full", state, times)
+        for row, sample in zip(pops, samples):
+            oracle = midpoint_populations(geometry, params, sample, state.amplitudes, times)
+            assert np.abs(row - oracle).max() < 1e-12
+
+    def test_rows_do_not_depend_on_the_batch(self, params):
+        # a 3 mK draw and a chain at rest take other step counts and Taylor
+        # orders than the 50 uK draws they share the batch with
+        geometry = ChainGeometry.line(6, 15.0)
+        hot = sample_thermal(PhysicalParams(temperature=3000.0), 6, seed=9)
+        samples = self.samples(6, (7, 8)) + [hot, None] + self.samples(6, (10,))
+        times = np.linspace(0.0, 3.0, 16)
+        state = SpinState.excitation_at(6, 0)
+        batch = propagate_ensemble(geometry, params, samples, "full", state, times)
+        for row, sample in zip(batch, samples):
+            alone = propagate_time_dependent(geometry, params, sample, "full", state, times)
+            assert np.array_equal(row, alone)
+
+    def test_taylor_step_substeps_large_norms(self, rng):
+        hops = rng.normal(size=(3, 6, 6))
+        hops = hops + hops.transpose(0, 2, 1)
+        theta = np.array([1.5, 0.01, 0.0])      # norms about 7, 0.05 and 0
+        psi = rng.normal(size=(3, 6, 1)) + 1j * rng.normal(size=(3, 6, 1))
+        out = _taylor_step(hops, theta, psi)
+        assert theta[0] * np.abs(hops[0]).sum(axis=1).max() > 3.0
+        for b in range(3):
+            exact = expm(-1j * theta[b] * hops[b]) @ psi[b]
+            assert np.abs(out[b] - exact).max() < 1e-13
+        assert np.array_equal(out[2], psi[2])
 
 
 class TestSpinState:
