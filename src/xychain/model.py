@@ -201,7 +201,7 @@ class PairFlight:
         """
         t = np.asarray(t, dtype=float)
         rel = self._rel0 + self._relv * t[..., None, None]
-        r = np.linalg.norm(rel, axis=-1)
+        r = np.sqrt(np.add.reduce(rel * rel, axis=-1))
         self._check(r)
         return self.c3 / r**3
 

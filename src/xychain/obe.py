@@ -24,7 +24,9 @@ fixed-step 4th-order Runge-Kutta is
 The step size obeys 2 pi dt max(Omega, delta, nu_max) < 0.05 with additional
 per-segment-kind safety margins chosen so that halving dt changes sampled
 populations by less than 1e-6; every step checks the couplings it integrates
-against that bound.  All states are batchable: a leading batch axis carries
+against that bound, and every sampled or branched state is checked for
+trace and positivity (a minimum eigenvalue below -1e-7 raises
+IntegrationError).  All states are batchable: a leading batch axis carries
 independent thermal realizations, and in a readout scan several readout
 branches of the whole realization batch at once.  Those branches run in
 chunks sized to a fixed scratch budget and share one step plan, so the
@@ -134,15 +136,9 @@ class PulseSegment:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Ordered segments plus the readout convention.
-
-    ``recaptured_levels`` names the levels that map to a recaptured atom at
-    readout; with the standard de-excitation pulse that is the ground state
-    alone (both Rydberg levels are lost).
-    """
+    """Ordered segments of one experimental sequence."""
 
     segments: tuple[PulseSegment, ...]
-    recaptured_levels: frozenset[Level] = frozenset({Level.G})
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -152,41 +148,6 @@ class PulseSequence:
     @property
     def total_duration(self) -> float:
         return float(sum(seg.duration for seg in self.segments))
-
-
-@dataclass(frozen=True)
-class ProductDensityMatrix:
-    """Density matrix on the 3^N product space with on-demand checks."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError(f"rho must be square, got {rho.shape}")
-        n = round(math.log(rho.shape[0], 3))
-        if 3**n != rho.shape[0]:
-            raise ValueError(f"rho dimension {rho.shape[0]} is not a power of 3")
-        rho = rho.copy()
-        rho.flags.writeable = False
-        object.__setattr__(self, "rho", rho)
-
-    @property
-    def n_atoms(self) -> int:
-        return round(math.log(self.rho.shape[0], 3))
-
-    def validate(self) -> list[str]:
-        issues = []
-        herm = np.max(np.abs(self.rho - self.rho.conj().T))
-        if herm > 1e-9:
-            issues.append(f"hermiticity deviation {herm:g} > 1e-9")
-        trace = abs(np.trace(self.rho) - 1.0)
-        if trace > 1e-8:
-            issues.append(f"trace deviation {trace:g} > 1e-8")
-        min_eig = float(np.linalg.eigvalsh(self.rho).min())
-        if min_eig < _POSITIVITY_TOL:
-            issues.append(f"minimum eigenvalue {min_eig:g} < {_POSITIVITY_TOL:g}")
-        return issues
 
 
 def level_labels(n_atoms: int) -> list[str]:
@@ -314,46 +275,6 @@ def _samples(trajectories, n_atoms: int) -> list[ThermalSample]:
     return samples
 
 
-def _pair_flight(geometry: ChainGeometry, params: PhysicalParams, trajectories, pairs):
-    """Batch size and batched pair flight of the trajectories."""
-    samples = _samples(trajectories, geometry.n_atoms)
-    return len(samples), PairFlight(
-        geometry,
-        params,
-        np.stack([s.displacements for s in samples]),
-        np.stack([s.velocities for s in samples]),
-        pairs,
-    )
-
-
-def _drive_hamiltonian(segment: PulseSegment, params: PhysicalParams, ops: _OperatorTable):
-    """Drive Hamiltonian (MHz, real d x d) of one segment, the detunings it
-    applies per atom and its largest Rabi frequency."""
-    n, d = ops.n, ops.d
-    h_drive = np.zeros((d, d))
-    delta_eff = np.zeros(n)
-    drive_max = 0.0
-    if segment.kind == "optical":
-        mask = segment.addressing_mask
-        if mask is not None and len(mask) != n:
-            raise ConfigError(f"addressing mask length {len(mask)} != {n} atoms")
-        omega_opt = params.omega_opt_per_atom(n)
-        delta_eff = params.delta_opt_per_atom(n)
-        if mask is not None:
-            delta_eff += np.asarray(mask, dtype=float) * params.addressing_shift
-        diag = np.zeros(d)
-        for i in range(n):
-            h_drive = h_drive + 0.5 * omega_opt[i] * ops.x_gu[i]
-            diag -= delta_eff[i] * ops.diag_rydberg[i]
-        h_drive[np.diag_indices(d)] += diag
-        drive_max = float(np.max(np.abs(omega_opt)))
-    elif segment.kind == "microwave":
-        for i in range(n):
-            h_drive = h_drive + 0.5 * params.omega_mw * ops.x_ud[i]
-        drive_max = abs(params.omega_mw)
-    return h_drive, delta_eff, drive_max
-
-
 def _resolve_initial(initial, n_atoms: int) -> np.ndarray:
     d = 3**n_atoms
     if initial is None:
@@ -362,8 +283,6 @@ def _resolve_initial(initial, n_atoms: int) -> np.ndarray:
         if len(initial) != n_atoms:
             raise ConfigError(f"initial label {initial!r} does not match {n_atoms} atoms")
         return basis_rho(initial)
-    if isinstance(initial, ProductDensityMatrix):
-        initial = initial.rho
     rho = np.asarray(initial, dtype=complex)
     if rho.shape != (d, d):
         raise ConfigError(f"initial rho must have shape ({d}, {d}), got {rho.shape}")
@@ -410,20 +329,25 @@ class _Engine:
         params: PhysicalParams,
         trajectories: Union[None, ThermalSample, Sequence[ThermalSample]] = None,
         dt_scale: float = 1.0,
-        check_positivity: bool = True,
         branches: int = 1,
     ):
         n = geometry.n_atoms
         self.ops = _dense_operators(n)
         if not 0 < dt_scale <= 1.0:
             raise ConfigError(f"dt_scale must be in (0, 1], got {dt_scale}")
-        self.geometry = geometry
         self.params = params
         self.n = n
         self.d = self.ops.d
         self.dt_scale = dt_scale
-        self.check_positivity = check_positivity
-        self.batch, self.flight = _pair_flight(geometry, params, trajectories, self.ops.pairs)
+        samples = _samples(trajectories, n)
+        self.batch = len(samples)
+        self.flight = PairFlight(
+            geometry,
+            params,
+            np.stack([s.displacements for s in samples]),
+            np.stack([s.velocities for s in samples]),
+            self.ops.pairs,
+        )
         self.gamma_eff = params.gamma_eff_per_atom(n)
 
         # scratch buffers for the allocation-free RK4 hot path; a smaller
@@ -439,15 +363,34 @@ class _Engine:
     def _segment_cache(self, segment: PulseSegment, t_start, t_end=None) -> _SegmentCache:
         """Constants of one segment whose step suits the couplings over
         [t_start, t_end], by default the segment itself."""
-        ops = self.ops
-        h_drive, delta_eff, drive_max = _drive_hamiltonian(segment, self.params, ops)
+        ops, params, n, d = self.ops, self.params, self.n, self.d
+        # drive Hamiltonian (MHz), per-atom detunings and largest Rabi frequency
+        h_drive = np.zeros((d, d))
+        delta_eff = np.zeros(n)
+        drive_max = 0.0
+        if segment.kind == "optical":
+            mask = segment.addressing_mask
+            if mask is not None and len(mask) != n:
+                raise ConfigError(f"addressing mask length {len(mask)} != {n} atoms")
+            omega_opt = params.omega_opt_per_atom(n)
+            delta_eff = params.delta_opt_per_atom(n)
+            if mask is not None:
+                delta_eff += np.asarray(mask, dtype=float) * params.addressing_shift
+            diag = np.zeros(d)
+            for i in range(n):
+                h_drive = h_drive + 0.5 * omega_opt[i] * ops.x_gu[i]
+                diag -= delta_eff[i] * ops.diag_rydberg[i]
+            h_drive[np.diag_indices(d)] += diag
+            drive_max = float(np.max(np.abs(omega_opt)))
+        elif segment.kind == "microwave":
+            for i in range(n):
+                h_drive = h_drive + 0.5 * params.omega_mw * ops.x_ud[i]
+            drive_max = abs(params.omega_mw)
         gamma_optical = self.gamma_eff if segment.kind == "optical" else 0.0
-        rates_up = self.params.gamma_up + np.broadcast_to(
-            gamma_optical, (self.n,)
-        ).astype(float)
-        rate_down = self.params.gamma_down
-        w = np.zeros(self.d)
-        for i in range(self.n):
+        rates_up = params.gamma_up + np.broadcast_to(gamma_optical, (n,)).astype(float)
+        rate_down = params.gamma_down
+        w = np.zeros(d)
+        for i in range(n):
             w += rates_up[i] * ops.diag_up[i] + rate_down * ops.diag_down[i]
         w_matrix = 0.5 * (w[:, None] + w[None, :])
 
@@ -595,59 +538,15 @@ class _Engine:
         positivity violation, naming the time (of t, one per row or
         broadcast) of the offending row."""
         trace_dev = float(np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)))
-        if self.check_positivity:
-            min_eigs = np.linalg.eigvalsh(rho).min(axis=-1)
-            row = int(np.argmin(min_eigs))
-            if min_eigs[row] < _POSITIVITY_TOL:
-                t_row = float(np.broadcast_to(np.ravel(t), min_eigs.shape)[row])
-                raise IntegrationError(
-                    f"density matrix positivity violated at t = {t_row:.6g} "
-                    f"us (min eigenvalue {min_eigs[row]:.3g})"
-                )
+        min_eigs = np.linalg.eigvalsh(rho).min(axis=-1)
+        row = int(np.argmin(min_eigs))
+        if min_eigs[row] < _POSITIVITY_TOL:
+            t_row = float(np.broadcast_to(np.ravel(t), min_eigs.shape)[row])
+            raise IntegrationError(
+                f"density matrix positivity violated at t = {t_row:.6g} "
+                f"us (min eigenvalue {min_eigs[row]:.3g})"
+            )
         return trace_dev
-
-
-def hamiltonian_at(
-    t: float,
-    segment: PulseSegment,
-    params: PhysicalParams,
-    geometry: ChainGeometry,
-    trajectories: Optional[ThermalSample] = None,
-) -> np.ndarray:
-    """Effective Hamiltonian (MHz) at absolute time t within a segment."""
-    ops = _dense_operators(geometry.n_atoms)
-    h_drive, _, _ = _drive_hamiltonian(segment, params, ops)
-    _, flight = _pair_flight(geometry, params, trajectories, ops.pairs)
-    h = (flight.couplings(np.atleast_1d(float(t))) @ ops.hop_flat).reshape(ops.d, ops.d)
-    h += h_drive
-    return h
-
-
-def lindblad_dissipator(
-    rho: np.ndarray, params: PhysicalParams, segment_kind: str
-) -> np.ndarray:
-    """Reference dissipator d(rho)/dt: decay of both Rydberg levels to g.
-
-    The effective optical damping adds to the up-channel rate only when
-    ``segment_kind`` is optical.  Trace-free for any Hermitian input.
-    """
-    if segment_kind not in SEGMENT_KINDS:
-        raise ConfigError(f"segment kind must be one of {SEGMENT_KINDS}")
-    rho = np.asarray(rho, dtype=complex)
-    n = round(math.log(rho.shape[0], 3))
-    if 3**n != rho.shape[0]:
-        raise ValueError(f"rho dimension {rho.shape[0]} is not a power of 3")
-    gamma_eff = params.gamma_eff_per_atom(n) if segment_kind == "optical" else np.zeros(n)
-    out = np.zeros_like(rho)
-    for i in range(n):
-        for rate, upper in (
-            (params.gamma_up + gamma_eff[i], Level.UP),
-            (params.gamma_down, Level.DOWN),
-        ):
-            c = _site_operator(_transition(Level.G, upper), i, n)
-            proj = c.T @ c
-            out += 0.5 * rate * (2.0 * c @ rho @ c.T - proj @ rho - rho @ proj)
-    return out
 
 
 @dataclass(frozen=True)
@@ -657,7 +556,7 @@ class SequenceResult:
     times: np.ndarray               # (T,) absolute times, us
     populations: np.ndarray         # (T, 3^N) diagonal of rho
     max_trace_deviation: float
-    final_state: ProductDensityMatrix
+    final_state: np.ndarray         # (3^N, 3^N) read-only density matrix at the end
 
 
 @dataclass(frozen=True)
@@ -678,7 +577,6 @@ def run_sequence(
     sample_times=None,
     initial=None,
     dt_scale: float = 1.0,
-    check_positivity: bool = True,
 ) -> SequenceResult:
     """Integrate the master equation across all segments of a sequence.
 
@@ -688,7 +586,7 @@ def run_sequence(
     and positivity is checked at every sample.
     """
     n = geometry.n_atoms
-    engine = _Engine(geometry, params, trajectories, dt_scale, check_positivity)
+    engine = _Engine(geometry, params, trajectories, dt_scale)
     total = sequence.total_duration
     if sample_times is None:
         sample_times = np.cumsum([0.0] + [s.duration for s in sequence.segments])
@@ -719,11 +617,13 @@ def run_sequence(
         t0 = t0 + seg.duration
         cursor = seg_end
     max_dev = max(max_dev, engine.check_state(rho, cursor))
+    final_state = rho[0]
+    final_state.flags.writeable = False
     return SequenceResult(
         times=times,
         populations=populations,
         max_trace_deviation=max_dev,
-        final_state=ProductDensityMatrix(rho[0]),
+        final_state=final_state,
     )
 
 
@@ -742,7 +642,6 @@ def readout_scan(
     trajectories: Union[None, ThermalSample, Sequence[ThermalSample]] = None,
     initial=None,
     dt_scale: float = 1.0,
-    check_positivity: bool = True,
 ) -> ReadoutScanResult:
     """Scan the free-evolution duration with a branched readout.
 
@@ -768,7 +667,7 @@ def readout_scan(
     suffix = list(suffix)
     samples = _samples(trajectories, n)
     chunk = min(_branch_chunk(len(samples), n), len(taus))
-    engine = _Engine(geometry, params, samples, dt_scale, check_positivity, chunk)
+    engine = _Engine(geometry, params, samples, dt_scale, chunk)
     batch, d = engine.batch, engine.d
 
     rho = np.broadcast_to(_resolve_initial(initial, n), (batch, d, d)).copy()

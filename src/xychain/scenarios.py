@@ -126,10 +126,6 @@ def _tau_grid(tau_max: float, tau_step: float) -> np.ndarray:
     return np.linspace(0.0, n * tau_step, n + 1)
 
 
-def _seed_lineage(seed: int, n: int = 4) -> list[int]:
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)]
-
-
 def _ideal_params(params: PhysicalParams) -> PhysicalParams:
     return replace(params, gamma_eff=0.0, gamma_up=0.0, gamma_down=0.0, temperature=0.0)
 
@@ -139,12 +135,12 @@ def _pi_time(frequency: float) -> float:
     return 1.0 / (2.0 * frequency)
 
 
-def exchange_prefix(params: PhysicalParams, n_atoms: int, addressed: int = 0):
-    """Preparation segments: shift one atom aside, excite and transfer the
-    rest to the lower spin state, then excite the addressed atom."""
+def exchange_prefix(params: PhysicalParams, n_atoms: int):
+    """Preparation segments: shift atom 0 aside, excite and transfer the
+    rest to the lower spin state, then excite atom 0."""
     t_opt = _pi_time(float(np.mean(params.omega_opt_per_atom(n_atoms))))
     t_mw = _pi_time(params.omega_mw)
-    mask = tuple(i == addressed for i in range(n_atoms))
+    mask = tuple(i == 0 for i in range(n_atoms))
     return [
         obe.PulseSegment.optical(t_opt, addressing_mask=mask),
         obe.PulseSegment.microwave(t_mw),
@@ -172,12 +168,6 @@ def _observe(level_mean: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return np.stack(
         [detection.forward_detection(row, float(e)) for row, e in zip(level_mean, eps)]
     )
-
-
-def default_epsilon_table(t_max: float = 12.0) -> detection.EpsilonModel:
-    """Bundled loss calibration consistent with the measured endpoints."""
-    t = np.linspace(0.0, t_max, 25)
-    return detection.EpsilonModel.from_table(t, EPSILON_FLOOR + EPSILON_SLOPE * t)
 
 
 _EPSILON_KEYS = {"backend", "table_path", "table_kind", "floor", "slope",
@@ -243,7 +233,6 @@ class SequenceScanRun:
     level_mean: np.ndarray        # (T, 3^N) mean level populations post readout
     true_patterns: np.ndarray     # (T, 2^N) pre-detection recapture patterns
     observed: np.ndarray          # (T, 2^N) after the loss channel
-    pattern_stderr: np.ndarray    # (T, 2^N) ensemble standard error
     total_durations: np.ndarray   # (T,)
     max_trace_deviation: float
     n_realizations: int
@@ -256,7 +245,6 @@ def run_sequence_scan(
     n_realizations: int,
     mc_seed: int,
     epsilon_model: Optional[detection.EpsilonModel],
-    addressed: int = 0,
 ) -> SequenceScanRun:
     """Full open-system scan of the exchange experiment.
 
@@ -266,7 +254,7 @@ def run_sequence_scan(
     deterministic and a single realization represents the ensemble.
     """
     n = geometry.n_atoms
-    prefix = exchange_prefix(params, n, addressed=addressed)
+    prefix = exchange_prefix(params, n)
     suffix = deexcite_suffix(params, n)
     if params.temperature == 0.0:
         samples = None
@@ -281,12 +269,7 @@ def run_sequence_scan(
         geometry, params, prefix, tau_grid, suffix, trajectories=samples
     )
     level_mean = scan.populations.mean(axis=0)
-    patterns_each = obe.project_to_readout(scan.populations)
-    true_patterns = patterns_each.mean(axis=0)
-    if effective_n > 1:
-        stderr = patterns_each.std(axis=0, ddof=1) / np.sqrt(effective_n)
-    else:
-        stderr = np.zeros_like(true_patterns)
+    true_patterns = obe.project_to_readout(scan.populations).mean(axis=0)
     if epsilon_model is None:
         observed = true_patterns.copy()
     else:
@@ -296,7 +279,6 @@ def run_sequence_scan(
         level_mean=level_mean,
         true_patterns=true_patterns,
         observed=observed,
-        pattern_stderr=stderr,
         total_durations=scan.total_durations,
         max_trace_deviation=scan.max_trace_deviation,
         n_realizations=effective_n,
@@ -330,7 +312,7 @@ def two_atom_exchange(
         raise ConfigError(f"spacing must be in [2, 100] um, got {spacing}")
     taus = _tau_grid(tau_max, tau_step)
     geometry = ChainGeometry.line(2, spacing)
-    seeds = _seed_lineage(seed)
+    seeds = thermal.realization_seeds(seed, 4)
 
     if mode == "ideal":
         ideal = _ideal_params(params)
@@ -389,7 +371,7 @@ def distance_scan(
     radii = [float(r) for r in radii]
     if len(radii) < 3:
         raise DataError(f"distance scan needs at least 3 radii, got {len(radii)}")
-    seeds = _seed_lineage(seed)
+    seeds = thermal.realization_seeds(seed, 4)
     rng = np.random.default_rng(seeds[1])
 
     def measure(r_nominal: float, r_true: float, sub_seed: int) -> float:
@@ -457,7 +439,7 @@ def three_chain(
     geometry = ChainGeometry.line(3, spacing)
     if temperature is not None:
         params = replace(params, temperature=float(temperature))
-    seeds = _seed_lineage(seed)
+    seeds = thermal.realization_seeds(seed, 4)
 
     if mode == "ideal":
         ideal = _ideal_params(params)
@@ -523,7 +505,7 @@ def temperature_ablation(
     """
     taus = _tau_grid(tau_max, tau_step)
     geometry = ChainGeometry.line(3, spacing)
-    seeds = _seed_lineage(seed)
+    seeds = thermal.realization_seeds(seed, 4)
     params_zero = replace(params, temperature=0.0)
     params_hot = replace(params, temperature=float(temperature))
     eps_model = resolve_epsilon_model(
@@ -588,7 +570,7 @@ def long_chain(
     geometry = ChainGeometry.line(n_atoms, spacing)
     if temperature is not None:
         params = replace(params, temperature=float(temperature))
-    seeds = _seed_lineage(seed)
+    seeds = thermal.realization_seeds(seed, 4)
     initial = xy.SpinState.excitation_at(n_atoms, 0)
 
     def realizations(sample_seeds: list[int]) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 These deliberately use different algorithms from the package code: full
 2^N Hilbert-space matrix exponentials for the spin dynamics, dense matrix
-exponentials of each step's midpoint couplings for the moving chain, and
-explicit enumeration of every true state and loss outcome for the detection
-channel.
+exponentials of each step's midpoint couplings for the moving chain, the
+master-equation Hamiltonian and dissipator summed term by term from 3 x 3
+single-atom operators, and explicit enumeration of every true state and loss
+outcome for the detection channel.  They import only public names of the
+package.
 """
 
 import itertools
@@ -13,7 +15,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from xychain.model import PairFlight
+from xychain.thermal import free_flight
 from xychain.xy import MAX_PHASE_PER_STEP
+
+# single-atom levels in the order of the master equation's product basis
+G, UP, DOWN = 0, 1, 2
 
 
 def is_power_of(x: int, base: int) -> bool:
@@ -88,6 +94,75 @@ def midpoint_populations(geometry, params, sample, initial, times):
         t_now = t_target
         pops[:, k] = np.abs(psi) ** 2
     return pops
+
+
+def ket_bra(a: int, b: int) -> np.ndarray:
+    """Single-atom operator |a><b|."""
+    op = np.zeros((3, 3))
+    op[a, b] = 1.0
+    return op
+
+
+def on_site(op: np.ndarray, site: int, n: int) -> np.ndarray:
+    """``op`` acting on one atom of n, identity on the others (atom 0 first)."""
+    out = np.eye(1)
+    for k in range(n):
+        out = np.kron(out, op if k == site else np.eye(3))
+    return out
+
+
+def hamiltonian_at(t, segment, params, geometry, sample=None) -> np.ndarray:
+    """Master-equation Hamiltonian (MHz) of one segment at absolute time t.
+
+    Optical: Omega_i/2 (|u><g| + h.c.) - delta_i (|u><u| + |d><d|) per atom,
+    with the addressing light shift added to delta_i on masked atoms.
+    Microwave: Omega_MW/2 (|d><u| + h.c.) per atom.  Every kind adds
+    c3/R_ij^3 (|d_i u_j><u_i d_j| + h.c.) on each pair, with R_ij taken
+    between the atoms' free-flight positions at t (at rest without a sample).
+    """
+    n = geometry.n_atoms
+
+    def per_atom(value):
+        return np.broadcast_to(np.asarray(value, dtype=float), (n,))
+
+    h = np.zeros((3**n, 3**n))
+    if segment.kind == "optical":
+        mask = segment.addressing_mask or (False,) * n
+        x_gu = ket_bra(UP, G) + ket_bra(G, UP)
+        rydberg = ket_bra(UP, UP) + ket_bra(DOWN, DOWN)
+        drives = zip(per_atom(params.omega_opt), per_atom(params.delta_opt), mask)
+        for i, (omega, delta, shifted) in enumerate(drives):
+            delta += params.addressing_shift if shifted else 0.0
+            h += 0.5 * omega * on_site(x_gu, i, n) - delta * on_site(rydberg, i, n)
+    elif segment.kind == "microwave":
+        x_ud = ket_bra(DOWN, UP) + ket_bra(UP, DOWN)
+        for i in range(n):
+            h += 0.5 * params.omega_mw * on_site(x_ud, i, n)
+    positions = geometry.positions + (0.0 if sample is None else free_flight(sample, t))
+    lower = ket_bra(DOWN, UP)
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = np.linalg.norm(positions[i] - positions[j])
+            hop = on_site(lower, i, n) @ on_site(lower.T, j, n)
+            h += params.c3 / r**3 * (hop + hop.T)
+    return h
+
+
+def lindblad_dissipator(rho, params, segment_kind: str) -> np.ndarray:
+    """Reference d(rho)/dt of decay to g: sum over jump operators c of
+    rate (c rho c^+ - (c^+ c rho + rho c^+ c) / 2), with c = |g><u| at
+    gamma_up (plus gamma_eff during optical segments) and c = |g><d| at
+    gamma_down on every atom."""
+    rho = np.asarray(rho, dtype=complex)
+    n = round(np.log(len(rho)) / np.log(3))
+    gamma_eff = params.gamma_eff if segment_kind == "optical" else 0.0
+    gamma_eff = np.broadcast_to(np.asarray(gamma_eff, dtype=float), (n,))
+    out = np.zeros_like(rho)
+    for i in range(n):
+        for rate, upper in ((params.gamma_up + gamma_eff[i], UP), (params.gamma_down, DOWN)):
+            c = on_site(ket_bra(G, upper), i, n)
+            out += rate * (c @ rho @ c.T - 0.5 * (c.T @ c @ rho + rho @ c.T @ c))
+    return out
 
 
 def brute_force_detection(true_populations: np.ndarray, epsilon: float) -> np.ndarray:

@@ -1,22 +1,23 @@
+import ast
 import re
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import hamiltonian_at, lindblad_dissipator
 from xychain import obe, xy
 from xychain.errors import ConfigError, GeometryError, IntegrationError
 from xychain.model import ChainGeometry, PairFlight, PhysicalParams
 from xychain.obe import (
     Level,
-    ProductDensityMatrix,
     PulseSegment,
     PulseSequence,
     basis_index,
     basis_rho,
-    hamiltonian_at,
     level_labels,
-    lindblad_dissipator,
     pattern_labels,
     project_to_readout,
     readout_scan,
@@ -44,7 +45,6 @@ class TestSegments:
     def test_sequence_duration(self):
         seq = PulseSequence(segments=(PulseSegment.free(1.5), PulseSegment.microwave(0.5)))
         assert seq.total_duration == pytest.approx(2.0)
-        assert seq.recaptured_levels == frozenset({Level.G})
 
 
 class TestHamiltonian:
@@ -81,23 +81,9 @@ class TestHamiltonian:
         assert h[basis_index("ggg"), basis_index("gug")] == pytest.approx(5.3 / 2)
 
     def test_mask_length_validated(self, chain3, params):
-        with pytest.raises(ConfigError):
-            hamiltonian_at(
-                0.0, PulseSegment.optical(0.1, (True,)), params, chain3
-            )
-
-    def test_allocates_little_beyond_its_result(self, params):
-        geometry = ChainGeometry.line(4, 20.0)
-        segment = PulseSegment.optical(0.1, addressing_mask=(True, False, False, False))
-        sample = sample_thermal(PhysicalParams(temperature=50.0), 4, seed=3)
-        hamiltonian_at(0.0, segment, params, geometry, sample)  # builds the operator table
-        tracemalloc.start()
-        try:
-            h = hamiltonian_at(0.3, segment, params, geometry, sample)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * h.nbytes
+        seq = PulseSequence(segments=(PulseSegment.optical(0.1, (True,)),))
+        with pytest.raises(ConfigError, match="addressing mask length"):
+            run_sequence(seq, chain3, params)
 
     def test_time_dependence_follows_trajectories(self, pair30, params):
         sample = sample_thermal(PhysicalParams(temperature=50.0), 2, seed=4)
@@ -140,15 +126,47 @@ class TestDissipator:
             assert abs(np.trace(out)) < 1e-12
 
 
+def test_oracles_import_no_private_names():
+    """The reference operators stay independent of the engine's internals."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("xychain"):
+            names = node.module.split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names if alias.name.startswith("xychain")
+                     for part in alias.name.split(".")]
+        else:
+            continue
+        private += [name for name in names if name.startswith("_")]
+    assert private == []
+
+
 class TestRhsOracle:
     """The engine's right-hand side against the reference operators."""
 
     @pytest.mark.parametrize("moving", [False, True], ids=["static", "moving"])
     @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
     def test_matches_commutator_plus_dissipator(self, n_atoms, moving, params, rng):
+        self.assert_rhs_matches(n_atoms, moving, params, rng)
+
+    # a drive that mixes up the atoms' own values only shows when they differ
+    @pytest.mark.parametrize("moving", [False, True], ids=["static", "moving"])
+    @pytest.mark.parametrize("n_atoms", [2, 3, 4])
+    def test_matches_with_distinct_per_atom_values(self, n_atoms, moving, params, rng):
+        per_atom = replace(
+            params,
+            omega_opt=[5.3, 4.1, 6.2, 3.7][:n_atoms],
+            delta_opt=[0.0, 1.5, -2.0, 0.7][:n_atoms],
+            gamma_eff=[1.0, 0.4, 2.5, 0.8][:n_atoms],
+        )
+        self.assert_rhs_matches(n_atoms, moving, per_atom, rng)
+
+    @staticmethod
+    def assert_rhs_matches(n_atoms, moving, params, rng):
         geometry = ChainGeometry.line(n_atoms, 20.0)
         samples = [sample_thermal(params, n_atoms, s) for s in (5, 6, 7)] if moving else None
-        engine = _Engine(geometry, params, samples, check_positivity=False)
+        engine = _Engine(geometry, params, samples)
         mask = tuple(k == 0 for k in range(n_atoms))
         segments = (
             PulseSegment.optical(0.1),
@@ -211,7 +229,11 @@ class TestRunSequence:
         times = np.linspace(0.0, seq.total_duration, 60)
         result = run_sequence(seq, chain3, params, sample_times=times)
         assert result.max_trace_deviation < 1e-8
-        assert result.final_state.validate() == []
+        rho = result.final_state
+        assert rho.shape == (27, 27) and not rho.flags.writeable
+        assert np.abs(rho - rho.conj().T).max() < 1e-9
+        assert abs(np.trace(rho) - 1.0) < 1e-8
+        assert np.linalg.eigvalsh(rho).min() >= -1e-7
 
     def test_magnetization_conserved_in_free_evolution(self, chain3, lossless_params):
         seq = PulseSequence(segments=(PulseSegment.free(5.0),))
@@ -245,6 +267,15 @@ class TestRunSequence:
         fine = run_sequence(seq, chain3, params, trajectories=sample,
                             sample_times=times, dt_scale=0.5)
         assert np.abs(coarse.populations - fine.populations).max() < 1e-6
+
+    # Without loss the prepared state stays nearly pure, and its RK4 error
+    # drives the smallest eigenvalue to -1.19e-7, past the -1e-7 tolerance of
+    # the positivity check, at the end of the last optical pulse.
+    @pytest.mark.xfail(strict=True, raises=IntegrationError)
+    def test_lossless_exchange_prefix_completes(self, chain3, lossless_params):
+        seq = PulseSequence(segments=exchange_prefix(lossless_params, 3))
+        result = run_sequence(seq, chain3, lossless_params)
+        assert result.max_trace_deviation < 1e-8
 
     def test_invalid_sample_times_rejected(self, chain3, params):
         seq = PulseSequence(segments=(PulseSegment.free(1.0),))
@@ -414,21 +445,10 @@ class TestReadoutProjection:
         assert pattern_labels(2) == ["00", "01", "10", "11"]
 
 
-class TestProductDensityMatrix:
-    def test_validation_flags_bad_matrices(self):
-        good = ProductDensityMatrix(basis_rho("gg"))
-        assert good.validate() == []
-        bad_trace = ProductDensityMatrix(0.5 * basis_rho("gg"))
-        assert any("trace" in issue for issue in bad_trace.validate())
-        asym = basis_rho("gg").astype(complex)
-        asym[0, 1] = 0.1
-        assert any("hermiticity" in issue for issue in ProductDensityMatrix(asym).validate())
-
+class TestCheckState:
     def test_positivity_violation_raises_with_time(self, chain3):
         # force a huge step by disabling step control via dt_scale is not
         # possible; instead check the guard directly on a negative matrix
-        from xychain.obe import _Engine
-
         engine = _Engine(chain3, PhysicalParams())
         rho = basis_rho("ggg")[None].copy()
         rho[0, 0, 0] = -1e-5

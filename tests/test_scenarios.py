@@ -6,9 +6,7 @@ from xychain.errors import ConfigError, DataError
 from xychain.model import PhysicalParams
 from xychain.scenarios import (
     ScenarioSpec,
-    _seed_lineage,
     catalog,
-    default_epsilon_table,
     load_epsilon_table,
     resolve_epsilon_model,
     run_scenario,
@@ -247,7 +245,7 @@ class TestLongChain:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_names_the_realization(self, monkeypatch, workers):
         # the third of four realizations flies atom 0 through atom 1 at t = 4/3 us
-        seeds = thermal.realization_seeds(_seed_lineage(11)[0], 4)
+        seeds = thermal.realization_seeds(thermal.realization_seeds(11, 4)[0], 4)
         draw = thermal.sample_thermal
 
         def sample(params, n_atoms, seed):
@@ -296,7 +294,7 @@ class TestCalibrateEpsilon:
 
 class TestEpsilonResolution:
     def test_default_table_endpoints(self):
-        model = default_epsilon_table()
+        model = resolve_epsilon_model({}, PhysicalParams(), 0, 7.0)
         assert model(0.0) == pytest.approx(0.01)
         assert model(7.0) == pytest.approx(0.199, abs=1e-9)
 
