@@ -43,16 +43,6 @@ EXIT_IO = 4
 ENV_OUTPUT_DIR = "XYCHAIN_OUTPUT_DIR"
 ENV_WORKERS = "XYCHAIN_WORKERS"
 
-_TOP_LEVEL_KEYS = {
-    "scenario",
-    "seed",
-    "output_dir",
-    "table_format",
-    "workers",
-    "params",
-    "options",
-    "version",  # informational, written into provenance records
-}
 _PARAM_KEYS = {f.name for f in dataclasses.fields(PhysicalParams)}
 _TABLE_DELIMS = {"csv": ",", "tsv": "\t"}
 
@@ -71,6 +61,10 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+# ``version`` is informational: provenance records carry it
+_TOP_LEVEL_KEYS = {f.name for f in dataclasses.fields(RunConfig)} | {"version"}
 
 
 def _check_mapping(node, path: str) -> dict:
@@ -227,20 +221,12 @@ def write_outputs(result: ScenarioResult, config: RunConfig) -> list[Path]:
         json.dumps(_json_ready(result.summary), indent=2, sort_keys=True) + "\n"
     )
     written.append(summary_path)
-    provenance = {
-        "scenario": result.scenario,
-        "seed": result.seed,
-        "output_dir": str(config.output_dir),
-        "table_format": config.table_format,
-        "workers": config.workers,
-        "params": _json_ready(config.params),
-        "options": _json_ready(result.options),
-        "version": __version__,
-    }
+    # the config with the options the scenario resolved
+    provenance = dict(config.to_dict(), options=result.options, version=__version__)
     provenance_path = out_dir / "provenance.yaml"
     provenance_path.write_text(
         "# resolved configuration; re-running it reproduces all outputs\n"
-        + yaml.safe_dump(provenance, sort_keys=True)
+        + yaml.safe_dump(_json_ready(provenance), sort_keys=True)
     )
     written.append(provenance_path)
     return written

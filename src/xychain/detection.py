@@ -14,6 +14,7 @@ least-squares polynomial in t.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,30 +24,26 @@ import numpy as np
 
 from .errors import DataError, ExtrapolationWarning
 
-EPSILON_BACKENDS = ("table", "polynomial", "recapture_mc")
-
 
 @dataclass(frozen=True)
 class EpsilonModel:
     """Time-dependent loss probability epsilon(t).
 
-    ``table`` backends interpolate linearly between calibration points
-    (``recapture_mc`` is a table produced by the trajectory model); the
-    ``polynomial`` backend evaluates fitted coefficients (highest power
-    first, as numpy.polyval expects).  Values are clipped to [0, 1] and a
-    warning is emitted when evaluating outside the calibrated t range.
+    A model holds either a calibration ``table``, interpolated linearly
+    between its points, or polynomial ``coefficients`` (highest power first,
+    as numpy.polyval expects).  Values are clipped to [0, 1] and a warning
+    is emitted when evaluating outside the calibrated t range.
     """
 
-    backend: str
     table: Optional[np.ndarray] = None        # (K, 2): t_us, epsilon
     coefficients: Optional[np.ndarray] = None
     t_range: tuple[float, float] = (0.0, 0.0)
     fit_rms: Optional[float] = None
 
     def __post_init__(self):
-        if self.backend not in EPSILON_BACKENDS:
-            raise DataError(f"unknown epsilon backend {self.backend!r}")
-        if self.backend in ("table", "recapture_mc"):
+        if (self.table is None) == (self.coefficients is None):
+            raise DataError("an epsilon model needs either a table or coefficients")
+        if self.table is not None:
             tab = np.asarray(self.table, dtype=float)
             if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
                 raise DataError("epsilon table must have shape (K >= 2, 2)")
@@ -68,14 +65,12 @@ class EpsilonModel:
             object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
-    def from_table(cls, t, eps, backend: str = "table") -> "EpsilonModel":
-        tab = np.column_stack([np.asarray(t, float), np.asarray(eps, float)])
-        return cls(backend=backend, table=tab)
+    def from_table(cls, t, eps) -> "EpsilonModel":
+        return cls(table=np.column_stack([np.asarray(t, float), np.asarray(eps, float)]))
 
     @classmethod
     def from_polynomial(cls, coefficients, t_range, fit_rms=None) -> "EpsilonModel":
         return cls(
-            backend="polynomial",
             coefficients=np.asarray(coefficients, dtype=float),
             t_range=(float(t_range[0]), float(t_range[1])),
             fit_rms=fit_rms,
@@ -94,54 +89,55 @@ class EpsilonModel:
                 ExtrapolationWarning,
                 stacklevel=2,
             )
-        if self.backend in ("table", "recapture_mc"):
+        if self.table is not None:
             eps = np.interp(t, self.table[:, 0], self.table[:, 1])
         else:
             eps = np.polyval(self.coefficients, t)
         return np.clip(eps, 0.0, 1.0)
 
 
-def _infer_levels(n_states: int) -> tuple[int, int]:
-    """Infer (levels_per_atom, n_atoms) from a distribution length.
+def pattern_labels(n_atoms: int) -> list[str]:
+    """Recapture-pattern labels ('1' = recaptured) in pattern-index order."""
+    return ["".join(s) for s in itertools.product("01", repeat=n_atoms)]
 
-    Powers of 3 are level distributions over {g, up, down}; powers of 2 are
-    binary ground-vs-Rydberg distributions.  The two never collide.
+
+def forward_detection(level_populations, epsilon) -> np.ndarray:
+    """Recapture-pattern distributions of level-population distributions.
+
+    ``level_populations`` has shape (..., 3^N): each row is a normalized
+    distribution over {g, up, down}^N (level order g, up, down per atom,
+    atom 0 most significant).  ``epsilon`` is one loss probability for all
+    rows or one per row, shape (...).  The result has shape (..., 2^N), over
+    {0, 1}^N recapture patterns in :func:`pattern_labels` order, with bit 1
+    meaning "recaptured": P(1 | g) = 1 - epsilon, P(1 | Rydberg) = 0.  At
+    epsilon = 0 this is the true readout, the marginal of the ground-state
+    pattern.  The map is linear in the populations, so it commutes with an
+    ensemble mean taken at one epsilon.
     """
-    for base in (3, 2):
-        n = round(math.log(n_states, base))
-        if base**n == n_states:
-            return base, n
-    raise DataError(f"distribution length {n_states} is not a power of 2 or 3")
-
-
-def forward_detection(true_populations, epsilon: float) -> np.ndarray:
-    """Observed recapture-pattern distribution for a true-state distribution.
-
-    ``true_populations`` is a normalized distribution over per-atom levels,
-    either {g, up, down}^N (length 3^N, level order g, up, down per atom) or
-    binary ground-vs-Rydberg patterns (length 2^N, digit 1 = ground, as
-    produced by the readout projection).  The output is over {0, 1}^N
-    recapture patterns with atom 0 as the most significant bit and bit 1
-    meaning "recaptured": P(1 | g) = 1 - epsilon, P(1 | Rydberg) = 0.  With
-    epsilon = 0 a binary input passes through unchanged.
-    """
-    probs = np.asarray(true_populations, dtype=float).ravel()
-    if not 0.0 <= epsilon <= 1.0:
+    probs = np.atleast_1d(np.asarray(level_populations, dtype=float))
+    rows, d = probs.shape[:-1], probs.shape[-1]
+    n_atoms = round(math.log(d, 3)) if d > 1 else 0
+    if n_atoms < 1 or 3**n_atoms != d:
+        raise DataError(f"level populations of length {d}: not a power of 3")
+    try:
+        eps = np.broadcast_to(np.asarray(epsilon, dtype=float), rows)
+    except ValueError:
+        raise DataError(
+            f"epsilon of shape {np.shape(epsilon)} is neither a scalar nor one per row"
+        ) from None
+    if np.any((eps < 0.0) | (eps > 1.0)):
         raise DataError(f"epsilon must be in [0, 1], got {epsilon}")
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise DataError(f"input distribution sums to {total!r}, expected 1")
-    base, n_atoms = _infer_levels(probs.size)
-    ground = 0 if base == 3 else 1
-    # channel[observed_bit, level]; every non-ground level is never recaptured
-    channel = np.ones((2, base))
-    channel[1, :] = 0.0
-    channel[0, ground] = epsilon
-    channel[1, ground] = 1.0 - epsilon
-    out = probs.reshape((base,) * n_atoms)
-    for axis in range(n_atoms):
-        out = np.moveaxis(np.tensordot(channel, out, axes=([1], [axis])), 0, axis)
-    return out.reshape(-1)
+    totals = np.asarray(probs.sum(axis=-1))
+    worst = totals.flat[np.argmax(np.abs(totals - 1.0))]
+    if abs(worst - 1.0) > 1e-9:
+        raise DataError(f"input distribution sums to {worst!r}, expected 1")
+    # per atom: bit 0 collects the lost ground share and both Rydberg levels
+    eps = eps.reshape(rows + (1,) * (n_atoms - 1))
+    out = probs.reshape(rows + (3,) * n_atoms)
+    for axis in range(len(rows), len(rows) + n_atoms):
+        ground, up, down = (np.take(out, k, axis=axis) for k in range(3))
+        out = np.stack([eps * ground + up + down, (1.0 - eps) * ground], axis=axis)
+    return out.reshape(rows + (2**n_atoms,))
 
 
 def fit_epsilon(t, p_all, degree: int = 2) -> EpsilonModel:

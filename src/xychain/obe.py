@@ -36,7 +36,6 @@ output does not depend on the chunk size.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import reduce
@@ -155,11 +154,6 @@ def level_labels(n_atoms: int) -> list[str]:
     return ["".join(s) for s in itertools.product("gud", repeat=n_atoms)]
 
 
-def pattern_labels(n_atoms: int) -> list[str]:
-    """Recapture-pattern labels ('1' = recaptured) in pattern-index order."""
-    return ["".join(s) for s in itertools.product("01", repeat=n_atoms)]
-
-
 def basis_index(labels: str) -> int:
     """Product-basis index of a label string, atom 0 most significant."""
     idx = 0
@@ -214,7 +208,6 @@ class _OperatorTable:
         levels = np.array(
             [list(s) for s in itertools.product(range(3), repeat=n_atoms)]
         )  # (d, n)
-        self.levels = levels
         self.diag_up = [(levels[:, i] == Level.UP).astype(float) for i in range(n_atoms)]
         self.diag_down = [
             (levels[:, i] == Level.DOWN).astype(float) for i in range(n_atoms)
@@ -583,10 +576,17 @@ def run_sequence(
     Returns the diagonal populations in the product basis at the requested
     absolute sample times (default: every segment boundary).  The density
     matrix is continuous across segment joins; trace deviation is tracked
-    and positivity is checked at every sample.
+    and positivity is checked at every sample.  ``trajectories`` is one
+    thermal sample (None: atoms at rest); a batch goes to :func:`readout_scan`.
     """
     n = geometry.n_atoms
-    engine = _Engine(geometry, params, trajectories, dt_scale)
+    samples = _samples(trajectories, n)
+    if len(samples) != 1:
+        raise ConfigError(
+            f"run_sequence integrates one trajectory, got {len(samples)}; "
+            "use readout_scan for a batch"
+        )
+    engine = _Engine(geometry, params, samples, dt_scale)
     total = sequence.total_duration
     if sample_times is None:
         sample_times = np.cumsum([0.0] + [s.duration for s in sequence.segments])
@@ -715,23 +715,3 @@ def readout_scan(
         max_trace_deviation=max_dev,
     )
 
-
-def project_to_readout(populations, recaptured_levels=(Level.G,)) -> np.ndarray:
-    """Map level populations to true recapture patterns (pre detection error).
-
-    Atoms whose level is in ``recaptured_levels`` read out as 1; the output
-    axis enumerates {0, 1}^N patterns with atom 0 as the most significant
-    bit.  Marginal over everything else, so rows keep their normalization.
-    """
-    pops = np.asarray(populations, dtype=float)
-    d = pops.shape[-1]
-    n = round(math.log(d, 3))
-    if 3**n != d:
-        raise ValueError(f"populations last axis {d} is not a power of 3")
-    ops = _OperatorTable.get(n)
-    recaptured = {Level(lv) for lv in recaptured_levels}
-    bits = np.isin(ops.levels, [int(lv) for lv in recaptured]).astype(int)  # (d, n)
-    pattern_index = bits @ (2 ** np.arange(n - 1, -1, -1))
-    projector = np.zeros((d, 2**n))
-    projector[np.arange(d), pattern_index] = 1.0
-    return pops @ projector

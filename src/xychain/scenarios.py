@@ -162,14 +162,6 @@ def _scan_span(params: PhysicalParams, n_atoms: int, tau_max: float) -> float:
     return tau_max + prefix_dur + suffix_dur
 
 
-def _observe(level_mean: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Observed recapture patterns of each row of level populations, under
-    the loss probability of the same row."""
-    return np.stack(
-        [detection.forward_detection(row, float(e)) for row, e in zip(level_mean, eps)]
-    )
-
-
 _EPSILON_KEYS = {"backend", "table_path", "table_kind", "floor", "slope",
                  "trap_depth", "n_mc"}
 
@@ -177,14 +169,9 @@ _EPSILON_KEYS = {"backend", "table_path", "table_kind", "floor", "slope",
 def resolve_epsilon_model(
     epsilon_options: Optional[dict], params: PhysicalParams, seed: int, t_max: float
 ) -> detection.EpsilonModel:
-    """Build the epsilon backend a scenario declared in its options."""
+    """Build the loss model a scenario declared in its options (keys
+    checked by :func:`scenario_options`)."""
     epsilon_options = epsilon_options or {}
-    for key in epsilon_options:
-        if key not in _EPSILON_KEYS:
-            raise ConfigError(
-                f"options.epsilon.{key}: unknown key (expected one of: "
-                f"{', '.join(sorted(_EPSILON_KEYS))})"
-            )
     backend = epsilon_options.get("backend", "table")
     if backend == "none":
         return detection.EpsilonModel.constant(0.0)
@@ -206,7 +193,7 @@ def resolve_epsilon_model(
             thermal.recapture_epsilon(params, depth, t, n_mc, seed=seed, floor=floor)
             for t in grid
         ]
-        return detection.EpsilonModel.from_table(grid, eps, backend="recapture_mc")
+        return detection.EpsilonModel.from_table(grid, eps)
     raise ConfigError(f"unknown epsilon backend {backend!r}")
 
 
@@ -229,10 +216,7 @@ def load_epsilon_table(path, kind: str = "epsilon"):
 class SequenceScanRun:
     """Monte-Carlo averaged outcome of a prepared-evolve-readout scan."""
 
-    tau_grid: np.ndarray
     level_mean: np.ndarray        # (T, 3^N) mean level populations post readout
-    true_patterns: np.ndarray     # (T, 2^N) pre-detection recapture patterns
-    observed: np.ndarray          # (T, 2^N) after the loss channel
     total_durations: np.ndarray   # (T,)
     max_trace_deviation: float
     n_realizations: int
@@ -244,14 +228,15 @@ def run_sequence_scan(
     tau_grid: np.ndarray,
     n_realizations: int,
     mc_seed: int,
-    epsilon_model: Optional[detection.EpsilonModel],
 ) -> SequenceScanRun:
     """Full open-system scan of the exchange experiment.
 
     All Monte-Carlo realizations advance as one batch; the ensemble mean is
     taken in realization order, so results are bit-reproducible for any
     worker configuration.  At zero temperature the dynamics are
-    deterministic and a single realization represents the ensemble.
+    deterministic and a single realization represents the ensemble.  The
+    readout maps the mean linearly (:func:`detection.forward_detection`),
+    so its patterns equal the mean of the per-realization patterns.
     """
     n = geometry.n_atoms
     prefix = exchange_prefix(params, n)
@@ -268,17 +253,8 @@ def run_sequence_scan(
     scan = obe.readout_scan(
         geometry, params, prefix, tau_grid, suffix, trajectories=samples
     )
-    level_mean = scan.populations.mean(axis=0)
-    true_patterns = obe.project_to_readout(scan.populations).mean(axis=0)
-    if epsilon_model is None:
-        observed = true_patterns.copy()
-    else:
-        observed = _observe(level_mean, epsilon_model(scan.total_durations))
     return SequenceScanRun(
-        tau_grid=tau_grid,
-        level_mean=level_mean,
-        true_patterns=true_patterns,
-        observed=observed,
+        level_mean=scan.populations.mean(axis=0),
         total_durations=scan.total_durations,
         max_trace_deviation=scan.max_trace_deviation,
         n_realizations=effective_n,
@@ -334,12 +310,14 @@ def two_atom_exchange(
     eps_model = resolve_epsilon_model(
         epsilon, params, seeds[2], _scan_span(params, 2, tau_max)
     )
-    run = run_sequence_scan(geometry, params, taus, n_realizations, seeds[0], eps_model)
-    labels = obe.pattern_labels(2)
+    run = run_sequence_scan(geometry, params, taus, n_realizations, seeds[0])
+    true_patterns = detection.forward_detection(run.level_mean, 0.0)
+    observed = detection.forward_detection(run.level_mean, eps_model(run.total_durations))
+    labels = detection.pattern_labels(2)
     columns = ["tau_us"] + [f"P_{s}" for s in labels]
-    observed_table = Table(columns, np.column_stack([taus, run.observed]))
-    true_table = Table(columns, np.column_stack([taus, run.true_patterns]))
-    fit = analysis.fit_sinusoid(taus, run.observed[:, labels.index("10")])
+    observed_table = Table(columns, np.column_stack([taus, observed]))
+    true_table = Table(columns, np.column_stack([taus, true_patterns]))
+    fit = analysis.fit_sinusoid(taus, observed[:, labels.index("10")])
     summary = {
         "mode": "full",
         "n_realizations": run.n_realizations,
@@ -468,19 +446,24 @@ def three_chain(
         if with_detection
         else None
     )
-    run = run_sequence_scan(geometry, params, taus, n_realizations, seeds[0], eps_model)
-    labels = obe.pattern_labels(3)
-    columns = ["tau_us"] + [f"P_{s}" for s in labels]
+    run = run_sequence_scan(geometry, params, taus, n_realizations, seeds[0])
+    true_patterns = detection.forward_detection(run.level_mean, 0.0)
+    observed = (
+        detection.forward_detection(run.level_mean, eps_model(run.total_durations))
+        if with_detection
+        else true_patterns
+    )
+    columns = ["tau_us"] + [f"P_{s}" for s in detection.pattern_labels(3)]
     tables = {
-        "observed": Table(columns, np.column_stack([taus, run.observed])),
-        "true_patterns": Table(columns, np.column_stack([taus, run.true_patterns])),
+        "observed": Table(columns, np.column_stack([taus, observed])),
+        "true_patterns": Table(columns, np.column_stack([taus, true_patterns])),
     }
     summary = {
         "mode": "full",
         "temperature_uk": params.temperature,
         "n_realizations": run.n_realizations,
         "max_trace_deviation": run.max_trace_deviation,
-        "pattern_sum_deviation": float(np.abs(run.observed.sum(axis=1) - 1.0).max()),
+        "pattern_sum_deviation": float(np.abs(observed.sum(axis=1) - 1.0).max()),
     }
     return tables, summary
 
@@ -512,17 +495,15 @@ def temperature_ablation(
         epsilon, params_hot, seeds[2], _scan_span(params, 3, tau_max)
     )
 
-    cold = run_sequence_scan(geometry, params_zero, taus, 1, seeds[0], None)
-    hot = run_sequence_scan(geometry, params_hot, taus, n_realizations, seeds[0], None)
+    cold = run_sequence_scan(geometry, params_zero, taus, 1, seeds[0])
+    hot = run_sequence_scan(geometry, params_hot, taus, n_realizations, seeds[0])
     eps = eps_model(cold.total_durations)
-    loss_only = _observe(cold.level_mean, eps)
-    both = _observe(hot.level_mean, eps)
-    idx = obe.pattern_labels(3).index("001")
+    idx = detection.pattern_labels(3).index("001")
     curves = {
-        "zero_temperature": cold.true_patterns[:, idx],
-        "loss_only": loss_only[:, idx],
-        "motion_only": hot.true_patterns[:, idx],
-        "full": both[:, idx],
+        "zero_temperature": detection.forward_detection(cold.level_mean, 0.0)[:, idx],
+        "loss_only": detection.forward_detection(cold.level_mean, eps)[:, idx],
+        "motion_only": detection.forward_detection(hot.level_mean, 0.0)[:, idx],
+        "full": detection.forward_detection(hot.level_mean, eps)[:, idx],
     }
     table = Table(
         ("tau_us",) + tuple(f"P_001_{k}" for k in curves),
@@ -577,10 +558,10 @@ def long_chain(
         samples = [thermal.sample_thermal(params, n_atoms, s) for s in sample_seeds]
         return xy.propagate_ensemble(geometry, params, samples, range_mode, initial, taus)
 
+    eps_model = resolve_epsilon_model(epsilon, params, seeds[2], tau_max)
     n_eff = 1 if params.temperature == 0.0 else n_realizations
     ensemble = thermal.monte_carlo(realizations, n_eff, seeds[0], n_workers=workers)
     true_mean = ensemble.mean                                  # (N, T)
-    eps_model = resolve_epsilon_model(epsilon, params, seeds[2], tau_max)
     observed = detection.scale_excitation_large_n(taus, true_mean, eps_model, n_atoms)
 
     site_cols = [f"P_site_{i + 1:02d}" for i in range(n_atoms)]
@@ -706,7 +687,8 @@ def catalog() -> list[ScenarioSpec]:
 
 def scenario_options(name: str, options: Optional[dict] = None) -> dict:
     """The options a scenario runs with: copies of its defaults, overlaid by
-    ``options``.  An unknown scenario or option key raises ConfigError."""
+    ``options``.  An unknown scenario, option key or ``epsilon`` key raises
+    ConfigError."""
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ConfigError(f"unknown scenario {name!r} (expected one of: {known})")
@@ -719,6 +701,15 @@ def scenario_options(name: str, options: Optional[dict] = None) -> dict:
                 f"(expected one of: {', '.join(sorted(merged))})"
             )
         merged[key] = value
+    epsilon = merged.get("epsilon") or {}
+    if not isinstance(epsilon, dict):
+        raise ConfigError(f"options.epsilon: expected a mapping, got {epsilon!r}")
+    for key in epsilon:
+        if key not in _EPSILON_KEYS:
+            raise ConfigError(
+                f"options.epsilon.{key}: unknown key (expected one of: "
+                f"{', '.join(sorted(_EPSILON_KEYS))})"
+            )
     return merged
 
 

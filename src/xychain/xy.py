@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, IntegrationError
 from .model import ChainGeometry, PairFlight, PhysicalParams
 from .thermal import ThermalSample
 
@@ -217,8 +217,9 @@ def propagate_ensemble(
     coupling bound over the run, each sample interval takes the row's own
     number of steps, and rows that finish an interval early wait with a zero
     step.  Every step builds the midpoint coupling matrix, checks the bound
-    against it per row, and applies exp(-2*pi*i*H*h) by a truncated Taylor
-    series whose order each row picks from its own norm (see
+    against it per row (a violation means the coupling bound was wrong and
+    raises IntegrationError), and applies exp(-2*pi*i*H*h) by a truncated
+    Taylor series whose order each row picks from its own norm (see
     :func:`_taylor_step`).  A row's populations are therefore the same
     whichever realizations share its batch.  The truncation leaves the norm
     unconserved at the 1e-14 level.
@@ -271,9 +272,10 @@ def propagate_ensemble(
             phase = 2.0 * np.pi * np.abs(nu).max(axis=1, initial=0.0) * h_step
             if np.any(phase >= MAX_PHASE_PER_STEP):
                 b = int(np.argmax(phase >= MAX_PHASE_PER_STEP))
-                raise ConfigError(
+                raise IntegrationError(
                     f"step size violation at t = {t_now[b]:.4g} us: "
-                    f"2*pi*nu_max*dt = {phase[b]:.3g}"
+                    f"2*pi*nu_max*dt = {phase[b]:.3g} (the step plan "
+                    "under-estimated the couplings)"
                 )
             psi = _taylor_step(_scatter(n, flight.pairs, nu), 2.0 * np.pi * h_step, psi)
             t_now = t_now + h_step

@@ -22,12 +22,6 @@ from xychain.xy import MAX_PHASE_PER_STEP
 G, UP, DOWN = 0, 1, 2
 
 
-def is_power_of(x: int, base: int) -> bool:
-    while x % base == 0:
-        x //= base
-    return x == 1
-
-
 def brute_force_populations(entries: np.ndarray, initial_site: int, times):
     """Full 2^N propagation of the exchange Hamiltonian built from Pauli
     ladder operators; returns per-site excitation probabilities (N, T)."""
@@ -165,24 +159,23 @@ def lindblad_dissipator(rho, params, segment_kind: str) -> np.ndarray:
     return out
 
 
-def brute_force_detection(true_populations: np.ndarray, epsilon: float) -> np.ndarray:
-    """Enumerate every true state and every per-atom loss outcome."""
-    probs = np.asarray(true_populations, dtype=float)
-    base = 3 if is_power_of(len(probs), 3) else 2
-    n = round(np.log(len(probs)) / np.log(base))
-    ground = 0 if base == 3 else 1
+def brute_force_detection(level_populations: np.ndarray, epsilon: float) -> np.ndarray:
+    """Enumerate every level configuration and every per-atom loss outcome."""
+    probs = np.asarray(level_populations, dtype=float)
+    n = round(np.log(len(probs)) / np.log(3))
+    assert 3**n == len(probs), "level populations must have length 3^N"
     observed = np.zeros(2**n)
-    for state in itertools.product(range(base), repeat=n):
+    for state in itertools.product((G, UP, DOWN), repeat=n):
         idx = 0
         for level in state:
-            idx = base * idx + level
+            idx = 3 * idx + level
         p_state = probs[idx]
         if p_state == 0.0:
             continue
         for outcome in itertools.product((0, 1), repeat=n):
             weight = 1.0
             for level, bit in zip(state, outcome):
-                if level == ground:
+                if level == G:
                     weight *= (1.0 - epsilon) if bit == 1 else epsilon
                 else:
                     weight *= 1.0 if bit == 0 else 0.0

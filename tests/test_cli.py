@@ -3,7 +3,7 @@ import json
 import pytest
 import yaml
 
-from xychain import analysis
+from xychain import analysis, xy
 from xychain.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -91,6 +91,18 @@ class TestRun:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_bad_loss_model_exits_2_before_propagating(self, tmp_path, monkeypatch,
+                                                        capsys):
+        def propagate(*args, **kwargs):
+            raise AssertionError("the chain propagated before its loss model resolved")
+
+        monkeypatch.setattr(xy, "propagate_ensemble", propagate)
+        code = run_cli(["run", "long-chain", "--output-dir", str(tmp_path),
+                        "--set", "options.epsilon.backend=psychic"])
+        assert code == EXIT_CONFIG
+        assert "psychic" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_table_round_trips_into_analysis(self, tmp_path):
         run_cli(
             ["run", "two-atom-exchange", "--ideal", "--output-dir", str(tmp_path),
@@ -177,6 +189,12 @@ class TestValidateConfig:
         config.write_text("scenario: long-chain\nparams:\n  c4: 1.0\n")
         assert run_cli(["validate-config", str(config)]) == EXIT_CONFIG
         assert "params.c4" in capsys.readouterr().err
+
+    def test_unknown_epsilon_key_reported_with_path(self, tmp_path, capsys):
+        config = tmp_path / "typo.yaml"
+        config.write_text("scenario: three-chain\noptions:\n  epsilon:\n    backnd: none\n")
+        assert run_cli(["validate-config", str(config)]) == EXIT_CONFIG
+        assert "options.epsilon.backnd" in capsys.readouterr().err
 
     def test_invalid_yaml_rejected(self, tmp_path):
         config = tmp_path / "broken.yaml"

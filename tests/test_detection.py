@@ -7,6 +7,7 @@ from xychain.detection import (
     fit_epsilon,
     forward_detection,
     loss_partitions,
+    pattern_labels,
     scale_excitation_large_n,
 )
 from xychain.errors import DataError, ExtrapolationWarning
@@ -67,18 +68,51 @@ class TestForwardDetection:
         expected = np.einsum("i,j,k->ijk", *per_atom).reshape(-1)
         assert np.abs(observed - expected).max() < 1e-12
 
-    def test_binary_input_passes_through_at_zero_epsilon(self, rng):
-        probs = rng.random(8)
-        probs /= probs.sum()
-        assert np.allclose(forward_detection(probs, 0.0), probs)
+    def test_batched_rows_with_epsilon_per_row(self, rng):
+        pops = rng.random((4, 5, 27))
+        pops /= pops.sum(axis=-1, keepdims=True)
+        eps = rng.random((4, 5))
+        batched = forward_detection(pops, eps)
+        assert batched.shape == (4, 5, 8)
+        for i in range(4):
+            for j in range(5):
+                row = forward_detection(pops[i, j], eps[i, j])
+                assert np.array_equal(batched[i, j], row)
+                assert np.abs(row - brute_force_detection(pops[i, j], eps[i, j])).max() < 1e-12
 
     def test_contract_errors(self):
         with pytest.raises(DataError, match="sums to"):
             forward_detection(np.ones(9), 0.1)
+        with pytest.raises(DataError, match="sums to"):
+            forward_detection(np.stack([_pure("gg"), np.ones(9)]), 0.1)
         with pytest.raises(DataError, match="epsilon"):
             forward_detection(_pure("gg"), 1.5)
+        with pytest.raises(DataError, match="one per row"):
+            forward_detection(np.stack([_pure("gg")] * 2), [0.1, 0.2, 0.3])
         with pytest.raises(DataError, match="power"):
             forward_detection(np.full(5, 0.2), 0.1)
+        with pytest.raises(DataError, match="power"):
+            forward_detection(np.full(8, 0.125), 0.1)
+
+
+class TestTrueReadout:
+    """At epsilon = 0 the forward model is the true readout."""
+
+    def test_all_ground_maps_to_all_recaptured(self):
+        observed = forward_detection(_pure("ggg"), 0.0)
+        assert observed[0b111] == pytest.approx(1.0)
+
+    def test_udd_after_deexcitation_convention(self):
+        # readout maps u -> g; a (g, d, d) state reads out as pattern 100
+        observed = forward_detection(_pure("gdd"), 0.0)
+        assert observed[0b100] == pytest.approx(1.0)
+        assert pattern_labels(3)[0b100] == "100"
+
+    def test_marginalization_preserves_normalization(self, rng):
+        pops = rng.random((5, 27))
+        pops /= pops.sum(axis=1, keepdims=True)
+        observed = forward_detection(pops, 0.0)
+        assert np.abs(observed.sum(axis=1) - 1.0).max() < 1e-12
 
 
 class TestEpsilonModel:

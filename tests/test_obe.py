@@ -9,17 +9,15 @@ import pytest
 
 from oracles import hamiltonian_at, lindblad_dissipator
 from xychain import obe, xy
+from xychain.detection import forward_detection, pattern_labels
 from xychain.errors import ConfigError, GeometryError, IntegrationError
 from xychain.model import ChainGeometry, PairFlight, PhysicalParams
 from xychain.obe import (
-    Level,
     PulseSegment,
     PulseSequence,
     basis_index,
     basis_rho,
     level_labels,
-    pattern_labels,
-    project_to_readout,
     readout_scan,
     run_sequence,
     _Engine,
@@ -201,6 +199,12 @@ class TestRunSequence:
         # more than 35 coherent flips in 4 us
         flips = np.sum(np.abs(np.diff(p_down > 0.5)))
         assert flips > 35
+
+    def test_several_trajectories_refused(self, pair30, params):
+        samples = [sample_thermal(params, 2, s) for s in (1, 2)]
+        seq = PulseSequence(segments=(PulseSegment.free(0.1),))
+        with pytest.raises(ConfigError, match="readout_scan"):
+            run_sequence(seq, pair30, params, trajectories=samples)
 
     def test_closed_system_matches_xy(self, lossless_params):
         for n, labels in ((2, "ud"), (3, "udd")):
@@ -415,34 +419,13 @@ class TestReadoutScan:
 
 
 class TestReadoutProjection:
-    def test_all_ground_maps_to_all_recaptured(self):
-        pops = np.zeros(27)
-        pops[basis_index("ggg")] = 1.0
-        observed = project_to_readout(pops)
-        assert observed[0b111] == pytest.approx(1.0)
-
-    def test_udd_after_deexcitation_convention(self):
-        # readout maps u -> g; a (g, d, d) state reads out as pattern 100
-        pops = np.zeros(27)
-        pops[basis_index("gdd")] = 1.0
-        observed = project_to_readout(pops)
-        assert observed[0b100] == pytest.approx(1.0)
-
-    def test_marginalization_preserves_normalization(self, rng):
-        pops = rng.random((5, 27))
-        pops /= pops.sum(axis=1, keepdims=True)
-        observed = project_to_readout(pops)
-        assert np.abs(observed.sum(axis=1) - 1.0).max() < 1e-12
-
-    def test_custom_recaptured_levels(self):
-        pops = np.zeros(9)
-        pops[basis_index("ud")] = 1.0
-        observed = project_to_readout(pops, recaptured_levels=(Level.G, Level.UP))
-        assert observed[0b10] == pytest.approx(1.0)
-
     def test_labels(self):
+        # the level order of the master equation is the order the readout reads
         assert level_labels(2)[basis_index("ud")] == "ud"
         assert pattern_labels(2) == ["00", "01", "10", "11"]
+        pops = np.zeros(9)
+        pops[basis_index("gd")] = 1.0
+        assert pattern_labels(2)[int(np.argmax(forward_detection(pops, 0.0)))] == "10"
 
 
 class TestCheckState:

@@ -321,6 +321,12 @@ class TestEpsilonResolution:
         tt, ee = load_epsilon_table(path, "p111")
         assert np.allclose(ee, eps, atol=1e-9)
 
+    def test_unknown_key_rejected_with_detection_off(self):
+        # the loss model is never built, but a typo must not reach provenance
+        options = {**FAST_FULL, "with_detection": False, "epsilon": {"backnd": "none"}}
+        with pytest.raises(ConfigError, match="options.epsilon.backnd"):
+            run_scenario("three-chain", options=options)
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):
             resolve_epsilon_model({"backend": "psychic"}, PhysicalParams(), 0, 5.0)

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from scipy.linalg import expm
 
 from oracles import brute_force_populations, midpoint_populations
-from xychain.errors import ConfigError, GeometryError
-from xychain.model import ChainGeometry, PhysicalParams
+from xychain.errors import ConfigError, GeometryError, IntegrationError
+from xychain.model import ChainGeometry, PairFlight, PhysicalParams
 from xychain.thermal import ThermalSample, sample_thermal
 from xychain.xy import (
     CouplingMatrix,
@@ -219,6 +221,26 @@ class TestPropagateTimeDependent:
             propagate_time_dependent(
                 pair30, params, sample, "full", SpinState.excitation_at(2, 0), [12.0]
             )
+
+    def test_under_reported_coupling_bound_raises(self, pair30, params, monkeypatch):
+        # atom 0 passes 2 um from atom 1 at t = 10 us; a bound read at the
+        # window start alone misses the approach
+        sample = ThermalSample(
+            displacements=[[0.0, 2.0, 0.0], [0.0, 0.0, 0.0]],
+            velocities=[[3.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            seed=0,
+        )
+        monkeypatch.setattr(
+            PairFlight,
+            "bound",
+            lambda flight, t_lo, t_hi: np.abs(flight.couplings(t_lo)).max(axis=-1),
+        )
+        with pytest.raises(IntegrationError, match="step size violation") as err:
+            propagate_ensemble(
+                pair30, params, [sample], "full", SpinState.excitation_at(2, 0), [12.0]
+            )
+        t_raised = float(re.search(r"at t = (\S+) us", str(err.value)).group(1))
+        assert t_raised < 10.0
 
     def test_step_size_violation_rejected(self, chain3, params):
         with pytest.raises(ConfigError, match="step size"):
