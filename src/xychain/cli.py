@@ -34,6 +34,7 @@ from . import __version__
 from .errors import ConfigError, DataError, FitError, IntegrationError, XYChainError
 from .model import PhysicalParams
 from .scenarios import SCENARIOS, ScenarioResult, catalog, run_scenario, scenario_options
+from .xy import RANGE_MODES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--range",
         dest="range_mode",
-        choices=["full", "nearest_neighbor"],
+        choices=RANGE_MODES,
         default=None,
         help="shortcut for --set options.range_mode=...",
     )

@@ -152,6 +152,11 @@ def angular_c3(c3_tilde: float, theta: float) -> float:
     return c3_tilde * (1.0 - 3.0 * math.cos(theta) ** 2)
 
 
+#: Bound on the phase 2*pi*nu*dt one integrator step may advance, shared by
+#: the master-equation and the closed-system step plans.
+PHASE_CAP = 0.05
+
+
 class PairFlight:
     """Ballistic pair separations and their c3 / R^3 couplings, batched.
 

@@ -44,13 +44,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .model import ChainGeometry, PairFlight, PhysicalParams
+from .model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams
 from .thermal import ThermalSample
 
 SEGMENT_KINDS = ("optical", "microwave", "free_evolution")
 
-#: Bound on phase advance per integrator step, 2*pi*scale*dt.
-PHASE_CAP = 0.05
 # Safety margins by segment character, tuned empirically so that halving dt
 # changes sampled populations by < 1e-6 end to end and the density matrix
 # stays positive within -1e-7.  Microwave pulses act on nearly pure states

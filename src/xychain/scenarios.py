@@ -9,7 +9,10 @@ calibration.  Scenarios come in two modes where applicable:
 * ``ideal``: instantaneous perfect preparation, no dissipation, no motion,
   no detection errors; closed-system dynamics only (theory curves).
 * ``full``: the complete pulse sequence integrated as a master equation with
-  thermal Monte-Carlo averaging and the detection forward model.
+  thermal Monte-Carlo averaging and the detection forward model, whose loss
+  model ``epsilon: {backend: none}`` switches off.  Two-atom exchange, the
+  three-atom chain and the temperature ablation run this one exchange
+  experiment through one helper.
 
 Every scenario is deterministic under its master seed; Monte-Carlo draws and
 noise realizations derive from it through a fixed seed lineage.
@@ -27,7 +30,7 @@ from __future__ import annotations
 import copy
 import inspect
 from dataclasses import dataclass, field, replace
-from typing import Annotated, Callable, Optional
+from typing import Annotated, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,9 +48,17 @@ RECAPTURE_TRAP_DEPTH = 2092.0
 EPSILON_FLOOR = 0.01
 EPSILON_SLOPE = 0.027  # per us
 
-_EPSILON_HELP = (
-    "loss-model options: backend (table | recapture_mc | none), table_path, "
-    "table_kind (epsilon | p111), floor, slope, trap_depth, n_mc"
+#: Loss-model option keys, each with the values it accepts, or None when
+#: any value goes.
+_EPSILON_OPTIONS = {
+    "backend": ("table", "recapture_mc", "none"), "table_path": None,
+    "table_kind": ("epsilon", "p111"), "floor": None, "slope": None,
+    "trap_depth": None, "n_mc": None,
+}
+
+_EPSILON_HELP = "loss-model options: " + ", ".join(
+    f"{key} ({' | '.join(choices)})" if choices else key
+    for key, choices in _EPSILON_OPTIONS.items()
 )
 
 #: Runner parameters that ``run_scenario`` supplies itself; every other
@@ -126,10 +137,6 @@ def _tau_grid(tau_max: float, tau_step: float) -> np.ndarray:
     return np.linspace(0.0, n * tau_step, n + 1)
 
 
-def _ideal_params(params: PhysicalParams) -> PhysicalParams:
-    return replace(params, gamma_eff=0.0, gamma_up=0.0, gamma_down=0.0, temperature=0.0)
-
-
 def _pi_time(frequency: float) -> float:
     """Duration of a resonant pi pulse at ordinary Rabi frequency (MHz)."""
     return 1.0 / (2.0 * frequency)
@@ -154,25 +161,24 @@ def deexcite_suffix(params: PhysicalParams, n_atoms: int):
     return [obe.PulseSegment.optical(t_opt)]
 
 
-def _scan_span(params: PhysicalParams, n_atoms: int, tau_max: float) -> float:
-    """Longest sequence (us) of a readout scan: preparation, tau_max of free
-    evolution and the readout pulse; the time span the loss model covers."""
-    prefix_dur = sum(s.duration for s in exchange_prefix(params, n_atoms))
-    suffix_dur = sum(s.duration for s in deexcite_suffix(params, n_atoms))
-    return tau_max + prefix_dur + suffix_dur
-
-
-_EPSILON_KEYS = {"backend", "table_path", "table_kind", "floor", "slope",
-                 "trap_depth", "n_mc"}
+def _epsilon_choice(key: str, value):
+    """``value`` of the restricted loss-model option ``key``, checked."""
+    choices = _EPSILON_OPTIONS[key]
+    if value not in choices:
+        raise ConfigError(
+            f"options.epsilon.{key}: unknown value {value!r} "
+            f"(expected one of: {', '.join(choices)})"
+        )
+    return value
 
 
 def resolve_epsilon_model(
     epsilon_options: Optional[dict], params: PhysicalParams, seed: int, t_max: float
 ) -> detection.EpsilonModel:
-    """Build the loss model a scenario declared in its options (keys
-    checked by :func:`scenario_options`)."""
+    """Build the loss model a scenario declared in its options (keys and
+    choices checked by :func:`scenario_options`)."""
     epsilon_options = epsilon_options or {}
-    backend = epsilon_options.get("backend", "table")
+    backend = _epsilon_choice("backend", epsilon_options.get("backend", "table"))
     if backend == "none":
         return detection.EpsilonModel.constant(0.0)
     if backend == "table":
@@ -184,17 +190,15 @@ def resolve_epsilon_model(
         slope = epsilon_options.get("slope", EPSILON_SLOPE)
         t = np.linspace(0.0, max(t_max, 12.0), 25)
         return detection.EpsilonModel.from_table(t, np.clip(floor + slope * t, 0, 1))
-    if backend == "recapture_mc":
-        depth = epsilon_options.get("trap_depth", RECAPTURE_TRAP_DEPTH)
-        floor = epsilon_options.get("floor", EPSILON_FLOOR)
-        n_mc = int(epsilon_options.get("n_mc", 200_000))
-        grid = np.linspace(0.0, max(t_max, 8.0), 17)
-        eps = [
-            thermal.recapture_epsilon(params, depth, t, n_mc, seed=seed, floor=floor)
-            for t in grid
-        ]
-        return detection.EpsilonModel.from_table(grid, eps)
-    raise ConfigError(f"unknown epsilon backend {backend!r}")
+    depth = epsilon_options.get("trap_depth", RECAPTURE_TRAP_DEPTH)
+    floor = epsilon_options.get("floor", EPSILON_FLOOR)
+    n_mc = int(epsilon_options.get("n_mc", 200_000))
+    grid = np.linspace(0.0, max(t_max, 8.0), 17)
+    eps = [
+        thermal.recapture_epsilon(params, depth, t, n_mc, seed=seed, floor=floor)
+        for t in grid
+    ]
+    return detection.EpsilonModel.from_table(grid, eps)
 
 
 def load_epsilon_table(path, kind: str = "epsilon"):
@@ -203,62 +207,88 @@ def load_epsilon_table(path, kind: str = "epsilon"):
     if data.shape[1] < 2:
         raise DataError(f"calibration table {path} needs two columns")
     t, value = data[:, 0], data[:, 1]
-    if kind == "epsilon":
+    if _epsilon_choice("table_kind", kind) == "epsilon":
         return t, value
-    if kind == "p111":
-        if np.any((value <= 0) | (value > 1)):
-            raise DataError("P_111 calibration values must lie in (0, 1]")
-        return t, 1.0 - value ** (1.0 / 3.0)
-    raise ConfigError(f"unknown calibration table kind {kind!r}")
+    if np.any((value <= 0) | (value > 1)):
+        raise DataError("P_111 calibration values must lie in (0, 1]")
+    return t, 1.0 - value ** (1.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class SequenceScanRun:
-    """Monte-Carlo averaged outcome of a prepared-evolve-readout scan."""
+def _ideal_run(
+    geometry: ChainGeometry,
+    params: PhysicalParams,
+    taus: np.ndarray,
+    columns: tuple[str, ...],
+    range_mode: str = "full",
+) -> tuple[xy.CouplingMatrix, Table, np.ndarray]:
+    """Theory curves of the chain at rest without loss: its coupling matrix,
+    the table of site populations (named ``columns``) after an excitation
+    at site 0, and the matrix eigenvalues."""
+    matrix = xy.build_coupling_matrix(geometry, params, range_mode)
+    pops = xy.propagate(matrix, xy.SpinState.excitation_at(geometry.n_atoms, 0), taus)
+    table = Table(("tau_us", *columns), np.column_stack([taus, *pops]))
+    return matrix, table, xy.eigenmodes(matrix)[0]
 
-    level_mean: np.ndarray        # (T, 3^N) mean level populations post readout
-    total_durations: np.ndarray   # (T,)
+
+class _Readout(NamedTuple):
+    true_patterns: np.ndarray   # (T, 2^N) recapture patterns without loss
+    observed: np.ndarray        # (T, 2^N) the same through the loss model
     max_trace_deviation: float
     n_realizations: int
 
 
-def run_sequence_scan(
+def _exchange_readouts(
     geometry: ChainGeometry,
     params: PhysicalParams,
-    tau_grid: np.ndarray,
+    taus: np.ndarray,
     n_realizations: int,
-    mc_seed: int,
-) -> SequenceScanRun:
-    """Full open-system scan of the exchange experiment.
+    seed: int,
+    epsilon: dict,
+    temperatures: Optional[tuple[float, ...]] = None,
+) -> list[_Readout]:
+    """The exchange experiment as one open-system readout scan per
+    temperature (default: that of ``params``).
 
-    All Monte-Carlo realizations advance as one batch; the ensemble mean is
-    taken in realization order, so results are bit-reproducible for any
-    worker configuration.  At zero temperature the dynamics are
-    deterministic and a single realization represents the ensemble.  The
-    readout maps the mean linearly (:func:`detection.forward_detection`),
-    so its patterns equal the mean of the per-realization patterns.
+    A scan advances its thermal realizations as one batch (a single one at
+    rest when T = 0) and reads out their mean in realization order, so
+    results are bit-reproducible; recapture is linear, so the patterns equal
+    the mean of the per-realization patterns.  One loss model, resolved from
+    ``params`` before any scan runs, spans the longest sequence.
     """
     n = geometry.n_atoms
     prefix = exchange_prefix(params, n)
     suffix = deexcite_suffix(params, n)
-    if params.temperature == 0.0:
+    span = taus[-1] + sum(s.duration for s in prefix) + sum(s.duration for s in suffix)
+    seeds = thermal.realization_seeds(seed, 4)
+    eps_model = resolve_epsilon_model(epsilon, params, seeds[2], span)
+    readouts = []
+    for temperature in temperatures or (params.temperature,):
+        scan_params = replace(params, temperature=temperature)
         samples = None
-        effective_n = 1
-    else:
-        samples = [
-            thermal.sample_thermal(params, n, s)
-            for s in thermal.realization_seeds(mc_seed, n_realizations)
-        ]
-        effective_n = n_realizations
-    scan = obe.readout_scan(
-        geometry, params, prefix, tau_grid, suffix, trajectories=samples
-    )
-    return SequenceScanRun(
-        level_mean=scan.populations.mean(axis=0),
-        total_durations=scan.total_durations,
-        max_trace_deviation=scan.max_trace_deviation,
-        n_realizations=effective_n,
-    )
+        if temperature != 0.0:
+            samples = [
+                thermal.sample_thermal(scan_params, n, s)
+                for s in thermal.realization_seeds(seeds[0], n_realizations)
+            ]
+        scan = obe.readout_scan(
+            geometry, scan_params, prefix, taus, suffix, trajectories=samples
+        )
+        mean = scan.populations.mean(axis=0)
+        readouts.append(_Readout(
+            true_patterns=detection.forward_detection(mean, 0.0),
+            observed=detection.forward_detection(mean, eps_model(scan.total_durations)),
+            max_trace_deviation=scan.max_trace_deviation,
+            n_realizations=1 if samples is None else n_realizations,
+        ))
+    return readouts
+
+
+def _pattern_tables(taus: np.ndarray, readout: _Readout, n_atoms: int) -> dict[str, Table]:
+    columns = ["tau_us"] + [f"P_{s}" for s in detection.pattern_labels(n_atoms)]
+    return {
+        "observed": Table(columns, np.column_stack([taus, readout.observed])),
+        "true_patterns": Table(columns, np.column_stack([taus, readout.true_patterns])),
+    }
 
 
 def _fit_summary(fit: analysis.OscillationFit) -> dict:
@@ -288,43 +318,29 @@ def two_atom_exchange(
         raise ConfigError(f"spacing must be in [2, 100] um, got {spacing}")
     taus = _tau_grid(tau_max, tau_step)
     geometry = ChainGeometry.line(2, spacing)
-    seeds = thermal.realization_seeds(seed, 4)
 
     if mode == "ideal":
-        ideal = _ideal_params(params)
-        matrix = xy.build_coupling_matrix(geometry, ideal)
-        pops = xy.propagate(matrix, xy.SpinState.excitation_at(2, 0), taus)
-        table = Table(("tau_us", "P_10", "P_01"), np.column_stack([taus, pops[0], pops[1]]))
-        fit = analysis.fit_sinusoid(taus, pops[0])
-        values, _ = xy.eigenmodes(matrix)
+        matrix, table, values = _ideal_run(geometry, params, taus, ("P_10", "P_01"))
         summary = {
             "mode": "ideal",
             "coupling_mhz": float(matrix.entries[0, 1]),
             "eigenvalues_mhz": [float(v) for v in values],
-            "fit_P_10": _fit_summary(fit),
+            "fit_P_10": _fit_summary(analysis.fit_sinusoid(taus, table.column("P_10"))),
         }
         return {"populations": table}, summary
 
     if mode != "full":
         raise ConfigError(f"mode must be 'ideal' or 'full', got {mode!r}")
-    eps_model = resolve_epsilon_model(
-        epsilon, params, seeds[2], _scan_span(params, 2, tau_max)
-    )
-    run = run_sequence_scan(geometry, params, taus, n_realizations, seeds[0])
-    true_patterns = detection.forward_detection(run.level_mean, 0.0)
-    observed = detection.forward_detection(run.level_mean, eps_model(run.total_durations))
-    labels = detection.pattern_labels(2)
-    columns = ["tau_us"] + [f"P_{s}" for s in labels]
-    observed_table = Table(columns, np.column_stack([taus, observed]))
-    true_table = Table(columns, np.column_stack([taus, true_patterns]))
-    fit = analysis.fit_sinusoid(taus, observed[:, labels.index("10")])
+    [run] = _exchange_readouts(geometry, params, taus, n_realizations, seed, epsilon)
+    tables = _pattern_tables(taus, run, 2)
+    fit = analysis.fit_sinusoid(taus, tables["observed"].column("P_10"))
     summary = {
         "mode": "full",
         "n_realizations": run.n_realizations,
         "max_trace_deviation": run.max_trace_deviation,
         "fit_P_10": _fit_summary(fit),
     }
-    return {"observed": observed_table, "true_patterns": true_table}, summary
+    return tables, summary
 
 
 def distance_scan(
@@ -408,7 +424,6 @@ def three_chain(
     mode: Annotated[str, "ideal (theory) or full (open-system) pipeline"] = "full",
     temperature: Annotated[Optional[float], "override temperature, uK"] = None,
     n_realizations: Annotated[int, "thermal Monte-Carlo realizations"] = 100,
-    with_detection: Annotated[bool, "apply the loss forward model"] = True,
     epsilon: Annotated[dict, _EPSILON_HELP] = {},
     workers: int = 1,
 ) -> tuple[dict[str, Table], dict]:
@@ -417,17 +432,11 @@ def three_chain(
     geometry = ChainGeometry.line(3, spacing)
     if temperature is not None:
         params = replace(params, temperature=float(temperature))
-    seeds = thermal.realization_seeds(seed, 4)
 
     if mode == "ideal":
-        ideal = _ideal_params(params)
-        matrix = xy.build_coupling_matrix(geometry, ideal, range_mode)
-        pops = xy.propagate(matrix, xy.SpinState.excitation_at(3, 0), taus)
-        table = Table(
-            ("tau_us", "P_udd", "P_dud", "P_ddu"),
-            np.column_stack([taus, pops[0], pops[1], pops[2]]),
+        matrix, table, values = _ideal_run(
+            geometry, params, taus, ("P_udd", "P_dud", "P_ddu"), range_mode
         )
-        values, _ = xy.eigenmodes(matrix)
         summary = {
             "mode": "ideal",
             "range_mode": range_mode,
@@ -441,31 +450,15 @@ def three_chain(
         raise ConfigError(f"mode must be 'ideal' or 'full', got {mode!r}")
     if range_mode != "full":
         raise ConfigError("the open-system model always keeps the full-range coupling")
-    eps_model = (
-        resolve_epsilon_model(epsilon, params, seeds[2], _scan_span(params, 3, tau_max))
-        if with_detection
-        else None
-    )
-    run = run_sequence_scan(geometry, params, taus, n_realizations, seeds[0])
-    true_patterns = detection.forward_detection(run.level_mean, 0.0)
-    observed = (
-        detection.forward_detection(run.level_mean, eps_model(run.total_durations))
-        if with_detection
-        else true_patterns
-    )
-    columns = ["tau_us"] + [f"P_{s}" for s in detection.pattern_labels(3)]
-    tables = {
-        "observed": Table(columns, np.column_stack([taus, observed])),
-        "true_patterns": Table(columns, np.column_stack([taus, true_patterns])),
-    }
+    [run] = _exchange_readouts(geometry, params, taus, n_realizations, seed, epsilon)
     summary = {
         "mode": "full",
         "temperature_uk": params.temperature,
         "n_realizations": run.n_realizations,
         "max_trace_deviation": run.max_trace_deviation,
-        "pattern_sum_deviation": float(np.abs(observed.sum(axis=1) - 1.0).max()),
+        "pattern_sum_deviation": float(np.abs(run.observed.sum(axis=1) - 1.0).max()),
     }
-    return tables, summary
+    return _pattern_tables(taus, run, 3), summary
 
 
 def temperature_ablation(
@@ -488,22 +481,17 @@ def temperature_ablation(
     """
     taus = _tau_grid(tau_max, tau_step)
     geometry = ChainGeometry.line(3, spacing)
-    seeds = thermal.realization_seeds(seed, 4)
-    params_zero = replace(params, temperature=0.0)
-    params_hot = replace(params, temperature=float(temperature))
-    eps_model = resolve_epsilon_model(
-        epsilon, params_hot, seeds[2], _scan_span(params, 3, tau_max)
+    hot_params = replace(params, temperature=float(temperature))
+    cold, hot = _exchange_readouts(
+        geometry, hot_params, taus, n_realizations, seed, epsilon,
+        temperatures=(0.0, hot_params.temperature),
     )
-
-    cold = run_sequence_scan(geometry, params_zero, taus, 1, seeds[0])
-    hot = run_sequence_scan(geometry, params_hot, taus, n_realizations, seeds[0])
-    eps = eps_model(cold.total_durations)
     idx = detection.pattern_labels(3).index("001")
     curves = {
-        "zero_temperature": detection.forward_detection(cold.level_mean, 0.0)[:, idx],
-        "loss_only": detection.forward_detection(cold.level_mean, eps)[:, idx],
-        "motion_only": detection.forward_detection(hot.level_mean, 0.0)[:, idx],
-        "full": detection.forward_detection(hot.level_mean, eps)[:, idx],
+        "zero_temperature": cold.true_patterns[:, idx],
+        "loss_only": cold.observed[:, idx],
+        "motion_only": hot.true_patterns[:, idx],
+        "full": hot.observed[:, idx],
     }
     table = Table(
         ("tau_us",) + tuple(f"P_001_{k}" for k in curves),
@@ -558,7 +546,7 @@ def long_chain(
         samples = [thermal.sample_thermal(params, n_atoms, s) for s in sample_seeds]
         return xy.propagate_ensemble(geometry, params, samples, range_mode, initial, taus)
 
-    eps_model = resolve_epsilon_model(epsilon, params, seeds[2], tau_max)
+    eps_model = resolve_epsilon_model(epsilon, params, seeds[2], taus[-1])
     n_eff = 1 if params.temperature == 0.0 else n_realizations
     ensemble = thermal.monte_carlo(realizations, n_eff, seeds[0], n_workers=workers)
     true_mean = ensemble.mean                                  # (N, T)
@@ -687,8 +675,8 @@ def catalog() -> list[ScenarioSpec]:
 
 def scenario_options(name: str, options: Optional[dict] = None) -> dict:
     """The options a scenario runs with: copies of its defaults, overlaid by
-    ``options``.  An unknown scenario, option key or ``epsilon`` key raises
-    ConfigError."""
+    ``options``.  An unknown scenario, option key, ``epsilon`` key or
+    ``epsilon`` backend or table kind raises ConfigError."""
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ConfigError(f"unknown scenario {name!r} (expected one of: {known})")
@@ -704,12 +692,14 @@ def scenario_options(name: str, options: Optional[dict] = None) -> dict:
     epsilon = merged.get("epsilon") or {}
     if not isinstance(epsilon, dict):
         raise ConfigError(f"options.epsilon: expected a mapping, got {epsilon!r}")
-    for key in epsilon:
-        if key not in _EPSILON_KEYS:
+    for key, value in epsilon.items():
+        if key not in _EPSILON_OPTIONS:
             raise ConfigError(
                 f"options.epsilon.{key}: unknown key (expected one of: "
-                f"{', '.join(sorted(_EPSILON_KEYS))})"
+                f"{', '.join(sorted(_EPSILON_OPTIONS))})"
             )
+        if _EPSILON_OPTIONS[key]:
+            _epsilon_choice(key, value)
     return merged
 
 

@@ -29,13 +29,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .model import ChainGeometry, PairFlight, PhysicalParams
+from .model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams
 from .thermal import ThermalSample
 
 RANGE_MODES = ("full", "nearest_neighbor")
-
-#: Upper bound on 2*pi*nu_max*dt for the piecewise-constant propagator.
-MAX_PHASE_PER_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -246,15 +243,15 @@ def propagate_ensemble(
         with np.errstate(divide="ignore"):
             dt = np.where(
                 nu_bound > 0,
-                MAX_PHASE_PER_STEP / (2.0 * np.pi * nu_bound * 1.05),
+                PHASE_CAP / (2.0 * np.pi * nu_bound * 1.05),
                 times[-1] or 1.0,
             )
     dt = np.broadcast_to(np.asarray(dt, dtype=float), nu_bound.shape)
     phase = 2.0 * np.pi * nu_bound * dt
-    if np.any(phase >= MAX_PHASE_PER_STEP):
+    if np.any(phase >= PHASE_CAP):
         raise ConfigError(
             f"step size violation: 2*pi*nu_max*dt = {phase.max():.3g} "
-            f">= {MAX_PHASE_PER_STEP} (nu_max bounds the coupling over the whole run)"
+            f">= {PHASE_CAP} (nu_max bounds the coupling over the whole run)"
         )
 
     psi = np.empty((len(samples), n, 1), dtype=complex)
@@ -270,8 +267,8 @@ def propagate_ensemble(
             h_step = np.where(step < n_steps, h, 0.0)
             nu = flight.couplings(t_now + 0.5 * h_step)
             phase = 2.0 * np.pi * np.abs(nu).max(axis=1, initial=0.0) * h_step
-            if np.any(phase >= MAX_PHASE_PER_STEP):
-                b = int(np.argmax(phase >= MAX_PHASE_PER_STEP))
+            if np.any(phase >= PHASE_CAP):
+                b = int(np.argmax(phase >= PHASE_CAP))
                 raise IntegrationError(
                     f"step size violation at t = {t_now[b]:.4g} us: "
                     f"2*pi*nu_max*dt = {phase[b]:.3g} (the step plan "

@@ -14,9 +14,8 @@ import itertools
 import numpy as np
 from scipy.linalg import expm
 
-from xychain.model import PairFlight
+from xychain.model import PHASE_CAP, PairFlight
 from xychain.thermal import free_flight
-from xychain.xy import MAX_PHASE_PER_STEP
 
 # single-atom levels in the order of the master equation's product basis
 G, UP, DOWN = 0, 1, 2
@@ -61,7 +60,7 @@ def midpoint_populations(geometry, params, sample, initial, times):
     """One realization of the moving chain, one step at a time: (N, T).
 
     Follows the step plan of ``xychain.xy.propagate_time_dependent`` with
-    every pair coupled: dt safely inside 2*pi*nu_max*dt < MAX_PHASE_PER_STEP
+    every pair coupled: dt safely inside 2*pi*nu_max*dt < PHASE_CAP
     for the bound over the run, ceil(span / dt) equal steps per sample
     interval, and each step the exact exponential (``scipy.linalg.expm``) of
     the hopping matrix at its midpoint.
@@ -71,7 +70,7 @@ def midpoint_populations(geometry, params, sample, initial, times):
         geometry, params, sample.displacements[None], sample.velocities[None]
     )
     nu_bound = float(flight.bound(0.0, float(times[-1]))[0])
-    dt = MAX_PHASE_PER_STEP / (2.0 * np.pi * nu_bound * 1.05)
+    dt = PHASE_CAP / (2.0 * np.pi * nu_bound * 1.05)
     psi = np.asarray(initial, dtype=complex)
     pops = np.empty((n, len(times)))
     t_now = 0.0

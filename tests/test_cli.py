@@ -196,6 +196,13 @@ class TestValidateConfig:
         assert run_cli(["validate-config", str(config)]) == EXIT_CONFIG
         assert "options.epsilon.backnd" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("backend", "psychic"), ("table_kind", "bogus")])
+    def test_unknown_epsilon_choice_reported_with_path(self, key, value, tmp_path, capsys):
+        config = tmp_path / "choice.yaml"
+        config.write_text(f"scenario: distance-scan\noptions:\n  epsilon:\n    {key}: {value}\n")
+        assert run_cli(["validate-config", str(config)]) == EXIT_CONFIG
+        assert f"options.epsilon.{key}: unknown value {value!r}" in capsys.readouterr().err
+
     def test_invalid_yaml_rejected(self, tmp_path):
         config = tmp_path / "broken.yaml"
         config.write_text("scenario: [unclosed\n")

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from xychain import thermal
-from xychain.errors import ConfigError, DataError
+from xychain.errors import ConfigError, DataError, ExtrapolationWarning
 from xychain.model import PhysicalParams
 from xychain.scenarios import (
     ScenarioSpec,
@@ -156,7 +158,7 @@ class TestThreeChain:
 
     def test_detection_toggle(self):
         off = run_scenario(
-            "three-chain", options={**FAST_FULL, "with_detection": False}, seed=9
+            "three-chain", options={**FAST_FULL, "epsilon": {"backend": "none"}}, seed=9
         )
         assert np.array_equal(
             off.tables["observed"].data, off.tables["true_patterns"].data
@@ -321,12 +323,31 @@ class TestEpsilonResolution:
         tt, ee = load_epsilon_table(path, "p111")
         assert np.allclose(ee, eps, atol=1e-9)
 
-    def test_unknown_key_rejected_with_detection_off(self):
+    def test_unknown_key_rejected_in_ideal_mode(self):
         # the loss model is never built, but a typo must not reach provenance
-        options = {**FAST_FULL, "with_detection": False, "epsilon": {"backnd": "none"}}
+        options = {"mode": "ideal", "epsilon": {"backnd": "none"}}
         with pytest.raises(ConfigError, match="options.epsilon.backnd"):
             run_scenario("three-chain", options=options)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):
             resolve_epsilon_model({"backend": "psychic"}, PhysicalParams(), 0, 5.0)
+
+    @pytest.mark.parametrize("key, value", [("backend", "psychic"), ("table_kind", "bogus")])
+    def test_unknown_choice_rejected_in_ideal_mode(self, key, value):
+        options = {"mode": "ideal", "epsilon": {key: value}}
+        with pytest.raises(ConfigError, match=f"options.epsilon.{key}: unknown value"):
+            run_scenario("two-atom-exchange", options=options)
+
+    @pytest.mark.parametrize(
+        "scenario, options",
+        [
+            # the grid rounds up to 12.05 and 12.0 us, past the requested tau_max
+            ("two-atom-exchange", {"tau_max": 11.9, "tau_step": 0.25}),
+            ("long-chain", {"n_atoms": 3, "tau_max": 12.03, "tau_step": 0.05}),
+        ],
+    )
+    def test_loss_model_spans_the_rounded_tau_grid(self, scenario, options):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ExtrapolationWarning)
+            run_scenario(scenario, params=PhysicalParams(temperature=0.0), options=options)
