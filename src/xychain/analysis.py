@@ -17,6 +17,9 @@ from scipy.optimize import least_squares
 
 from .errors import ConfigError, DataError, FitError
 
+#: Fewest points of a series :func:`fit_sinusoid` accepts.
+MIN_FIT_POINTS = 8
+
 
 @dataclass(frozen=True)
 class OscillationFit:
@@ -70,17 +73,17 @@ def _initial_guess(times: np.ndarray, values: np.ndarray) -> tuple[float, float]
 def fit_sinusoid(times, values) -> OscillationFit:
     """Nonlinear least-squares sinusoid fit of a population series.
 
-    Needs at least 8 points spanning at least one oscillation period.  The
-    initial frequency comes from the discrete spectrum; refinement is damped
-    least squares.  The fitted amplitude is normalized to be non-negative
+    Needs at least MIN_FIT_POINTS points spanning at least one oscillation
+    period.  The initial frequency comes from the discrete spectrum;
+    refinement is damped least squares.  The fitted amplitude is normalized to be non-negative
     with frequency > 0, and the contrast is the swing clipped to [0, 1].
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != v.shape:
         raise DataError("times and values must be 1-d arrays of equal length")
-    if t.size < 8:
-        raise DataError(f"need at least 8 points, got {t.size}")
+    if t.size < MIN_FIT_POINTS:
+        raise DataError(f"need at least {MIN_FIT_POINTS} points, got {t.size}")
 
     f0, phi0 = _initial_guess(t, v)
     a0 = 2.0 * np.sqrt(2.0) * np.std(v)

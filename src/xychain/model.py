@@ -17,12 +17,12 @@ thermal velocity computed in SI (m/s) is numerically equal to um/us.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
 
 # Boltzmann constant (J/K) and the mass of a generic heavy alkali atom used
 # in the experiments this package models (87Rb, kg).
@@ -107,7 +107,8 @@ class PhysicalParams:
     relates to it through :func:`angular_c3`.  ``omega_opt``, ``delta_opt``
     and ``gamma_eff`` may be scalars or per-atom sequences.  ``gamma_eff`` is
     the effective damping of the ground-Rydberg transition and acts only
-    during optical pulse segments.
+    during optical pulse segments.  Every value is real: a complex drive,
+    detuning or rate is refused, since the engines build real Hamiltonians.
     """
 
     c3: float = DEFAULT_C3                      # MHz um^3, effective on-axis
@@ -122,6 +123,12 @@ class PhysicalParams:
     temperature: float = 50.0                   # uK
     omega_perp: float = 2.0 * np.pi * 0.09      # rad/us, trap frequency
     mass: float = RB87_MASS                     # kg
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if np.iscomplexobj(value):
+                raise ConfigError(f"params.{f.name} must be real, got {value!r}")
 
     def _per_atom(self, value, n_atoms: int) -> np.ndarray:
         arr = np.asarray(value, dtype=float)

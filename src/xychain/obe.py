@@ -16,10 +16,21 @@ pair (i, j) and R_ij(t) follows the atoms' free flight.  Dissipation is a
 Lindblad term with decay up -> g at rate gamma_up (+ gamma_eff during
 optical segments only) and down -> g at rate gamma_down.
 
-Entries are ordinary frequencies (MHz); the equation of motion integrated by
-fixed-step 4th-order Runge-Kutta is
+Entries are ordinary frequencies (MHz); the equation of motion is
 
     drho/dt = -2 pi i [H, rho] + L[rho].
+
+Every Hamiltonian above is real symmetric and L maps real matrices to real
+ones, so the engine carries rho = A + iB (A symmetric, B antisymmetric) as one
+real matrix M = A + B and integrates, by fixed-step 4th-order Runge-Kutta,
+
+    dM/dt = 2 pi (H M - M H)^T - w * M + R[M],
+
+where w_kl = (w_k + w_l)/2 holds the total decay rates w_k of the basis
+states and R moves each atom's up and down blocks, times their decay rates,
+into its g block.  Populations are diag(M).  The Hermitian
+rho = (M + M^T)/2 + i (M - M^T)/2 is rebuilt only where a complex matrix is
+needed: by the positivity check and for ``SequenceResult.final_state``.
 
 The step size obeys 2 pi dt max(Omega, delta, nu_max) < 0.05 with additional
 per-segment-kind safety margins chosen so that halving dt changes sampled
@@ -69,15 +80,19 @@ _REF_BUDGET_FREE = 7.0
 
 _MAX_OBE_ATOMS = 6
 _POSITIVITY_TOL = -1e-7
+_HERMITIAN_TOL = 1e-12
 
 #: Scratch bytes the readout branches of one scan may hold at once.  Small,
 #: because the branches gain little from batches beyond a few hundred
 #: density matrices while peak memory keeps growing.
 _BRANCH_BUDGET_BYTES = 2 * 2**20
-# B x d x d complex arrays one branch occupies while it runs: its state in
-# the branch buffer, the engine's four RK4 stages, three RHS scratch arrays
-# and the RHS temporaries.
-_ARRAYS_PER_BRANCH = 10
+# B x d x d real arrays one branch occupies while it runs: its state in the
+# branch buffer (1), the engine's four RK4 stages and stage input (5), the RHS
+# scratch and Hamiltonian (3), the complex rho the positivity check hands to
+# eigvalsh (2) and eigvalsh's own copy of it (2), and the elementwise
+# temporaries of the RHS and the check.  Counted generously: tracemalloc
+# measures a peak of about 11 per branch at N = 3.
+_ARRAYS_PER_BRANCH = 20
 
 
 class Level(IntEnum):
@@ -213,14 +228,19 @@ class _OperatorTable:
         self.diag_rydberg = [
             self.diag_up[i] + self.diag_down[i] for i in range(n_atoms)
         ]
-        # index pairs mapping the recycling term: rho[up_i block] -> rho[g_i block]
-        self.idx_g, self.idx_up, self.idx_down = [], [], []
+        # the recycling term reads a state as a (rows, 3,...,3, 3,...,3) tensor,
+        # one axis per atom for the row and for the column level; per atom
+        # the basic-slice indices of its (g, g), (up, up) and (down, down)
+        # blocks
+        self.tensor_shape = (3,) * (2 * n_atoms)
+        self.blocks = []
         for i in range(n_atoms):
-            sel = np.nonzero(levels[:, i] == Level.G)[0]
-            stride = 3 ** (n_atoms - 1 - i)
-            self.idx_g.append(sel)
-            self.idx_up.append(sel + stride)
-            self.idx_down.append(sel + 2 * stride)
+            per_level = []
+            for level in Level:
+                index = [slice(None)] * (1 + 2 * n_atoms)
+                index[1 + i] = index[1 + n_atoms + i] = int(level)
+                per_level.append(tuple(index))
+            self.blocks.append(tuple(per_level))
         pairs = [(i, j) for i in range(n_atoms) for j in range(i + 1, n_atoms)]
         self.pairs = pairs
         hop = []
@@ -230,9 +250,9 @@ class _OperatorTable:
             op = du_i @ ud_j
             hop.append(op + op.T)
         self.hop_flat = (
-            np.stack([h.reshape(-1) for h in hop]).astype(complex)
+            np.stack([h.reshape(-1) for h in hop])
             if pairs
-            else np.zeros((0, self.d * self.d), dtype=complex)
+            else np.zeros((0, self.d * self.d))
         )
 
     @classmethod
@@ -267,22 +287,41 @@ def _samples(trajectories, n_atoms: int) -> list[ThermalSample]:
 
 
 def _resolve_initial(initial, n_atoms: int) -> np.ndarray:
+    """The packed state M = Re rho + Im rho of the initial density matrix."""
     d = 3**n_atoms
     if initial is None:
-        return basis_rho("g" * n_atoms)
+        initial = "g" * n_atoms
     if isinstance(initial, str):
         if len(initial) != n_atoms:
             raise ConfigError(f"initial label {initial!r} does not match {n_atoms} atoms")
-        return basis_rho(initial)
+        initial = basis_rho(initial)
     rho = np.asarray(initial, dtype=complex)
     if rho.shape != (d, d):
         raise ConfigError(f"initial rho must have shape ({d}, {d}), got {rho.shape}")
-    return rho.copy()
+    # packing keeps only the Hermitian part of rho
+    skew = float(np.max(np.abs(rho - rho.conj().T)))
+    if skew > _HERMITIAN_TOL:
+        raise ConfigError(
+            f"initial rho must be Hermitian, got |rho - rho^dagger| up to {skew:.3g}"
+        )
+    return rho.real + rho.imag
+
+
+def _unpack(m: np.ndarray) -> np.ndarray:
+    """The Hermitian density matrices rho = (M + M^T)/2 + i (M - M^T)/2 of
+    packed states M (..., d, d)."""
+    m_t = np.swapaxes(m, -1, -2)
+    rho = np.empty(m.shape, dtype=complex)
+    np.add(m, m_t, out=rho.real)
+    np.subtract(m, m_t, out=rho.imag)
+    rho *= 0.5
+    return rho
 
 
 class _SegmentCache:
     """Per-segment constants: drive Hamiltonian, decay rates, step size; for
-    motionless atoms also the full Hamiltonian and its largest coupling."""
+    motionless atoms also the full Hamiltonian and its largest coupling.
+    The Hamiltonians are real and in angular units, 2 pi H (rad/us)."""
 
     __slots__ = (
         "h_drive_flat",
@@ -345,11 +384,11 @@ class _Engine:
         # state uses their leading rows
         rows = branches * self.batch
         shape = (rows, self.d, self.d)
-        self._k = [np.empty(shape, dtype=complex) for _ in range(4)]
-        self._tmp = np.empty(shape, dtype=complex)
-        self._m1 = np.empty(shape, dtype=complex)
-        self._m2 = np.empty(shape, dtype=complex)
-        self._hflat = np.empty((rows, self.d * self.d), dtype=complex)
+        self._k = [np.empty(shape) for _ in range(4)]
+        self._tmp = np.empty(shape)
+        self._m1 = np.empty(shape)
+        self._m2 = np.empty(shape)
+        self._hflat = np.empty((rows, self.d * self.d))
 
     def _segment_cache(self, segment: PulseSegment, t_start, t_end=None) -> _SegmentCache:
         """Constants of one segment whose step suits the couplings over
@@ -408,24 +447,29 @@ class _Engine:
         else:
             dt = PHASE_CAP * self.dt_scale / (2.0 * np.pi * scale * margin)
         cache = _SegmentCache(
-            h_drive.astype(complex).reshape(-1), w_matrix, rates_up, rate_down, dt
+            2.0 * np.pi * h_drive.reshape(-1), w_matrix, rates_up, rate_down, dt
         )
         if self.flight.static:
             nu = self.flight.couplings(np.zeros(1))[0]
-            h_int = (nu @ ops.hop_flat).reshape(self.d, self.d)
+            h_int = (2.0 * np.pi * nu @ ops.hop_flat).reshape(self.d, self.d)
             cache.h_static = cache.h_drive_flat.reshape(self.d, self.d) + h_int
             cache.nu_static = float(np.max(np.abs(nu), initial=0.0))
         return cache
 
-    def _rhs(self, t, rho, cache: _SegmentCache, out, step: float = 0.0) -> np.ndarray:
-        """drho/dt into ``out``; the commutator uses rho H = (H rho)^dagger,
-        which keeps the result Hermitian to machine precision.
+    def _rhs(self, t, m, cache: _SegmentCache, out, step: float = 0.0) -> np.ndarray:
+        """dM/dt of the packed states M = Re rho + Im rho into ``out``:
+
+            dM/dt = 2 pi (H M - M H)^T - w * M + R[M],
+
+        computed as M^T (2 pi H) - (2 pi H) M^T.  R adds, per atom, its
+        (up, up) and (down, down) blocks times their decay rates to its
+        (g, g) block, through basic-slice views of the level tensor.
 
         A nonzero ``step`` first checks the couplings at t against an RK4
         step of that size: one whose phase 2 pi nu h reaches PHASE_CAP means
         the step plan under-estimated the couplings, and raises.
         """
-        rows, d = len(rho), self.d
+        rows, d, ops = len(m), self.d, self.ops
         m1, m2 = self._m1[:rows], self._m2[:rows]
         if cache.h_static is not None:
             h = cache.h_static
@@ -436,25 +480,22 @@ class _Engine:
             if step and 2.0 * np.pi * np.abs(nu).max(initial=0.0) * step >= PHASE_CAP:
                 self._step_violation(t, nu, step)
             hflat = self._hflat[:rows]
-            np.matmul(nu.astype(complex), self.ops.hop_flat, out=hflat)
+            np.matmul(2.0 * np.pi * nu, ops.hop_flat, out=hflat)
             hflat += cache.h_drive_flat
             h = hflat.reshape(rows, d, d)
-        np.matmul(h, rho, out=m1)
-        ops = self.ops
-        np.conjugate(m1, out=m2)
-        np.subtract(m1, m2.transpose(0, 2, 1), out=out)
-        out *= -2j * np.pi
-        np.multiply(cache.w_matrix, rho, out=m1)
+        m_t = m.transpose(0, 2, 1)
+        np.matmul(m_t, h, out=m1)
+        np.matmul(h, m_t, out=m2)
+        np.subtract(m1, m2, out=out)
+        np.multiply(cache.w_matrix, m, out=m1)
         out -= m1
-        for i in range(self.n):
-            g_rows = ops.idx_g[i][:, None]
-            g_cols = ops.idx_g[i][None, :]
-            out[:, g_rows, g_cols] += (
-                cache.rates_up[i] * rho[:, ops.idx_up[i][:, None], ops.idx_up[i][None, :]]
-            )
-            out[:, g_rows, g_cols] += (
-                cache.rate_down * rho[:, ops.idx_down[i][:, None], ops.idx_down[i][None, :]]
-            )
+        shape = (rows, *ops.tensor_shape)
+        m_levels = m.reshape(shape, copy=False)
+        out_levels = out.reshape(shape, copy=False)
+        for i, (g, up, down) in enumerate(ops.blocks):
+            out_g = out_levels[g]
+            out_g += cache.rates_up[i] * m_levels[up]
+            out_g += cache.rate_down * m_levels[down]
         return out
 
     @staticmethod
@@ -476,40 +517,41 @@ class _Engine:
         np.multiply(y, alpha, out=out)
         out += x
 
-    def _advance(self, rho, t_start, span: float, cache: _SegmentCache):
+    def _advance(self, m, t_start, span: float, cache: _SegmentCache):
         """In-place RK4 from t_start over span; t_start has shape (B,), or
         (branches, B) for a stack of branches."""
         if span <= 0.0:
-            return rho
+            return m
         n_steps = max(1, int(np.ceil(span / cache.dt)))
         h = span / n_steps
-        rows = len(rho)
+        rows = len(m)
         k1, k2, k3, k4 = (k[:rows] for k in self._k)
         tmp = self._tmp[:rows]
         offset = 0.0
         for _ in range(n_steps):
             t = t_start + offset
-            self._rhs(t, rho, cache, k1, step=h)
-            self._axpy(tmp, rho, 0.5 * h, k1)
+            self._rhs(t, m, cache, k1, step=h)
+            self._axpy(tmp, m, 0.5 * h, k1)
             self._rhs(t + 0.5 * h, tmp, cache, k2)
-            self._axpy(tmp, rho, 0.5 * h, k2)
+            self._axpy(tmp, m, 0.5 * h, k2)
             self._rhs(t + 0.5 * h, tmp, cache, k3)
-            self._axpy(tmp, rho, h, k3)
+            self._axpy(tmp, m, h, k3)
             self._rhs(t + h, tmp, cache, k4)
-            # rho += (h/6) (k1 + 2 k2 + 2 k3 + k4), clobbering k2
+            # m += (h/6) (k1 + 2 k2 + 2 k3 + k4), clobbering k2
             k2 += k3
             k2 *= 2.0
             k2 += k1
             k2 += k4
             k2 *= h / 6.0
-            rho += k2
+            m += k2
             offset += h
-        return rho
+        return m
 
-    def integrate_segment(self, rho, t_start, segment: PulseSegment, snap_offsets=None):
-        """Evolve through one segment; returns (rho, snapshots at offsets).
+    def integrate_segment(self, m, t_start, segment: PulseSegment, snap_offsets=None):
+        """Evolve the packed states through one segment; returns (m,
+        snapshots at offsets).
 
-        ``rho`` is advanced in place and must be owned by the caller; the
+        ``m`` is advanced in place and must be owned by the caller; the
         returned snapshots are independent copies.
         """
         cache = self._segment_cache(segment, t_start)
@@ -518,18 +560,18 @@ class _Engine:
         for target in snap_offsets if snap_offsets is not None else []:
             if target < -1e-12 or target > segment.duration + 1e-12:
                 raise ConfigError("snapshot offset outside segment")
-            rho = self._advance(rho, t_start + cursor, target - cursor, cache)
+            m = self._advance(m, t_start + cursor, target - cursor, cache)
             cursor = target
-            snaps.append(rho.copy())
-        rho = self._advance(rho, t_start + cursor, segment.duration - cursor, cache)
-        return rho, snaps
+            snaps.append(m.copy())
+        m = self._advance(m, t_start + cursor, segment.duration - cursor, cache)
+        return m, snaps
 
-    def check_state(self, rho, t) -> float:
-        """Largest trace deviation of the stacked states; raises on a
-        positivity violation, naming the time (of t, one per row or
-        broadcast) of the offending row."""
-        trace_dev = float(np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)))
-        min_eigs = np.linalg.eigvalsh(rho).min(axis=-1)
+    def check_state(self, m, t) -> float:
+        """Largest trace deviation of the stacked packed states; raises on a
+        positivity violation of their density matrices, naming the time (of
+        t, one per row or broadcast) of the offending row."""
+        trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
+        min_eigs = np.linalg.eigvalsh(_unpack(m)).min(axis=-1)
         row = int(np.argmin(min_eigs))
         if min_eigs[row] < _POSITIVITY_TOL:
             t_row = float(np.broadcast_to(np.ravel(t), min_eigs.shape)[row])
@@ -592,15 +634,15 @@ def run_sequence(
     if np.any(times < 0) or np.any(times > total + 1e-9) or np.any(np.diff(times) < 0):
         raise ConfigError("sample times must be sorted within the sequence duration")
 
-    rho = _resolve_initial(initial, n)[None, :, :]
+    m = _resolve_initial(initial, n)[None, :, :]
     t0 = np.zeros(1)
     populations = np.empty((len(times), engine.d))
     max_dev = 0.0
     cursor = 0.0
     k = 0
     while k < len(times) and times[k] <= cursor + 1e-12:
-        populations[k] = np.real(np.diagonal(rho[0]))
-        max_dev = max(max_dev, engine.check_state(rho, cursor))
+        populations[k] = np.diagonal(m[0])
+        max_dev = max(max_dev, engine.check_state(m, cursor))
         k += 1
     for seg in sequence.segments:
         seg_end = cursor + seg.duration
@@ -608,14 +650,14 @@ def run_sequence(
         while k < len(times) and times[k] <= seg_end + 1e-12:
             offsets.append(min(times[k] - cursor, seg.duration))
             k += 1
-        rho, snaps = engine.integrate_segment(rho, t0, seg, offsets)
+        m, snaps = engine.integrate_segment(m, t0, seg, offsets)
         for j, snap in enumerate(snaps):
-            populations[k - len(snaps) + j] = np.real(np.diagonal(snap[0]))
+            populations[k - len(snaps) + j] = np.diagonal(snap[0])
             max_dev = max(max_dev, engine.check_state(snap, cursor + offsets[j]))
         t0 = t0 + seg.duration
         cursor = seg_end
-    max_dev = max(max_dev, engine.check_state(rho, cursor))
-    final_state = rho[0]
+    max_dev = max(max_dev, engine.check_state(m, cursor))
+    final_state = _unpack(m[0])
     final_state.flags.writeable = False
     return SequenceResult(
         times=times,
@@ -627,7 +669,7 @@ def run_sequence(
 
 def _branch_chunk(batch: int, n_atoms: int) -> int:
     """Readout branches that run together within the scratch budget."""
-    per_branch = _ARRAYS_PER_BRANCH * batch * 9**n_atoms * np.dtype(complex).itemsize
+    per_branch = _ARRAYS_PER_BRANCH * batch * 9**n_atoms * np.dtype(float).itemsize
     return max(1, _BRANCH_BUDGET_BYTES // per_branch)
 
 
@@ -668,10 +710,10 @@ def readout_scan(
     engine = _Engine(geometry, params, samples, dt_scale, chunk)
     batch, d = engine.batch, engine.d
 
-    rho = np.broadcast_to(_resolve_initial(initial, n), (batch, d, d)).copy()
+    m = np.broadcast_to(_resolve_initial(initial, n), (batch, d, d)).copy()
     t_now = np.zeros(batch)
     for seg in prefix:
-        rho, _ = engine.integrate_segment(rho, t_now, seg)
+        m, _ = engine.integrate_segment(m, t_now, seg)
         t_now = t_now + seg.duration
     prefix_duration = float(sum(s.duration for s in prefix))
     suffix_duration = float(sum(s.duration for s in suffix))
@@ -682,7 +724,7 @@ def readout_scan(
         plan.append((seg.duration, engine._segment_cache(seg, first, last + seg.duration)))
         first, last = first + seg.duration, last + seg.duration
 
-    branches = np.empty((chunk * batch, d, d), dtype=complex)
+    branches = np.empty((chunk * batch, d, d))
     starts = np.empty((chunk, batch))
     populations = np.empty((batch, len(taus), d))
     max_dev = 0.0
@@ -690,11 +732,11 @@ def readout_scan(
     for k, tau in enumerate(taus):
         if tau > cursor:
             segment = PulseSegment.free(tau - cursor)
-            rho, _ = engine.integrate_segment(rho, t_now, segment)
+            m, _ = engine.integrate_segment(m, t_now, segment)
             t_now = t_now + (tau - cursor)
             cursor = tau
         j = k % chunk
-        branches[j * batch : (j + 1) * batch] = rho
+        branches[j * batch : (j + 1) * batch] = m
         starts[j] = t_now
         if j + 1 < chunk and k + 1 < len(taus):
             continue
@@ -704,7 +746,7 @@ def readout_scan(
             engine._advance(stack, t_branch, duration, cache)
             t_branch = t_branch + duration
         max_dev = max(max_dev, engine.check_state(stack, t_branch))
-        pops = np.real(np.diagonal(stack, axis1=-2, axis2=-1)).reshape(j + 1, batch, d)
+        pops = np.diagonal(stack, axis1=-2, axis2=-1).reshape(j + 1, batch, d)
         populations[:, k - j : k + 1, :] = pops.transpose(1, 0, 2)
     return ReadoutScanResult(
         tau_grid=taus,

@@ -137,6 +137,18 @@ def _tau_grid(tau_max: float, tau_step: float) -> np.ndarray:
     return np.linspace(0.0, n * tau_step, n + 1)
 
 
+def _fit_tau_grid(tau_max: float, tau_step: float) -> np.ndarray:
+    """The tau grid of a curve that gets a sinusoid fit, refused before any
+    scan runs when it has too few points for the fit."""
+    taus = _tau_grid(tau_max, tau_step)
+    if len(taus) < analysis.MIN_FIT_POINTS:
+        raise ConfigError(
+            f"tau_max {tau_max:g} us at tau_step {tau_step:g} us gives {len(taus)} "
+            f"tau points; the sinusoid fit needs at least {analysis.MIN_FIT_POINTS}"
+        )
+    return taus
+
+
 def _pi_time(frequency: float) -> float:
     """Duration of a resonant pi pulse at ordinary Rabi frequency (MHz)."""
     return 1.0 / (2.0 * frequency)
@@ -316,7 +328,7 @@ def two_atom_exchange(
     """Exchange oscillation between two atoms at the given spacing."""
     if not 2.0 <= spacing <= 100.0:
         raise ConfigError(f"spacing must be in [2, 100] um, got {spacing}")
-    taus = _tau_grid(tau_max, tau_step)
+    taus = _fit_tau_grid(tau_max, tau_step)
     geometry = ChainGeometry.line(2, spacing)
 
     if mode == "ideal":
@@ -368,15 +380,20 @@ def distance_scan(
     seeds = thermal.realization_seeds(seed, 4)
     rng = np.random.default_rng(seeds[1])
 
-    def measure(r_nominal: float, r_true: float, sub_seed: int) -> float:
+    def window(r_nominal: float) -> float:
         # scan long enough to cover the expected period at weak coupling
         expected_freq = 2.0 * params.c3 / r_nominal**3
-        window = max(tau_max, 1.6 / expected_freq)
+        return max(tau_max, 1.6 / expected_freq)
+
+    for r in radii:
+        _fit_tau_grid(window(r), tau_step)
+
+    def measure(r_nominal: float, r_true: float, sub_seed: int) -> float:
         _, summary = two_atom_exchange(
             params,
             sub_seed,
             spacing=r_true,
-            tau_max=window,
+            tau_max=window(r_nominal),
             tau_step=tau_step,
             mode=mode,
             n_realizations=n_realizations,

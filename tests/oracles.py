@@ -158,6 +158,40 @@ def lindblad_dissipator(rho, params, segment_kind: str) -> np.ndarray:
     return out
 
 
+def pack_state(rho) -> np.ndarray:
+    """The engine's real state M = Re rho + Im rho of Hermitian matrices
+    rho (..., d, d): the symmetric real part plus the antisymmetric
+    imaginary part."""
+    rho = np.asarray(rho, dtype=complex)
+    return rho.real + rho.imag
+
+
+def unpack_state(m) -> np.ndarray:
+    """The Hermitian matrices (..., d, d) that real states M encode: the
+    symmetric part of M is Re rho, the antisymmetric part is Im rho."""
+    m = np.asarray(m, dtype=float)
+    m_t = np.swapaxes(m, -1, -2)
+    return 0.5 * (m + m_t) + 0.5j * (m - m_t)
+
+
+def liouvillian(segment, params, geometry) -> np.ndarray:
+    """Superoperator (d^2, d^2) of -2 pi i [H, rho] + L[rho] for atoms at
+    rest, acting on row-major flattened rho; assembled column by column from
+    ``hamiltonian_at`` and ``lindblad_dissipator`` on the basis matrices."""
+    h = hamiltonian_at(0.0, segment, params, geometry)
+    d = len(h)
+    columns = []
+    for k in range(d * d):
+        basis = np.zeros(d * d, dtype=complex)
+        basis[k] = 1.0
+        rho = basis.reshape(d, d)
+        drho = -2j * np.pi * (h @ rho - rho @ h) + lindblad_dissipator(
+            rho, params, segment.kind
+        )
+        columns.append(drho.reshape(-1))
+    return np.stack(columns, axis=1)
+
+
 def brute_force_detection(level_populations: np.ndarray, epsilon: float) -> np.ndarray:
     """Enumerate every level configuration and every per-atom loss outcome."""
     probs = np.asarray(level_populations, dtype=float)

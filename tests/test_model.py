@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xychain.errors import GeometryError
+from xychain.errors import ConfigError, GeometryError
 from xychain.model import (
     DEFAULT_C3,
     MAGIC_ANGLE,
@@ -198,6 +198,15 @@ class TestTypes:
         assert np.allclose(custom.omega_opt_per_atom(3), [5.2, 5.3, 5.4])
         with pytest.raises(ValueError):
             custom.omega_opt_per_atom(2)
+
+    # a complex drive would make the master-equation Hamiltonian non-Hermitian
+    @pytest.mark.parametrize(
+        "field, value",
+        [("omega_mw", 4.6 + 0.3j), ("omega_opt", [5.3, 4.0 + 0.1j]), ("gamma_down", 0.01j)],
+    )
+    def test_complex_values_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"params.{field} must be real"):
+            PhysicalParams(**{field: value})
 
     def test_geometry_is_immutable(self, chain3):
         with pytest.raises(ValueError):

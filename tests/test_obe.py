@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import hamiltonian_at, lindblad_dissipator
+from scipy.linalg import expm
+
+from oracles import (
+    hamiltonian_at,
+    lindblad_dissipator,
+    liouvillian,
+    pack_state,
+    unpack_state,
+)
 from xychain import obe, xy
 from xychain.detection import forward_detection, pattern_labels
 from xychain.errors import ConfigError, GeometryError, IntegrationError
@@ -177,7 +185,8 @@ class TestRhsOracle:
             cache = engine._segment_cache(segment, np.zeros(batch))
             a = rng.normal(size=(batch, d, d)) + 1j * rng.normal(size=(batch, d, d))
             rho = (a + a.conj().transpose(0, 2, 1)) / d
-            out = engine._rhs(np.full(batch, t), rho, cache, np.empty_like(rho))
+            m = pack_state(rho)
+            out = unpack_state(engine._rhs(np.full(batch, t), m, cache, np.empty_like(m)))
             for b in range(batch):
                 h = hamiltonian_at(
                     t, segment, params, geometry, samples[b] if moving else None
@@ -280,6 +289,14 @@ class TestRunSequence:
         seq = PulseSequence(segments=exchange_prefix(lossless_params, 3))
         result = run_sequence(seq, chain3, lossless_params)
         assert result.max_trace_deviation < 1e-8
+
+    def test_non_hermitian_initial_refused(self, pair30, params):
+        rho = basis_rho("ud")
+        ud, du = basis_index("ud"), basis_index("du")
+        rho[ud, du] = 0.1j  # without its conjugate partner at (du, ud)
+        seq = PulseSequence(segments=(PulseSegment.free(0.1),))
+        with pytest.raises(ConfigError, match="Hermitian"):
+            run_sequence(seq, pair30, params, initial=rho)
 
     def test_invalid_sample_times_rejected(self, chain3, params):
         seq = PulseSequence(segments=(PulseSegment.free(1.0),))
@@ -409,6 +426,30 @@ class TestReadoutScan:
         with pytest.raises(ConfigError, match="tau grid"):
             readout_scan(pair30, params, [], taus, [])
 
+    def test_static_lossy_pair_matches_liouvillian_exponential(self, rng):
+        # imaginary coherences between 'ud' and 'du' drive the exchange, so a
+        # state that lost them would evolve differently
+        params = PhysicalParams(gamma_up=0.3, gamma_down=0.2, temperature=0.0)
+        geometry = ChainGeometry.line(2, 10.0)
+        ud, du = basis_index("ud"), basis_index("du")
+        psi = np.zeros(9, dtype=complex)
+        psi[ud], psi[du] = 0.8, 0.6j
+        a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        mixed = a @ a.conj().T
+        rho0 = 0.7 * np.outer(psi, psi.conj()) + 0.3 * mixed / np.trace(mixed)
+        taus = np.array([0.0, 0.2, 0.45, 0.9])
+        scan = readout_scan(geometry, params, [], taus, [], initial=rho0)
+        generator = liouvillian(PulseSegment.free(1.0), params, geometry)
+
+        def exact(rho):
+            return np.array([
+                np.diagonal((expm(generator * tau) @ rho.reshape(-1)).reshape(9, 9)).real
+                for tau in taus
+            ])
+
+        assert np.abs(scan.populations[0] - exact(rho0)).max() < 1e-6
+        assert np.abs(exact(rho0) - exact(rho0.real)).max() > 0.1
+
     def test_total_durations(self, pair30, params):
         taus = np.array([0.0, 1.0])
         prefix = exchange_prefix(params, 2)
@@ -437,4 +478,16 @@ class TestCheckState:
         rho[0, 0, 0] = -1e-5
         rho[0, 1, 1] = 1.0 + 1e-5
         with pytest.raises(IntegrationError, match="t = 1.25"):
-            engine.check_state(rho, np.array([1.25]))
+            engine.check_state(pack_state(rho), np.array([1.25]))
+
+    def test_positivity_sees_the_imaginary_coherences(self, pair30):
+        # diagonal 1/2, 1/2 and coherence 0.3 + 0.45i: |coherence| = 0.54 > 1/2,
+        # so rho has a negative eigenvalue that its real part alone lacks
+        ud, du = basis_index("ud"), basis_index("du")
+        rho = np.zeros((9, 9), dtype=complex)
+        rho[ud, ud] = rho[du, du] = 0.5
+        rho[ud, du], rho[du, ud] = 0.3 + 0.45j, 0.3 - 0.45j
+        assert np.linalg.eigvalsh(rho.real).min() > -1e-15
+        engine = _Engine(pair30, PhysicalParams())
+        with pytest.raises(IntegrationError, match="positivity"):
+            engine.check_state(pack_state(rho)[None], 0.0)

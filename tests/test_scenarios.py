@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from xychain import thermal
+from xychain import obe, thermal
 from xychain.errors import ConfigError, DataError, ExtrapolationWarning
 from xychain.model import PhysicalParams
 from xychain.scenarios import (
@@ -116,6 +116,25 @@ class TestDistanceScan:
             seed=6,
         )
         assert 0.05 < result.summary["exponent_scatter"] < 0.45
+
+    @pytest.mark.parametrize(
+        "scenario, options",
+        [
+            # 40 and 30 um widen the window; R = 20 um keeps tau_max 1.0 and
+            # gets 6 points, and is found although it comes last
+            ("distance-scan", {"radii": [40.0, 30.0, 20.0], "tau_max": 1.0}),
+            ("two-atom-exchange", {"tau_max": 0.3}),
+        ],
+    )
+    def test_short_fit_window_refused_before_any_scan(self, scenario, options,
+                                                      monkeypatch):
+        def readout_scan(*args, **kwargs):
+            raise AssertionError("a readout scan ran before the fit window was checked")
+
+        monkeypatch.setattr(obe, "readout_scan", readout_scan)
+        options = {"mode": "full", "tau_step": 0.2, "n_realizations": 2, **options}
+        with pytest.raises(ConfigError, match="needs at least 8"):
+            run_scenario(scenario, options=options)
 
     def test_single_radius_refused(self):
         with pytest.raises(DataError, match="at least 3"):
