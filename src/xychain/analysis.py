@@ -2,7 +2,8 @@
 
 The sinusoid fitter recovers the exchange frequency from population
 oscillations (model: offset + amplitude/2 * cos(2 pi f t + phase), so the
-amplitude is the full peak-to-trough swing).  The power-law fitter extracts
+amplitude is the full peak-to-trough swing) with a short Levenberg-Marquardt
+loop in numpy on the model's analytic Jacobian.  The power-law fitter extracts
 the distance scaling of the interaction energy, with an optional fixed
 exponent for prefactor calibration.
 """
@@ -13,12 +14,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConfigError, DataError, FitError
 
 #: Fewest points of a series :func:`fit_sinusoid` accepts.
 MIN_FIT_POINTS = 8
+
+#: Damped steps, accepted or rejected, before the sinusoid fit gives up.
+_MAX_ITERATIONS = 200
+
+#: Relative step or cost change at which the sinusoid fit has converged.
+_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -70,13 +76,60 @@ def _initial_guess(times: np.ndarray, values: np.ndarray) -> tuple[float, float]
     return float(f0), phi0
 
 
+def _levenberg_marquardt(t: np.ndarray, v: np.ndarray, x: np.ndarray):
+    """Least-squares refinement of x = (offset, half_amp, f, phi).
+
+    Each step solves the normal equations of the analytic Jacobian with
+    Marquardt's damping, scaled by the largest squared column norms seen
+    so far.  Returns the parameters and their residuals once a step or the
+    cost change falls to rounding level; raises FitError at the iteration
+    cap.
+    """
+    omega_t = 2.0 * np.pi * t
+
+    def residuals(x):
+        return x[0] + x[1] * np.cos(omega_t * x[2] + x[3]) - v
+
+    r = residuals(x)
+    cost = r @ r
+    damping = 1e-3
+    scale = np.zeros(4)
+    for _ in range(_MAX_ITERATIONS):
+        arg = omega_t * x[2] + x[3]
+        cos, sin = np.cos(arg), np.sin(arg)
+        jac = np.stack([np.ones_like(t), cos, -x[1] * sin * omega_t, -x[1] * sin], axis=1)
+        normal = jac.T @ jac
+        scale = np.maximum(scale, np.diag(normal))
+        step = np.linalg.solve(normal + damping * np.diag(scale), -(jac.T @ r))
+        trial = x + step
+        r_trial = residuals(trial)
+        cost_trial = r_trial @ r_trial
+        small_step = np.linalg.norm(step) <= _TOL * (np.linalg.norm(x) + _TOL)
+        if cost_trial < cost:
+            small_change = cost - cost_trial <= _TOL * cost
+            x, r, cost = trial, r_trial, cost_trial
+            damping *= 0.1
+            if small_step or small_change:
+                return x, r
+        elif small_step:
+            return x, r
+        else:
+            damping *= 10.0
+    raise FitError(
+        f"sinusoid fit did not converge: {_MAX_ITERATIONS} steps reached "
+        f"(cost {cost:.3g})"
+    )
+
+
 def fit_sinusoid(times, values) -> OscillationFit:
     """Nonlinear least-squares sinusoid fit of a population series.
 
     Needs at least MIN_FIT_POINTS points spanning at least one oscillation
     period.  The initial frequency comes from the discrete spectrum;
-    refinement is damped least squares.  The fitted amplitude is normalized to be non-negative
-    with frequency > 0, and the contrast is the swing clipped to [0, 1].
+    refinement is a numpy Levenberg-Marquardt loop on the analytic Jacobian,
+    run until its steps reach rounding level.  The fitted amplitude is
+    normalized to be non-negative with frequency > 0, and the contrast is
+    the swing clipped to [0, 1].
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -88,15 +141,7 @@ def fit_sinusoid(times, values) -> OscillationFit:
     f0, phi0 = _initial_guess(t, v)
     a0 = 2.0 * np.sqrt(2.0) * np.std(v)
     x0 = np.array([v.mean(), 0.5 * a0, f0, phi0])
-
-    def residuals(x):
-        offset, half_amp, f, phi = x
-        return offset + half_amp * np.cos(2.0 * np.pi * f * t + phi) - v
-
-    result = least_squares(residuals, x0, method="lm", max_nfev=20000)
-    if not result.success:
-        raise FitError(f"sinusoid fit did not converge: {result.message}")
-    offset, half_amp, freq, phase = result.x
+    (offset, half_amp, freq, phase), residuals = _levenberg_marquardt(t, v, x0)
     if half_amp < 0:
         half_amp, phase = -half_amp, phase + np.pi
     if freq < 0:
@@ -108,7 +153,7 @@ def fit_sinusoid(times, values) -> OscillationFit:
         )
     phase = float(np.angle(np.exp(1j * phase)))
     amplitude = 2.0 * half_amp
-    rms = float(np.sqrt(np.mean(result.fun**2)))
+    rms = float(np.sqrt(np.mean(residuals**2)))
     return OscillationFit(
         frequency=float(freq),
         amplitude=float(amplitude),

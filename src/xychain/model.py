@@ -200,7 +200,7 @@ class PairFlight:
         )
 
     def _check(self, r: np.ndarray) -> None:
-        if np.any(r < _MIN_SEPARATION):
+        if (r < _MIN_SEPARATION).any():
             at = np.unravel_index(np.argmin(r), r.shape)
             i, j = self.pairs[at[-1]]
             raise GeometryError(f"atoms {i} and {j} coincide (R = {r[at]:g} um)")

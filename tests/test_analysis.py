@@ -1,13 +1,46 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+from xychain import analysis
 from xychain.analysis import (
     beat_spectrum,
     envelope_contrast,
     fit_power_law,
     fit_sinusoid,
 )
+from xychain.cli import read_table
 from xychain.errors import ConfigError, DataError, FitError
+
+GOLDEN_EXCHANGE = (
+    Path(__file__).parent / "golden" / "tables" / "two-atom-exchange-full"
+    / "two-atom-exchange_observed.csv"
+)
+
+
+def _fit_series() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Clean, noisy and damped oscillations, and a simulated P_10 record."""
+    series = {}
+    t = np.linspace(0.0, 10.0, 201)
+    series["sin-squared"] = t, np.sin(2 * np.pi * 0.295 * t) ** 2
+    t = np.linspace(0.0, 8.0, 160)
+    series["offset-phase"] = t, 0.42 + 0.3 * np.cos(2 * np.pi * 0.8 * t + 0.7)
+    t = np.linspace(0.0, 12.0, 240)
+    series["cosine"] = t, 0.5 + 0.3 * np.cos(2 * np.pi * 0.5 * t)
+    rng = np.random.default_rng(11)
+    t = np.linspace(0.0, 10.0, 400)
+    for k in range(4):
+        damping = np.exp(-t / rng.uniform(3.0, 30.0))
+        signal = 0.5 + 0.25 * damping * np.cos(2 * np.pi * 1.3 * t - 0.4)
+        series[f"noisy-damped-{k}"] = t, signal + rng.normal(0.0, 0.01 * (k + 1), t.size)
+    columns, data = read_table(GOLDEN_EXCHANGE)
+    series["golden-P_10"] = data[:, columns.index("tau_us")], data[:, columns.index("P_10")]
+    return series
+
+
+FIT_SERIES = _fit_series()
 
 
 class TestFitSinusoid:
@@ -55,6 +88,33 @@ class TestFitSinusoid:
         t = np.linspace(0.0, 10.0, 200)
         fit = fit_sinusoid(t, np.cos(2 * np.pi * 0.7 * t))
         assert fit.frequency > 0
+
+
+class TestFitSinusoidAgainstScipy:
+    """The numpy Levenberg-Marquardt loop against scipy's MINPACK ``lm``."""
+
+    @pytest.mark.parametrize("name", sorted(FIT_SERIES))
+    def test_matches_scipy_least_squares(self, name):
+        t, v = FIT_SERIES[name]
+        f0, phi0 = analysis._initial_guess(t, v)
+        x0 = np.array([v.mean(), np.sqrt(2.0) * np.std(v), f0, phi0])
+
+        def residuals(x):
+            return x[0] + x[1] * np.cos(2.0 * np.pi * x[2] * t + x[3]) - v
+
+        reference = least_squares(residuals, x0, method="lm", max_nfev=20000)
+        assert reference.success
+        fit = fit_sinusoid(t, v)
+        rss = t.size * fit.residual_rms**2
+        rss_scipy = float(reference.fun @ reference.fun)
+        assert rss <= rss_scipy * (1.0 + 1e-9) + 1e-24
+        assert fit.frequency == pytest.approx(abs(reference.x[2]), rel=1e-6)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_MAX_ITERATIONS", 1)
+        t = np.linspace(0.0, 8.0, 160)
+        with pytest.raises(FitError, match="did not converge"):
+            fit_sinusoid(t, 0.42 + 0.3 * np.cos(2 * np.pi * 0.8 * t + 0.7))
 
 
 class TestFitPowerLaw:

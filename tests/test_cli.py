@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import xychain
 from xychain import analysis, xy
 from xychain.cli import (
     EXIT_CONFIG,
@@ -16,9 +21,39 @@ from xychain.errors import ConfigError
 
 IDEAL_ARGS = ["--ideal", "--set", "options.tau_max=3.0", "--set", "options.tau_step=0.1"]
 
+# A short full-mode exchange run, sinusoid fit included, in a fresh interpreter.
+NO_SCIPY_SCRIPT = """
+import sys
+import xychain
+from xychain import cli, scenarios
+
+config = cli.validate_config_dict({
+    "scenario": "two-atom-exchange", "seed": 6, "output_dir": sys.argv[1],
+    "options": {"mode": "full", "n_realizations": 2, "tau_max": 2.0, "tau_step": 0.2},
+})
+params = cli.build_params(config.params)
+result = scenarios.run_scenario(config.scenario, params=params, seed=config.seed,
+                                options=config.options, workers=config.workers)
+cli.write_outputs(result, config)
+assert result.summary["fit_P_10"]["frequency_mhz"] > 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
 
 def run_cli(args):
     return main(args)
+
+
+def test_run_imports_no_scipy(tmp_path):
+    src = str(Path(xychain.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestListScenarios:

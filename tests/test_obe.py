@@ -365,11 +365,13 @@ class TestReadoutScan:
         suffix = deexcite_suffix(params, n_atoms) if with_suffix else []
         initial = "u" + "d" * (n_atoms - 1)
         taus = np.linspace(0.0, 0.4, 5)
-        per_branch = obe._ARRAYS_PER_BRANCH * (2 if moving else 1) * 9**n_atoms * 16
+        batch = 2 if moving else 1
+        per_branch = obe._ARRAYS_PER_BRANCH * batch * 9**n_atoms * np.dtype(float).itemsize
         scans = []
         # one branch at a time, two at a time (the last chunk partial), all at once
-        for budget in (0, 2 * per_branch, 10**9):
+        for budget, chunk in ((0, 1), (2 * per_branch, 2), (10**9, taus.size)):
             monkeypatch.setattr(obe, "_BRANCH_BUDGET_BYTES", budget)
+            assert min(obe._branch_chunk(batch, n_atoms), taus.size) == chunk
             scans.append(readout_scan(geometry, params, [], taus, suffix, samples, initial))
         for scan in scans[1:]:
             assert np.array_equal(scan.populations, scans[0].populations)
