@@ -168,11 +168,13 @@ class PairFlight:
     """Ballistic pair separations and their c3 / R^3 couplings, batched.
 
     Realization b carries each chosen pair p = (i, j) at separation
-    ``rel0[b, p] + relv[b, p] * t`` (um): the rest positions plus the atoms'
-    initial displacements, moving with the atoms' relative velocity.
-    ``displacements`` and ``velocities`` have shape (B, N, 3) in um and
-    um/us; omitted, they describe one realization at rest.  ``pairs``
-    defaults to every pair i < j and is kept as a (P, 2) index array.
+    ``rel0[:, b, p] + relv[:, b, p] * t`` (um): the rest positions plus the
+    atoms' initial displacements, moving with the atoms' relative velocity.
+    The pair vectors are stored axis-first, (3, B, P), so a distance sums
+    three whole (B, P) planes.  ``displacements`` and ``velocities`` have
+    shape (B, N, 3) in um and um/us; omitted, they describe one realization
+    at rest.  ``pairs`` defaults to every pair i < j and is kept as a (P, 2)
+    index array.
     """
 
     def __init__(
@@ -192,11 +194,12 @@ class PairFlight:
         vel = np.zeros_like(disp) if velocities is None else np.asarray(velocities)
         base = geometry.positions[i] - geometry.positions[j]      # (P, 3)
         self.c3 = params.c3
-        self._rel0 = base + (disp[:, i] - disp[:, j])             # (B, P, 3)
-        self._relv = vel[:, i] - vel[:, j]                        # (B, P, 3)
+        rel0 = base + (disp[:, i] - disp[:, j])                   # (B, P, 3)
+        self._rel0 = np.ascontiguousarray(rel0.transpose(2, 0, 1))
+        self._relv = np.ascontiguousarray((vel[:, i] - vel[:, j]).transpose(2, 0, 1))
         #: True when no pair moves and every realization sits at rest.
         self.static = not np.any(self._relv) and np.array_equal(
-            self._rel0, np.broadcast_to(base, self._rel0.shape)
+            rel0, np.broadcast_to(base, rel0.shape)
         )
 
     def _check(self, r: np.ndarray) -> None:
@@ -212,10 +215,14 @@ class PairFlight:
         each at its own times.
         """
         t = np.asarray(t, dtype=float)
-        rel = self._rel0 + self._relv * t[..., None, None]
-        r = np.sqrt(np.add.reduce(rel * rel, axis=-1))
+        rel = self._relv * (t[..., None, :, None] if t.ndim else t)   # (..., 3, B, P)
+        rel += self._rel0
+        rel *= rel
+        r = np.add.reduce(rel, axis=-3)
+        np.sqrt(r, out=r)
         self._check(r)
-        return self.c3 / r**3
+        r **= 3
+        return np.divide(self.c3, r, out=r)
 
     def bound(self, t_lo, t_hi) -> np.ndarray:
         """Largest coupling (MHz) each realization reaches for t in [t_lo, t_hi].
@@ -230,16 +237,16 @@ class PairFlight:
         t_hi = np.asarray(t_hi, dtype=float).reshape(-1, 1)
         rel0, relv = self._rel0, self._relv
         r_sq = np.minimum(
-            ((rel0 + relv * t_lo[..., None]) ** 2).sum(axis=-1),
-            ((rel0 + relv * t_hi[..., None]) ** 2).sum(axis=-1),
+            ((rel0 + relv * t_lo) ** 2).sum(axis=0),
+            ((rel0 + relv * t_hi) ** 2).sum(axis=0),
         )
-        speed_sq = (relv**2).sum(axis=-1)
+        speed_sq = (relv**2).sum(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            t_star = -(rel0 * relv).sum(axis=-1) / speed_sq
+            t_star = -(rel0 * relv).sum(axis=0) / speed_sq
         t_star = np.where(speed_sq > 0.0, t_star, np.inf)
         in_window = (t_star > t_lo) & (t_star < t_hi)
-        rel_star = rel0 + relv * np.where(in_window, t_star, 0.0)[..., None]
-        r_star_sq = np.where(in_window, (rel_star**2).sum(axis=-1), np.inf)
+        rel_star = rel0 + relv * np.where(in_window, t_star, 0.0)
+        r_star_sq = np.where(in_window, (rel_star**2).sum(axis=0), np.inf)
         r = np.sqrt(np.minimum(r_sq, r_star_sq))
         self._check(r)
         return self.c3 / r.min(axis=-1, initial=np.inf) ** 3

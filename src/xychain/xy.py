@@ -18,6 +18,13 @@ term is at most 1e-15.  The truncation does not preserve the norm exactly:
 over 80 twenty-atom realizations of 10 us at 50 uK it deviated from 1 by at
 most 1.1e-14 (Taylor orders 8-9), and the populations stayed within 6.1e-14
 of the exact midpoint exponential.
+
+Each sample interval is set up before its steps run, in chunks of steps
+under a fixed scratch budget (``_STEP_BUDGET_BYTES``): the midpoint
+couplings of all its steps and realizations in one call, their check
+against the step bound, and each realization's norms, Taylor orders and
+generator entries.  A step then only gathers its generator into one reused
+buffer and runs the matrix-vector products of its Taylor series.
 """
 
 from __future__ import annotations
@@ -101,13 +108,13 @@ def _pairs(n: int, range_mode: str) -> list[tuple[int, int]]:
     ]
 
 
-def _scatter(n: int, pairs: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Symmetric (..., N, N) hopping matrices holding the (..., P) ``nu`` at
-    the (P, 2) ``pairs``."""
-    entries = np.zeros(nu.shape[:-1] + (n, n))
-    entries[..., pairs[:, 0], pairs[:, 1]] = nu
-    entries[..., pairs[:, 1], pairs[:, 0]] = nu
-    return entries
+def _pair_slots(n: int, pairs: np.ndarray) -> np.ndarray:
+    """(N, N) index of each hopping-matrix entry into per-pair values with
+    one trailing zero slot: p for both entries of the (P, 2) ``pairs[p]``,
+    P for every other entry."""
+    slots = np.full((n, n), len(pairs))
+    slots[pairs[:, 0], pairs[:, 1]] = slots[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
+    return slots
 
 
 def build_coupling_matrix(
@@ -124,7 +131,8 @@ def build_coupling_matrix(
     if range_mode not in RANGE_MODES:
         raise ConfigError(f"range_mode must be one of {RANGE_MODES}, got {range_mode!r}")
     flight = PairFlight(geometry, params, pairs=_pairs(geometry.n_atoms, range_mode))
-    entries = _scatter(geometry.n_atoms, flight.pairs, flight.couplings(0.0)[0])
+    nu = np.append(flight.couplings(0.0)[0], 0.0)
+    entries = nu[_pair_slots(geometry.n_atoms, flight.pairs)]
     if range_mode == "nearest_neighbor":
         along = geometry.positions @ geometry.quantization_axis
         steps = np.diff(along)
@@ -161,6 +169,29 @@ def propagate(
     return (np.abs(amplitudes) ** 2).T
 
 
+#: Scratch bytes one sample interval's step plan and step buffers may hold
+#: at once.  An interval whose plan does not fit is set up in chunks of
+#: consecutive steps.
+_STEP_BUDGET_BYTES = 2**20
+
+
+def _step_chunk(rows: int, n: int, n_pairs: int) -> int:
+    """Steps of one sample interval that are set up together under the budget.
+
+    Each row holds, for every step of the chunk, its (P,) couplings while
+    ``PairFlight.couplings`` computes them from a (3, P) separation, their
+    magnitudes and complex generator entries with a zero slot, the (N, N)
+    gathered magnitudes whose row sums give the norm, and two 18-term
+    arrays of the Taylor plan; and once, the complex (N, N) generator
+    buffer and a few (N,) complex states of the matrix-vector products.
+    Counted in 8-byte words, at least one step.
+    """
+    per_step = n * n + 7 * (n_pairs + 1) + 3 * 18
+    fixed = 2 * n * n + 8 * n
+    words = _STEP_BUDGET_BYTES // np.dtype(float).itemsize // rows
+    return max(1, (words - fixed) // per_step)
+
+
 def _step_count(duration: float, dt: np.ndarray) -> np.ndarray:
     """Steps per row for one sample interval: none if it is empty, else
     ceil(duration / dt), at least one."""
@@ -169,31 +200,104 @@ def _step_count(duration: float, dt: np.ndarray) -> np.ndarray:
     return np.maximum(1, np.ceil(duration / dt)).astype(int)
 
 
-def _taylor_step(hops: np.ndarray, theta: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply exp(-i theta_b hops_b) to every row of psi by a truncated Taylor series.
+def _taylor_plan(norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Substeps and Taylor weights of exp(A) for rows of a = ||A||_inf = ``norm``.
 
-    ``hops`` is (B, N, N) real, ``theta`` (B,) and ``psi`` (B, N, 1).  With
-    a = ||A_b||_inf for A_b = -i theta_b hops_b, each row takes ceil(a)
-    substeps (at least one) of A_b / substeps, and in each the smallest order
-    m whose first omitted term (a / substeps)^(m+1) / (m+1)! is at most
-    1e-15; 17 suffices, since a / substeps <= 1.  Every choice is the row's
-    own, and a row past its order adds exact zeros, so a row's result does
-    not depend on the other rows of the batch.
+    ``norm`` has shape (..., B).  Each row takes ceil(a) substeps (at least
+    one) of A / substeps, and in each the smallest order m whose first
+    omitted term (a / substeps)^(m+1) / (m+1)! is at most 1e-15; 17
+    suffices, since a / substeps <= 1.  Returns the (..., B) substeps and
+    the (..., U, 18, B, 1, 1) weights 1/k of the k-th term in substep u,
+    zero past the row's order and in the substeps past its count, with U
+    the largest count.  Every choice is the row's own, so a row's weights do
+    not depend on the other rows.
     """
-    norm = theta * np.abs(hops).sum(axis=2).max(axis=1)
     substeps = np.maximum(1, np.ceil(norm)).astype(int)
     k = np.arange(1, 19)[:, None]
-    orders = np.count_nonzero(np.cumprod((norm / substeps) / k, axis=0) > 1e-15, axis=0)
-    generator = hops * (-1j * theta / substeps)[:, None, None]
-    for sub in range(substeps.max()):
-        order = np.where(sub < substeps, orders, 0)
-        inverse_k = np.where(k <= order, 1.0 / k, 0.0)[:, :, None, None]
+    ratio = (norm / substeps)[..., None, :] / k                       # (..., 18, B)
+    orders = np.count_nonzero(np.cumprod(ratio, axis=-2) > 1e-15, axis=-2)
+    sub = np.arange(substeps.max(initial=1))[:, None, None]
+    active = np.where(sub < substeps[..., None, None, :], orders[..., None, None, :], 0)
+    weights = np.where(k <= active, 1.0 / k, 0.0)                     # (..., U, 18, B)
+    return substeps, weights[..., None, None]
+
+
+def _taylor_apply(generator: np.ndarray, weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Apply the truncated Taylor series of exp(A) to every row of psi.
+
+    ``generator`` is (B, N, N) complex and holds A_b / substeps_b, ``psi``
+    is (B, N, 1) and ``weights`` (U, M, B, 1, 1) as from
+    :func:`_taylor_plan`, cut to the U substeps and M terms the step needs.
+    A row past its order or its substep count adds exact zeros, so its
+    result does not depend on the other rows of the batch.
+    """
+    for per_term in weights:
         term, psi = psi, psi.copy()
-        for m in range(order.max()):
+        for weight in per_term:
             term = np.matmul(generator, term)
-            term *= inverse_k[m]
+            term *= weight
             psi += term
     return psi
+
+
+class _StepSetup:
+    """Batched set-up of the steps of one ensemble run, a chunk at a time.
+
+    Holds the chunk buffers, per step and row: the pair magnitudes and the
+    complex generator entries, each with a trailing slot P that stays
+    zero, and the (N, N) gathered magnitudes whose row sums give the
+    norm; and the one (B, N, N) generator buffer the steps share.
+    """
+
+    def __init__(self, flight: PairFlight, n: int, rows: int):
+        self.flight = flight
+        n_pairs = len(flight.pairs)
+        self.slots = _pair_slots(n, flight.pairs)
+        self.chunk = _step_chunk(rows, n, n_pairs)
+        self._magnitude = np.zeros((self.chunk, rows, n_pairs + 1))
+        self._matrices = np.empty((self.chunk, rows, n, n))
+        self._entries = np.zeros((self.chunk, rows, n_pairs + 1), dtype=complex)
+        self._generator = np.empty((rows, n, n), dtype=complex)
+
+    def plan(self, start: np.ndarray, h_step: np.ndarray) -> list[np.ndarray]:
+        """Set up S <= chunk steps of every row from their (S, B) starts and lengths.
+
+        Takes the couplings at every step's midpoint, checks them against
+        the step bound (a violation means the coupling bound was wrong and
+        raises IntegrationError naming the earliest violating step, then
+        row), and picks each row's substeps and Taylor weights from the
+        infinity norm of its generator A = -2*pi*i*H*h.  Returns per step
+        the weights for :func:`_taylor_apply`, cut to the substeps and
+        terms some row of the step needs.
+        """
+        size, n_pairs = len(start), len(self.flight.pairs)
+        magnitude, entries = self._magnitude[:size], self._entries[:size]
+        nu = self.flight.couplings(start + 0.5 * h_step)                # (S, B, P)
+        np.abs(nu, out=magnitude[..., :n_pairs])
+        phase = 2.0 * np.pi * magnitude.max(axis=-1) * h_step
+        if np.any(phase >= PHASE_CAP):
+            s, b = np.unravel_index(np.argmax(phase >= PHASE_CAP), phase.shape)
+            raise IntegrationError(
+                f"step size violation at t = {start[s, b]:.4g} us: "
+                f"2*pi*nu_max*dt = {phase[s, b]:.3g} (the step plan "
+                "under-estimated the couplings)"
+            )
+        # the indices are in range: "clip" only lets take write into out
+        row_sums = magnitude.take(
+            self.slots, axis=-1, out=self._matrices[:size], mode="clip"
+        ).sum(axis=-1)
+        theta = 2.0 * np.pi * h_step
+        substeps, weights = _taylor_plan(theta * row_sums.max(axis=-1))
+        np.multiply(nu, (-theta / substeps)[..., None], out=entries.imag[..., :n_pairs])
+        n_sub = substeps.max(axis=-1).tolist()
+        n_terms = weights.any(axis=(1, 3, 4, 5)).sum(axis=-1).tolist()
+        return [w[:u, :m] for w, u, m in zip(weights, n_sub, n_terms)]
+
+    def generator(self, step: int) -> np.ndarray:
+        """The generator A / substeps of step ``step`` of the last plan, (B, N, N)."""
+        return self._entries[step].take(
+            self.slots, axis=-1, out=self._generator, mode="clip"
+        )
 
 
 def propagate_ensemble(
@@ -212,14 +316,16 @@ def propagate_ensemble(
     state, but each keeps its own step plan: ``dt`` defaults to a value
     safely inside the step bound 2*pi*nu_max*dt < 0.05 for the row's own
     coupling bound over the run, each sample interval takes the row's own
-    number of steps, and rows that finish an interval early wait with a zero
-    step.  Every step builds the midpoint coupling matrix, checks the bound
-    against it per row (a violation means the coupling bound was wrong and
-    raises IntegrationError), and applies exp(-2*pi*i*H*h) by a truncated
-    Taylor series whose order each row picks from its own norm (see
-    :func:`_taylor_step`).  A row's populations are therefore the same
-    whichever realizations share its batch.  The truncation leaves the norm
-    unconserved at the 1e-14 level.
+    number of equal steps, and rows that finish an interval early wait with
+    zero steps.  Each interval is set up before its steps run, in chunks of
+    steps under a fixed scratch budget (see :class:`_StepSetup`): the
+    midpoint couplings of all its steps and rows, their check against the
+    bound (a violation means the coupling bound was wrong and raises
+    IntegrationError), and each row's norm, Taylor order and generator
+    -2*pi*i*H*h; a step then applies the Taylor series of exp(-2*pi*i*H*h)
+    to the row's own order.  A row's populations are therefore the same
+    whichever realizations share its batch and however the intervals are
+    chunked.  The truncation leaves the norm unconserved at the 1e-14 level.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0) or np.any(np.diff(times) < 0):
@@ -254,6 +360,7 @@ def propagate_ensemble(
             f">= {PHASE_CAP} (nu_max bounds the coupling over the whole run)"
         )
 
+    setup = _StepSetup(flight, n, len(samples))
     psi = np.empty((len(samples), n, 1), dtype=complex)
     psi[...] = initial.amplitudes[:, None]
     populations = np.empty((len(samples), n, len(times)))
@@ -262,20 +369,14 @@ def propagate_ensemble(
         span = t_target - t_start
         n_steps = _step_count(span, dt)
         h = span / np.maximum(n_steps, 1)
-        t_now = np.full(len(samples), t_start)
-        for step in range(n_steps.max()):
-            h_step = np.where(step < n_steps, h, 0.0)
-            nu = flight.couplings(t_now + 0.5 * h_step)
-            phase = 2.0 * np.pi * np.abs(nu).max(axis=1, initial=0.0) * h_step
-            if np.any(phase >= PHASE_CAP):
-                b = int(np.argmax(phase >= PHASE_CAP))
-                raise IntegrationError(
-                    f"step size violation at t = {t_now[b]:.4g} us: "
-                    f"2*pi*nu_max*dt = {phase[b]:.3g} (the step plan "
-                    "under-estimated the couplings)"
-                )
-            psi = _taylor_step(_scatter(n, flight.pairs, nu), 2.0 * np.pi * h_step, psi)
-            t_now = t_now + h_step
+        for first in range(0, n_steps.max(initial=0), setup.chunk):
+            step = np.arange(first, min(first + setup.chunk, n_steps.max()))[:, None]
+            live = step < n_steps                                     # (S, B)
+            plan = setup.plan(
+                np.where(live, t_start + step * h, t_target), np.where(live, h, 0.0)
+            )
+            for s, weights in enumerate(plan):
+                psi = _taylor_apply(setup.generator(s), weights, psi)
         t_start = t_target
         populations[..., k] = np.abs(psi[..., 0]) ** 2
     return populations

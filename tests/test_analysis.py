@@ -185,6 +185,15 @@ class TestBeatSpectrum:
             beat_spectrum([1.0])
 
 
+class TestMedian:
+    @pytest.mark.parametrize("size", [1, 2, 128, 129])
+    def test_matches_numpy_median(self, rng, size):
+        values = rng.normal(size=size)
+        assert analysis._median(values) == np.median(values)
+        ties = np.round(values, 1)
+        assert analysis._median(ties) == np.median(ties)
+
+
 class TestEnvelopeContrast:
     def test_undamped_sinusoid_is_flat(self):
         t = np.linspace(0.0, 10.0, 500)

@@ -21,7 +21,8 @@ from xychain.errors import ConfigError
 
 IDEAL_ARGS = ["--ideal", "--set", "options.tau_max=3.0", "--set", "options.tau_step=0.1"]
 
-# A short full-mode exchange run, sinusoid fit included, in a fresh interpreter.
+# A short full-mode exchange run, sinusoid fit included, in a fresh interpreter;
+# prints the scipy and numpy.ma modules it loaded.
 NO_SCIPY_SCRIPT = """
 import sys
 import xychain
@@ -36,7 +37,8 @@ result = scenarios.run_scenario(config.scenario, params=params, seed=config.seed
                                 options=config.options, workers=config.workers)
 cli.write_outputs(result, config)
 assert result.summary["fit_P_10"]["frequency_mhz"] > 0
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules
+             if m in ("scipy", "numpy.ma") or m.startswith(("scipy.", "numpy.ma."))))
 """
 
 

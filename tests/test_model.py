@@ -99,8 +99,8 @@ class TestPairFlight:
         assert not flight.static
         for t in (0.0, 2.5, 9.0):
             nu = flight.couplings(t)
-            rel = flight._rel0 + flight._relv * t
-            assert np.array_equal(nu, flight.c3 / np.linalg.norm(rel, axis=-1) ** 3)
+            rel = flight._rel0 + flight._relv * t                 # (3, B, P)
+            assert np.array_equal(nu, flight.c3 / np.linalg.norm(rel, axis=0) ** 3)
             for b, sample in enumerate(samples):
                 disp = free_flight(sample, t)
                 for p, (i, j) in enumerate(flight.pairs):

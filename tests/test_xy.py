@@ -1,4 +1,6 @@
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +8,15 @@ import pytest
 from scipy.linalg import expm
 
 from oracles import brute_force_populations, midpoint_populations
+from xychain import xy
 from xychain.errors import ConfigError, GeometryError, IntegrationError
-from xychain.model import ChainGeometry, PairFlight, PhysicalParams
+from xychain.model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams
 from xychain.thermal import ThermalSample, sample_thermal
 from xychain.xy import (
     CouplingMatrix,
     SpinState,
-    _taylor_step,
+    _taylor_apply,
+    _taylor_plan,
     build_coupling_matrix,
     eigenmodes,
     propagate,
@@ -242,6 +246,38 @@ class TestPropagateTimeDependent:
         t_raised = float(re.search(r"at t = (\S+) us", str(err.value)).group(1))
         assert t_raised < 10.0
 
+    def test_step_violation_names_the_earliest_step(self, pair30, params, monkeypatch):
+        # atom 0 passes 2 um from atom 1 at 3 um/us in row 0 and at 4 um/us
+        # in row 1, so row 1 breaks the under-reported step plan first
+        speeds = (3.0, 4.0)
+        samples = [
+            ThermalSample(displacements=[[0.0, 2.0, 0.0], [0.0, 0.0, 0.0]],
+                          velocities=[[v, 0.0, 0.0], [0.0, 0.0, 0.0]], seed=0)
+            for v in speeds
+        ]
+        monkeypatch.setattr(
+            PairFlight,
+            "bound",
+            lambda flight, t_lo, t_hi: np.abs(flight.couplings(t_lo)).max(axis=-1),
+        )
+        with pytest.raises(IntegrationError, match="step size violation") as err:
+            propagate_ensemble(
+                pair30, params, samples, "full", SpinState.excitation_at(2, 0), [12.0]
+            )
+        # the same plan, one step at a time: both rows share dt
+        flight = PairFlight(pair30, params, np.stack([s.displacements for s in samples]),
+                            np.stack([s.velocities for s in samples]))
+        dt = PHASE_CAP / (2.0 * np.pi * float(flight.bound(0.0, 12.0)[0]) * 1.05)
+        n_steps = int(np.ceil(12.0 / dt))
+        h = 12.0 / n_steps
+        first = {}
+        for step in range(n_steps):
+            phase = 2.0 * np.pi * flight.couplings((step + 0.5) * h).max(axis=-1) * h
+            for row in np.flatnonzero(phase >= PHASE_CAP):
+                first.setdefault(int(row), step)
+        assert first[1] < first[0]
+        assert f"at t = {first[1] * h:.4g} us" in str(err.value)
+
     def test_step_size_violation_rejected(self, chain3, params):
         with pytest.raises(ConfigError, match="step size"):
             propagate_time_dependent(
@@ -295,13 +331,94 @@ class TestPropagateEnsemble:
             alone = propagate_time_dependent(geometry, params, sample, "full", state, times)
             assert np.array_equal(row, alone)
 
+    @staticmethod
+    def fcc_cluster(n_atoms, spacing):
+        """The n_atoms sites nearest the centre of a face-centred cubic
+        lattice with nearest-neighbour distance ``spacing`` (um)."""
+        sites = np.array([p for p in itertools.product(range(-3, 4), repeat=3)
+                          if sum(p) % 2 == 0], dtype=float)
+        order = np.argsort(np.linalg.norm(sites, axis=1), kind="stable")
+        return ChainGeometry(positions=sites[order[:n_atoms]] * spacing / np.sqrt(2.0))
+
+    @pytest.mark.parametrize("case", ["mixed-temperatures", "dense-cluster"])
+    def test_chunk_size_does_not_change_output(self, case, params, monkeypatch):
+        if case == "mixed-temperatures":
+            # a 3 mK draw, a chain at rest and 50 uK draws: other step
+            # counts and Taylor orders in every interval
+            geometry = ChainGeometry.line(6, 15.0)
+            hot = sample_thermal(PhysicalParams(temperature=3000.0), 6, seed=9)
+            samples = [hot, None] + self.samples(6, (7, 8))
+            times, dt = np.linspace(0.0, 3.0, 16), None
+        else:
+            # the centre site of a 79-site cluster couples to the others 22
+            # times as strongly as to its nearest neighbour, so steps near
+            # the bound on that neighbour take two substeps
+            geometry = self.fcc_cluster(79, 5.0)
+            samples = [None]
+            dt = 0.049 / (2.0 * np.pi * params.c3 / 5.0**3)
+            times = np.array([0.0, 6.65, 9.5]) * dt
+        state = SpinState.excitation_at(geometry.n_atoms, 0)
+        rows, n = len(samples), geometry.n_atoms
+        n_pairs = n * (n - 1) // 2
+        seen = {"steps": [], "substeps": 0}
+
+        def step_count(duration, dt):
+            counts = step_count.wrapped(duration, dt)
+            seen["steps"].append(int(counts.max(initial=0)))
+            return counts
+
+        def taylor_plan(norm):
+            substeps, weights = taylor_plan.wrapped(norm)
+            seen["substeps"] = max(seen["substeps"], int(substeps.max()))
+            return substeps, weights
+
+        step_count.wrapped, taylor_plan.wrapped = xy._step_count, xy._taylor_plan
+        monkeypatch.setattr(xy, "_step_count", step_count)
+        monkeypatch.setattr(xy, "_taylor_plan", taylor_plan)
+        per_step = n * n + 7 * (n_pairs + 1) + 3 * 18
+        fixed = 2 * n * n + 8 * n
+        runs = []
+        # one step at a time, three at a time, whole intervals
+        for budget, chunk in ((0, 1), (8 * rows * (fixed + 3 * per_step), 3), (10**9, None)):
+            monkeypatch.setattr(xy, "_STEP_BUDGET_BYTES", budget)
+            if chunk is not None:
+                assert xy._step_chunk(rows, n, n_pairs) == chunk
+            seen["steps"].clear()
+            runs.append(propagate_ensemble(geometry, params, samples, "full", state, times, dt))
+        assert xy._step_chunk(rows, n, n_pairs) >= max(seen["steps"])
+        assert any(count > 3 and count % 3 for count in seen["steps"])  # a partial chunk
+        if case == "dense-cluster":
+            assert seen["substeps"] > 1
+        for run in runs[1:]:
+            assert np.array_equal(run, runs[0])
+
+    def test_step_scratch_is_bounded(self, params):
+        # one interval of about 400 steps: all of its complex generators
+        # at once would hold 25 MB at 10 rows and 100 MB at 40
+        geometry = ChainGeometry.line(20, 20.0)
+        state = SpinState.excitation_at(20, 0)
+        for seeds in (range(10), range(10, 50)):
+            samples = self.samples(20, seeds)
+            tracemalloc.start()
+            try:
+                pops = propagate_ensemble(geometry, params, samples, "full", state, [0.0, 2.0])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            inputs = sum(s.displacements.nbytes + s.velocities.nbytes for s in samples)
+            # the same inputs resolved per pair: PairFlight's (3, B, P) vectors
+            pair_vectors = 2 * 3 * len(samples) * 190 * np.dtype(float).itemsize
+            assert peak < xy._STEP_BUDGET_BYTES + inputs + pair_vectors + pops.nbytes
+
     def test_taylor_step_substeps_large_norms(self, rng):
         hops = rng.normal(size=(3, 6, 6))
         hops = hops + hops.transpose(0, 2, 1)
         theta = np.array([1.5, 0.01, 0.0])      # norms about 7, 0.05 and 0
         psi = rng.normal(size=(3, 6, 1)) + 1j * rng.normal(size=(3, 6, 1))
-        out = _taylor_step(hops, theta, psi)
-        assert theta[0] * np.abs(hops[0]).sum(axis=1).max() > 3.0
+        substeps, weights = _taylor_plan(theta * np.abs(hops).sum(axis=2).max(axis=1))
+        generator = hops * (-1j * theta / substeps)[:, None, None]
+        out = _taylor_apply(generator, weights, psi)
+        assert substeps[0] > 3 and substeps[1] == substeps[2] == 1
         for b in range(3):
             exact = expm(-1j * theta[b] * hops[b]) @ psi[b]
             assert np.abs(out[b] - exact).max() < 1e-13
