@@ -47,6 +47,8 @@ class EpsilonModel:
             tab = np.asarray(self.table, dtype=float)
             if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
                 raise DataError("epsilon table must have shape (K >= 2, 2)")
+            if not np.all(np.isfinite(tab)):
+                raise DataError("epsilon table times and values must be finite")
             if np.any(np.diff(tab[:, 0]) <= 0):
                 raise DataError("epsilon table times must be strictly increasing")
             if np.any((tab[:, 1] < 0) | (tab[:, 1] > 1)):

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, GeometryError, IntegrationError
 
 # Boltzmann constant (J/K) and the mass of a generic heavy alkali atom used
 # in the experiments this package models (87Rb, kg).
@@ -202,17 +202,35 @@ class PairFlight:
             rel0, np.broadcast_to(base, rel0.shape)
         )
 
-    def _check(self, r: np.ndarray) -> None:
-        if (r < _MIN_SEPARATION).any():
-            at = np.unravel_index(np.argmin(r), r.shape)
-            i, j = self.pairs[at[-1]]
-            raise GeometryError(f"atoms {i} and {j} coincide (R = {r[at]:g} um)")
+    @classmethod
+    def of_samples(cls, geometry: ChainGeometry, params: PhysicalParams, samples,
+                   pairs=None) -> "PairFlight":
+        """One realization per sample: an object with (N, 3) ``displacements``
+        (um) and ``velocities`` (um/us), or None for atoms at rest.  An empty
+        list or a sample of another shape raises ConfigError."""
+        rest = np.zeros((geometry.n_atoms, 3))
+        disp = [rest if s is None else np.asarray(s.displacements, dtype=float) for s in samples]
+        vel = [rest if s is None else np.asarray(s.velocities, dtype=float) for s in samples]
+        if not disp:
+            raise ConfigError("at least one realization is required")
+        if any(a.shape != rest.shape for a in disp + vel):
+            raise ConfigError("trajectory sample does not match the geometry")
+        return cls(geometry, params, np.stack(disp), np.stack(vel), pairs)
 
-    def couplings(self, t) -> np.ndarray:
+    def _coincident(self, r: np.ndarray) -> GeometryError:
+        """The error naming the closest pair of the distances ``r``."""
+        at = np.unravel_index(np.argmin(r), r.shape)
+        i, j = self.pairs[at[-1]]
+        return GeometryError(f"atoms {i} and {j} coincide (R = {r[at]:g} um)")
+
+    def couplings(self, t, step=0.0) -> np.ndarray:
         """Hopping frequencies (MHz) at time t, shape (..., B, P).
 
         ``t`` is a scalar, (B,), or (..., B) for several copies of the batch,
-        each at its own times.
+        each at its own times.  Coincident atoms raise GeometryError.  A
+        nonzero ``step`` (scalar, or shaped like ``t``) whose phase
+        2*pi*nu*step reaches ``PHASE_CAP`` raises IntegrationError naming the
+        first such time (earliest leading index, then row).
         """
         t = np.asarray(t, dtype=float)
         rel = self._relv * (t[..., None, :, None] if t.ndim else t)   # (..., 3, B, P)
@@ -220,9 +238,25 @@ class PairFlight:
         rel *= rel
         r = np.add.reduce(rel, axis=-3)
         np.sqrt(r, out=r)
-        self._check(r)
+        r_min = r.min(initial=np.inf)
+        if r_min < _MIN_SEPARATION:
+            raise self._coincident(r)
         r **= 3
-        return np.divide(self.c3, r, out=r)
+        nu = np.divide(self.c3, r, out=r)
+        # the closest pair bounds every phase, so the rows are only examined
+        # when that bound fails; np.power cubes as the array power above does
+        longest = step.max() if isinstance(step, np.ndarray) else step
+        if longest and 2.0 * np.pi * (abs(self.c3) / np.power(r_min, 3)) * longest >= PHASE_CAP:
+            phase = 2.0 * np.pi * np.abs(nu).max(axis=-1, initial=0.0) * step  # (..., B)
+            over = phase >= PHASE_CAP
+            if over.any():
+                at = np.unravel_index(np.argmax(over), over.shape)
+                raise IntegrationError(
+                    f"step size violation at t = {np.broadcast_to(t, over.shape)[at]:.4g} "
+                    f"us: 2*pi*nu_max*dt = {phase[at]:.3g} >= {PHASE_CAP} (the step "
+                    "plan under-estimated the couplings)"
+                )
+        return nu
 
     def bound(self, t_lo, t_hi) -> np.ndarray:
         """Largest coupling (MHz) each realization reaches for t in [t_lo, t_hi].
@@ -248,8 +282,10 @@ class PairFlight:
         rel_star = rel0 + relv * np.where(in_window, t_star, 0.0)
         r_star_sq = np.where(in_window, (rel_star**2).sum(axis=0), np.inf)
         r = np.sqrt(np.minimum(r_sq, r_star_sq))
-        self._check(r)
-        return self.c3 / r.min(axis=-1, initial=np.inf) ** 3
+        r_min = r.min(axis=-1, initial=np.inf)
+        if (r_min < _MIN_SEPARATION).any():
+            raise self._coincident(r)
+        return self.c3 / r_min**3
 
 
 def pair_coupling(

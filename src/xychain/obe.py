@@ -34,14 +34,15 @@ needed: by the positivity check and for ``SequenceResult.final_state``.
 
 The step size obeys 2 pi dt max(Omega, delta, nu_max) < 0.05 with additional
 per-segment-kind safety margins chosen so that halving dt changes sampled
-populations by less than 1e-6; every step checks the couplings it integrates
-against that bound, and every sampled or branched state is checked for
-trace and positivity (a minimum eigenvalue below -1e-7 raises
-IntegrationError).  All states are batchable: a leading batch axis carries
-independent thermal realizations, and in a readout scan several readout
-branches of the whole realization batch at once.  Those branches run in
-chunks sized to a fixed scratch budget and share one step plan, so the
-output does not depend on the chunk size.
+populations by less than 1e-6; ``PairFlight`` checks the couplings of every
+step against that bound (for atoms at rest, once per segment), and every
+sampled or branched state is checked for trace and positivity (a minimum
+eigenvalue below -1e-7 raises IntegrationError).  All states are
+batchable: a leading batch axis carries independent thermal realizations,
+and in a readout scan several readout branches of the whole realization
+batch at once.  Those branches run in chunks sized to a fixed scratch
+budget and share one step plan, so the output does not depend on the chunk
+size.
 """
 
 from __future__ import annotations
@@ -241,8 +242,8 @@ class _OperatorTable:
                 index[1 + i] = index[1 + n_atoms + i] = int(level)
                 per_level.append(tuple(index))
             self.blocks.append(tuple(per_level))
+        # one hopping operator per pair i < j, in PairFlight's default order
         pairs = [(i, j) for i in range(n_atoms) for j in range(i + 1, n_atoms)]
-        self.pairs = pairs
         hop = []
         for i, j in pairs:
             du_i = _site_operator(_transition(Level.DOWN, Level.UP), i, n_atoms)
@@ -272,18 +273,11 @@ def _dense_operators(n_atoms: int) -> _OperatorTable:
     return _OperatorTable.get(n_atoms)
 
 
-def _samples(trajectories, n_atoms: int) -> list[ThermalSample]:
-    """The trajectories as a list (a single one at rest when None)."""
-    if trajectories is None:
-        samples = [ThermalSample.at_rest(n_atoms)]
-    elif isinstance(trajectories, ThermalSample):
-        samples = [trajectories]
-    else:
-        samples = list(trajectories)
-    for s in samples:
-        if s.n_atoms != n_atoms:
-            raise ConfigError("trajectory sample does not match the geometry")
-    return samples
+def _samples(trajectories) -> list[Optional[ThermalSample]]:
+    """The trajectories as a list (None, the chain at rest, when None)."""
+    if trajectories is None or isinstance(trajectories, ThermalSample):
+        return [trajectories]
+    return list(trajectories)
 
 
 def _resolve_initial(initial, n_atoms: int) -> np.ndarray:
@@ -318,29 +312,18 @@ def _unpack(m: np.ndarray) -> np.ndarray:
     return rho
 
 
+@dataclass(slots=True)
 class _SegmentCache:
     """Per-segment constants: drive Hamiltonian, decay rates, step size; for
-    motionless atoms also the full Hamiltonian and its largest coupling.
-    The Hamiltonians are real and in angular units, 2 pi H (rad/us)."""
+    motionless atoms also the full Hamiltonian.  The Hamiltonians are real
+    and in angular units, 2 pi H (rad/us)."""
 
-    __slots__ = (
-        "h_drive_flat",
-        "w_matrix",
-        "rates_up",
-        "rate_down",
-        "dt",
-        "h_static",
-        "nu_static",
-    )
-
-    def __init__(self, h_drive_flat, w_matrix, rates_up, rate_down, dt):
-        self.h_drive_flat = h_drive_flat
-        self.w_matrix = w_matrix
-        self.rates_up = rates_up
-        self.rate_down = rate_down
-        self.dt = dt
-        self.h_static = None
-        self.nu_static = 0.0
+    h_drive_flat: np.ndarray
+    w_matrix: np.ndarray
+    rates_up: np.ndarray
+    rate_down: float
+    dt: float
+    h_static: Optional[np.ndarray] = None
 
 
 class _Engine:
@@ -348,9 +331,10 @@ class _Engine:
 
     The batch axis carries independent realizations (distinct thermal
     trajectories); all states evolve under the same segment structure but
-    their own time-dependent couplings.  The scratch holds ``branches``
-    copies of the batch, so that a state of up to ``branches * batch`` rows
-    (branch-major, times of shape (branches, batch)) advances in one pass.
+    their own time-dependent couplings.  The scratch holds ``self.branches``
+    copies of the batch (up to ``branches``, as many as fit the budget), so
+    that a state of up to ``self.branches * batch`` rows (branch-major,
+    times of shape (branches, batch)) advances in one pass.
     """
 
     def __init__(
@@ -369,20 +353,15 @@ class _Engine:
         self.n = n
         self.d = self.ops.d
         self.dt_scale = dt_scale
-        samples = _samples(trajectories, n)
+        samples = _samples(trajectories)
+        self.flight = PairFlight.of_samples(geometry, params, samples)
         self.batch = len(samples)
-        self.flight = PairFlight(
-            geometry,
-            params,
-            np.stack([s.displacements for s in samples]),
-            np.stack([s.velocities for s in samples]),
-            self.ops.pairs,
-        )
+        self.branches = min(branches, _branch_chunk(self.batch, n))
         self.gamma_eff = params.gamma_eff_per_atom(n)
 
         # scratch buffers for the allocation-free RK4 hot path; a smaller
         # state uses their leading rows
-        rows = branches * self.batch
+        rows = self.branches * self.batch
         shape = (rows, self.d, self.d)
         self._k = [np.empty(shape) for _ in range(4)]
         self._tmp = np.empty(shape)
@@ -450,10 +429,10 @@ class _Engine:
             2.0 * np.pi * h_drive.reshape(-1), w_matrix, rates_up, rate_down, dt
         )
         if self.flight.static:
-            nu = self.flight.couplings(np.zeros(1))[0]
+            # constant couplings: no step of the segment is longer than dt
+            nu = self.flight.couplings(t_start, dt)[0]
             h_int = (2.0 * np.pi * nu @ ops.hop_flat).reshape(self.d, self.d)
             cache.h_static = cache.h_drive_flat.reshape(self.d, self.d) + h_int
-            cache.nu_static = float(np.max(np.abs(nu), initial=0.0))
         return cache
 
     def _rhs(self, t, m, cache: _SegmentCache, out, step: float = 0.0) -> np.ndarray:
@@ -465,20 +444,16 @@ class _Engine:
         (up, up) and (down, down) blocks times their decay rates to its
         (g, g) block, through basic-slice views of the level tensor.
 
-        A nonzero ``step`` first checks the couplings at t against an RK4
-        step of that size: one whose phase 2 pi nu h reaches PHASE_CAP means
-        the step plan under-estimated the couplings, and raises.
+        A nonzero ``step`` has ``PairFlight.couplings`` check the couplings
+        at t against an RK4 step of that size; constant couplings were
+        checked once, by :meth:`_segment_cache`.
         """
         rows, d, ops = len(m), self.d, self.ops
         m1, m2 = self._m1[:rows], self._m2[:rows]
         if cache.h_static is not None:
             h = cache.h_static
-            if step and 2.0 * np.pi * cache.nu_static * step >= PHASE_CAP:
-                self._step_violation(t, cache.nu_static, step)
         else:
-            nu = self.flight.couplings(t).reshape(rows, -1)
-            if step and 2.0 * np.pi * np.abs(nu).max(initial=0.0) * step >= PHASE_CAP:
-                self._step_violation(t, nu, step)
+            nu = self.flight.couplings(t, step).reshape(rows, -1)
             hflat = self._hflat[:rows]
             np.matmul(2.0 * np.pi * nu, ops.hop_flat, out=hflat)
             hflat += cache.h_drive_flat
@@ -497,19 +472,6 @@ class _Engine:
             out_g += cache.rates_up[i] * m_levels[up]
             out_g += cache.rate_down * m_levels[down]
         return out
-
-    @staticmethod
-    def _step_violation(t, nu, step: float):
-        """Raise, naming the time of the state row (of nu, (rows, P), or a
-        scalar for every row) that carries the largest coupling."""
-        size = np.abs(np.atleast_2d(nu))
-        row = int(np.argmax(size)) // size.shape[-1]
-        phase = 2.0 * np.pi * float(size.max()) * step
-        t_row = float(np.ravel(t)[row % np.size(t)])
-        raise IntegrationError(
-            f"step size violation at t = {t_row:.6g} us: 2*pi*nu_max*dt = "
-            f"{phase:.3g} >= {PHASE_CAP} (the step plan under-estimated the couplings)"
-        )
 
     @staticmethod
     def _axpy(out, x, alpha: float, y):
@@ -620,7 +582,7 @@ def run_sequence(
     thermal sample (None: atoms at rest); a batch goes to :func:`readout_scan`.
     """
     n = geometry.n_atoms
-    samples = _samples(trajectories, n)
+    samples = _samples(trajectories)
     if len(samples) != 1:
         raise ConfigError(
             f"run_sequence integrates one trajectory, got {len(samples)}; "
@@ -705,10 +667,8 @@ def readout_scan(
         raise ConfigError("tau grid must be non-empty, non-negative and strictly increasing")
     prefix = list(prefix)
     suffix = list(suffix)
-    samples = _samples(trajectories, n)
-    chunk = min(_branch_chunk(len(samples), n), len(taus))
-    engine = _Engine(geometry, params, samples, dt_scale, chunk)
-    batch, d = engine.batch, engine.d
+    engine = _Engine(geometry, params, trajectories, dt_scale, len(taus))
+    batch, chunk, d = engine.batch, engine.branches, engine.d
 
     m = np.broadcast_to(_resolve_initial(initial, n), (batch, d, d)).copy()
     t_now = np.zeros(batch)

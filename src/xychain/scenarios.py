@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import copy
 import inspect
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Annotated, Callable, NamedTuple, Optional
 
@@ -49,11 +51,21 @@ EPSILON_FLOOR = 0.01
 EPSILON_SLOPE = 0.027  # per us
 
 #: Loss-model option keys, each with the values it accepts, or None when
-#: any value goes.
+#: they form no fixed set (numbers are checked by ``_EPSILON_NUMBERS``).
 _EPSILON_OPTIONS = {
     "backend": ("table", "recapture_mc", "none"), "table_path": None,
     "table_kind": ("epsilon", "p111"), "floor": None, "slope": None,
     "trap_depth": None, "n_mc": None,
+}
+
+#: Numeric option checks: the values a key accepts, and the test a real
+#: number must pass for it.
+_COUNT = ("an integer >= 1", lambda v: isinstance(v, numbers.Integral) and v >= 1)
+_EPSILON_NUMBERS = {
+    "floor": ("a number in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "slope": ("a finite number", math.isfinite),
+    "trap_depth": ("a finite number > 0", lambda v: math.isfinite(v) and v > 0.0),
+    "n_mc": _COUNT,
 }
 
 _EPSILON_HELP = "loss-model options: " + ", ".join(
@@ -182,6 +194,13 @@ def _epsilon_choice(key: str, value):
             f"(expected one of: {', '.join(choices)})"
         )
     return value
+
+
+def _check_number(path: str, value, expected: str, test: Callable) -> None:
+    """Refuse ``value`` at config ``path`` unless it is a real number
+    (not a bool) that passes ``test``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not test(value):
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
 
 
 def resolve_epsilon_model(
@@ -693,7 +712,8 @@ def catalog() -> list[ScenarioSpec]:
 def scenario_options(name: str, options: Optional[dict] = None) -> dict:
     """The options a scenario runs with: copies of its defaults, overlaid by
     ``options``.  An unknown scenario, option key, ``epsilon`` key or
-    ``epsilon`` backend or table kind raises ConfigError."""
+    ``epsilon`` backend or table kind raises ConfigError, and so does an
+    ``n_realizations`` or ``epsilon`` number out of its range."""
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ConfigError(f"unknown scenario {name!r} (expected one of: {known})")
@@ -706,6 +726,8 @@ def scenario_options(name: str, options: Optional[dict] = None) -> dict:
                 f"(expected one of: {', '.join(sorted(merged))})"
             )
         merged[key] = value
+    if "n_realizations" in merged:
+        _check_number("options.n_realizations", merged["n_realizations"], *_COUNT)
     epsilon = merged.get("epsilon") or {}
     if not isinstance(epsilon, dict):
         raise ConfigError(f"options.epsilon: expected a mapping, got {epsilon!r}")
@@ -717,6 +739,8 @@ def scenario_options(name: str, options: Optional[dict] = None) -> dict:
             )
         if _EPSILON_OPTIONS[key]:
             _epsilon_choice(key, value)
+        if key in _EPSILON_NUMBERS:
+            _check_number(f"options.epsilon.{key}", value, *_EPSILON_NUMBERS[key])
     return merged
 
 

@@ -20,11 +20,11 @@ most 1.1e-14 (Taylor orders 8-9), and the populations stayed within 6.1e-14
 of the exact midpoint exponential.
 
 Each sample interval is set up before its steps run, in chunks of steps
-under a fixed scratch budget (``_STEP_BUDGET_BYTES``): the midpoint
-couplings of all its steps and realizations in one call, their check
-against the step bound, and each realization's norms, Taylor orders and
-generator entries.  A step then only gathers its generator into one reused
-buffer and runs the matrix-vector products of its Taylor series.
+under a fixed scratch budget (``_STEP_BUDGET_BYTES``) by one function, with
+no object holding buffers: the midpoint couplings of all its steps and
+realizations in one call, checked against their steps by ``PairFlight``,
+and each realization's norms, Taylor orders and generator entries.  A step
+then gathers its own generator and runs the products of its Taylor series.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError
 from .model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams
 from .thermal import ThermalSample
 
@@ -169,7 +169,7 @@ def propagate(
     return (np.abs(amplitudes) ** 2).T
 
 
-#: Scratch bytes one sample interval's step plan and step buffers may hold
+#: Scratch bytes one sample interval's step plan and step arrays may hold
 #: at once.  An interval whose plan does not fit is set up in chunks of
 #: consecutive steps.
 _STEP_BUDGET_BYTES = 2**20
@@ -182,8 +182,8 @@ def _step_chunk(rows: int, n: int, n_pairs: int) -> int:
     ``PairFlight.couplings`` computes them from a (3, P) separation, their
     magnitudes and complex generator entries with a zero slot, the (N, N)
     gathered magnitudes whose row sums give the norm, and two 18-term
-    arrays of the Taylor plan; and once, the complex (N, N) generator
-    buffer and a few (N,) complex states of the matrix-vector products.
+    arrays of the Taylor plan; and once, the complex (N, N) generator a
+    step gathers and a few (N,) complex states of the matrix-vector products.
     Counted in 8-byte words, at least one step.
     """
     per_step = n * n + 7 * (n_pairs + 1) + 3 * 18
@@ -240,64 +240,28 @@ def _taylor_apply(generator: np.ndarray, weights: np.ndarray, psi: np.ndarray) -
     return psi
 
 
-class _StepSetup:
-    """Batched set-up of the steps of one ensemble run, a chunk at a time.
+def _plan_steps(flight: PairFlight, slots: np.ndarray, start: np.ndarray,
+                h_step: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Set up S steps of every row from their (S, B) starts and lengths.
 
-    Holds the chunk buffers, per step and row: the pair magnitudes and the
-    complex generator entries, each with a trailing slot P that stays
-    zero, and the (N, N) gathered magnitudes whose row sums give the
-    norm; and the one (B, N, N) generator buffer the steps share.
+    Takes the couplings at every step's midpoint, checked against the step
+    by ``flight``, and picks each row's substeps and Taylor weights from the
+    infinity norm of its generator A = -2*pi*i*H*h (gathered through the
+    ``slots`` of :func:`_pair_slots`).  Returns the (S, B, P+1) entries of
+    A / substeps, slot P zero, and per step the weights for
+    :func:`_taylor_apply`, cut to the substeps and terms the step needs.
     """
-
-    def __init__(self, flight: PairFlight, n: int, rows: int):
-        self.flight = flight
-        n_pairs = len(flight.pairs)
-        self.slots = _pair_slots(n, flight.pairs)
-        self.chunk = _step_chunk(rows, n, n_pairs)
-        self._magnitude = np.zeros((self.chunk, rows, n_pairs + 1))
-        self._matrices = np.empty((self.chunk, rows, n, n))
-        self._entries = np.zeros((self.chunk, rows, n_pairs + 1), dtype=complex)
-        self._generator = np.empty((rows, n, n), dtype=complex)
-
-    def plan(self, start: np.ndarray, h_step: np.ndarray) -> list[np.ndarray]:
-        """Set up S <= chunk steps of every row from their (S, B) starts and lengths.
-
-        Takes the couplings at every step's midpoint, checks them against
-        the step bound (a violation means the coupling bound was wrong and
-        raises IntegrationError naming the earliest violating step, then
-        row), and picks each row's substeps and Taylor weights from the
-        infinity norm of its generator A = -2*pi*i*H*h.  Returns per step
-        the weights for :func:`_taylor_apply`, cut to the substeps and
-        terms some row of the step needs.
-        """
-        size, n_pairs = len(start), len(self.flight.pairs)
-        magnitude, entries = self._magnitude[:size], self._entries[:size]
-        nu = self.flight.couplings(start + 0.5 * h_step)                # (S, B, P)
-        np.abs(nu, out=magnitude[..., :n_pairs])
-        phase = 2.0 * np.pi * magnitude.max(axis=-1) * h_step
-        if np.any(phase >= PHASE_CAP):
-            s, b = np.unravel_index(np.argmax(phase >= PHASE_CAP), phase.shape)
-            raise IntegrationError(
-                f"step size violation at t = {start[s, b]:.4g} us: "
-                f"2*pi*nu_max*dt = {phase[s, b]:.3g} (the step plan "
-                "under-estimated the couplings)"
-            )
-        # the indices are in range: "clip" only lets take write into out
-        row_sums = magnitude.take(
-            self.slots, axis=-1, out=self._matrices[:size], mode="clip"
-        ).sum(axis=-1)
-        theta = 2.0 * np.pi * h_step
-        substeps, weights = _taylor_plan(theta * row_sums.max(axis=-1))
-        np.multiply(nu, (-theta / substeps)[..., None], out=entries.imag[..., :n_pairs])
-        n_sub = substeps.max(axis=-1).tolist()
-        n_terms = weights.any(axis=(1, 3, 4, 5)).sum(axis=-1).tolist()
-        return [w[:u, :m] for w, u, m in zip(weights, n_sub, n_terms)]
-
-    def generator(self, step: int) -> np.ndarray:
-        """The generator A / substeps of step ``step`` of the last plan, (B, N, N)."""
-        return self._entries[step].take(
-            self.slots, axis=-1, out=self._generator, mode="clip"
-        )
+    nu = flight.couplings(start + 0.5 * h_step, h_step)                 # (S, B, P)
+    magnitude = np.zeros(nu.shape[:-1] + (nu.shape[-1] + 1,))
+    np.abs(nu, out=magnitude[..., :-1])
+    row_sums = magnitude.take(slots, axis=-1).sum(axis=-1)
+    theta = 2.0 * np.pi * h_step
+    substeps, weights = _taylor_plan(theta * row_sums.max(axis=-1))
+    entries = np.zeros(magnitude.shape, dtype=complex)
+    np.multiply(nu, (-theta / substeps)[..., None], out=entries.imag[..., :-1])
+    n_sub = substeps.max(axis=-1).tolist()
+    n_terms = weights.any(axis=(1, 3, 4, 5)).sum(axis=-1).tolist()
+    return entries, [w[:u, :m] for w, u, m in zip(weights, n_sub, n_terms)]
 
 
 def propagate_ensemble(
@@ -318,11 +282,12 @@ def propagate_ensemble(
     coupling bound over the run, each sample interval takes the row's own
     number of equal steps, and rows that finish an interval early wait with
     zero steps.  Each interval is set up before its steps run, in chunks of
-    steps under a fixed scratch budget (see :class:`_StepSetup`): the
-    midpoint couplings of all its steps and rows, their check against the
-    bound (a violation means the coupling bound was wrong and raises
-    IntegrationError), and each row's norm, Taylor order and generator
-    -2*pi*i*H*h; a step then applies the Taylor series of exp(-2*pi*i*H*h)
+    steps under a fixed scratch budget, by the function :func:`_plan_steps`:
+    the midpoint couplings of all its steps and rows, checked against their
+    steps by ``PairFlight.couplings`` (a violation means the coupling bound
+    was wrong and raises IntegrationError naming the step's midpoint), and
+    each row's norm, Taylor order and generator -2*pi*i*H*h; a step then
+    gathers its generator and applies the Taylor series of exp(-2*pi*i*H*h)
     to the row's own order.  A row's populations are therefore the same
     whichever realizations share its batch and however the intervals are
     chunked.  The truncation leaves the norm unconserved at the 1e-14 level.
@@ -335,15 +300,7 @@ def propagate_ensemble(
     n = geometry.n_atoms
     if initial.n != n:
         raise ValueError("state dimension does not match geometry")
-    if not samples:
-        raise ValueError("at least one realization is required")
-    if any(s is not None and s.n_atoms != n for s in samples):
-        raise ValueError("trajectory sample does not match geometry")
-
-    at_rest = np.zeros((n, 3))
-    disp = np.stack([at_rest if s is None else s.displacements for s in samples])
-    vel = np.stack([at_rest if s is None else s.velocities for s in samples])
-    flight = PairFlight(geometry, params, disp, vel, _pairs(n, range_mode))
+    flight = PairFlight.of_samples(geometry, params, samples, _pairs(n, range_mode))
     nu_bound = flight.bound(0.0, float(times[-1]))                    # (B,)
     if dt is None:
         with np.errstate(divide="ignore"):
@@ -356,11 +313,12 @@ def propagate_ensemble(
     phase = 2.0 * np.pi * nu_bound * dt
     if np.any(phase >= PHASE_CAP):
         raise ConfigError(
-            f"step size violation: 2*pi*nu_max*dt = {phase.max():.3g} "
+            f"step size too large: 2*pi*nu_max*dt = {phase.max():.3g} "
             f">= {PHASE_CAP} (nu_max bounds the coupling over the whole run)"
         )
 
-    setup = _StepSetup(flight, n, len(samples))
+    slots = _pair_slots(n, flight.pairs)
+    chunk = _step_chunk(len(samples), n, len(flight.pairs))
     psi = np.empty((len(samples), n, 1), dtype=complex)
     psi[...] = initial.amplitudes[:, None]
     populations = np.empty((len(samples), n, len(times)))
@@ -369,14 +327,15 @@ def propagate_ensemble(
         span = t_target - t_start
         n_steps = _step_count(span, dt)
         h = span / np.maximum(n_steps, 1)
-        for first in range(0, n_steps.max(initial=0), setup.chunk):
-            step = np.arange(first, min(first + setup.chunk, n_steps.max()))[:, None]
+        for first in range(0, n_steps.max(initial=0), chunk):
+            step = np.arange(first, min(first + chunk, n_steps.max()))[:, None]
             live = step < n_steps                                     # (S, B)
-            plan = setup.plan(
-                np.where(live, t_start + step * h, t_target), np.where(live, h, 0.0)
+            entries, plan = _plan_steps(
+                flight, slots, np.where(live, t_start + step * h, t_target),
+                np.where(live, h, 0.0),
             )
             for s, weights in enumerate(plan):
-                psi = _taylor_apply(setup.generator(s), weights, psi)
+                psi = _taylor_apply(entries[s].take(slots, axis=-1), weights, psi)
         t_start = t_target
         populations[..., k] = np.abs(psi[..., 0]) ** 2
     return populations

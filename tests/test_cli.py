@@ -140,6 +140,37 @@ class TestRun:
         assert "psychic" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["long-chain", "--set", "options.epsilon.backend=recapture_mc",
+             "--set", "options.epsilon.n_mc=0"],
+            ["long-chain", "--set", "options.epsilon.backend=recapture_mc",
+             "--set", "options.epsilon.n_mc=-5"],
+            ["long-chain", "--set", "options.epsilon.n_mc=2.5"],
+            ["long-chain", "--set", "options.epsilon.floor=.nan"],
+            ["long-chain", "--set", "options.epsilon.floor=2"],
+            ["long-chain", "--set", "options.epsilon.slope=.inf"],
+            ["long-chain", "--set", "options.epsilon.backend=recapture_mc",
+             "--set", "options.epsilon.trap_depth=deep"],
+            ["long-chain", "--set", "options.epsilon.trap_depth=0"],
+            ["two-atom-exchange", "--n-realizations", "0"],
+            ["three-chain", "--n-realizations", "0"],
+            ["long-chain", "--n-realizations", "0"],
+            ["long-chain", "--set", "options.n_realizations=true"],
+        ],
+        ids=["n_mc-0", "n_mc-negative", "n_mc-fraction", "floor-nan", "floor-2",
+             "slope-inf", "trap_depth-string", "trap_depth-0",
+             "two-atom-no-realizations", "three-chain-no-realizations",
+             "long-chain-no-realizations", "realizations-bool"],
+    )
+    def test_out_of_range_option_exits_2_without_outputs(self, args, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = run_cli(["run", *args, "--output-dir", str(out_dir)])
+        assert code == EXIT_CONFIG
+        assert "expected" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_table_round_trips_into_analysis(self, tmp_path):
         run_cli(
             ["run", "two-atom-exchange", "--ideal", "--output-dir", str(tmp_path),

@@ -137,6 +137,13 @@ class TestEpsilonModel:
         with pytest.raises(DataError):
             EpsilonModel.from_table([0.0, 1.0], [0.1, 1.2])
 
+    @pytest.mark.parametrize("t, eps", [([0.0, np.nan], [0.1, 0.2]),
+                                        ([0.0, 1.0], [0.1, np.nan]),
+                                        ([0.0, np.inf], [0.1, 0.2])])
+    def test_non_finite_table_refused(self, t, eps):
+        with pytest.raises(DataError, match="finite"):
+            EpsilonModel.from_table(t, eps)
+
     def test_constant_model(self):
         model = EpsilonModel.constant(0.07)
         assert model(123.0) == pytest.approx(0.07)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from xychain.errors import ConfigError, GeometryError
+from xychain.errors import ConfigError, GeometryError, IntegrationError
 from xychain.model import (
     DEFAULT_C3,
     MAGIC_ANGLE,
+    PHASE_CAP,
     ChainGeometry,
     PairFlight,
     PhysicalParams,
@@ -164,6 +165,62 @@ class TestPairFlight:
             flight.couplings(10.0)
         with pytest.raises(GeometryError, match="atoms 0 and 1"):
             flight.couplings(np.array([[0.0], [10.0]]))
+        # a step to check does not hide the coincidence
+        with pytest.raises(GeometryError, match="atoms 0 and 1"):
+            flight.couplings(10.0, step=1e-9)
+
+    def test_step_check_names_the_earliest_step_then_row(self, params):
+        # atom 0 approaches atom 1 at 1 um/us in row 0 and 2 um/us in row 1;
+        # at these (S, B) times the pairs sit 29, 24, 21 um apart in row 0
+        # and 30, 20, 26 um in row 1
+        geometry = ChainGeometry.line(2, 30.0)
+        vel = np.array([[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                        [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+        flight = PairFlight(geometry, params, velocities=vel)
+        t = np.array([[1.0, 0.0], [6.0, 5.0], [9.0, 2.0]])
+
+        def cap(r):
+            """The step whose phase reaches PHASE_CAP at separation r."""
+            return PHASE_CAP / (2.0 * np.pi * params.c3 / r**3)
+
+        nu = flight.couplings(t)
+        assert np.array_equal(flight.couplings(t, cap(20.0) * (1.0 - 1e-9)), nu)
+        for r, named in ((20.0, 5.0), (21.0, 5.0), (24.0, 6.0)):
+            # 20 um: only (1, 1); 21 um: also (2, 0), a later step; 24 um:
+            # also (1, 0), the same step in an earlier row
+            with pytest.raises(IntegrationError, match=f"violation at t = {named:g} us"):
+                flight.couplings(t, cap(r) * (1.0 + 1e-9))
+        # a step per time: only the one of (2, 1) is too long
+        step = np.zeros_like(t)
+        step[2, 1] = cap(26.0) * (1.0 + 1e-9)
+        with pytest.raises(IntegrationError, match=r"at t = 2 us: 2\*pi\*nu_max\*dt = 0.05 "):
+            flight.couplings(t, step)
+        step[2, 1] *= 1.0 - 2e-9
+        assert np.array_equal(flight.couplings(t, step), nu)
+
+    def test_one_atom_has_no_couplings(self, params):
+        flight = PairFlight.of_samples(ChainGeometry.line(1, 20.0), params, [None, None])
+        nu = flight.couplings(np.zeros((4, 2)), step=1e6)
+        assert nu.shape == (4, 2, 0)
+
+    def test_of_samples_at_rest_is_static(self, chain3, params):
+        flight = PairFlight.of_samples(chain3, params, [None, None])
+        zeros = PairFlight(chain3, params, np.zeros((2, 3, 3)), np.zeros((2, 3, 3)))
+        assert flight.static
+        assert np.array_equal(flight.couplings(2.0), zeros.couplings(2.0))
+
+    def test_of_samples_stacks_and_validates(self, chain3, params):
+        hot = PhysicalParams(temperature=50.0)
+        samples = [sample_thermal(hot, 3, 1), None]
+        flight = PairFlight.of_samples(chain3, params, samples)
+        explicit = PairFlight(chain3, params,
+                              np.stack([samples[0].displacements, np.zeros((3, 3))]),
+                              np.stack([samples[0].velocities, np.zeros((3, 3))]))
+        assert np.array_equal(flight.couplings(1.5), explicit.couplings(1.5))
+        with pytest.raises(ConfigError, match="at least one realization"):
+            PairFlight.of_samples(chain3, params, [])
+        with pytest.raises(ConfigError, match="does not match"):
+            PairFlight.of_samples(chain3, params, [sample_thermal(hot, 2, 1)])
 
 
 class TestValidate:

@@ -423,6 +423,10 @@ class TestReadoutScan:
         t_raised = float(re.search(r"at t = (\S+) us", str(err.value)).group(1))
         assert t_raised < 10.0
 
+    def test_empty_trajectory_list_refused(self, pair30, params):
+        with pytest.raises(ConfigError, match="at least one realization"):
+            readout_scan(pair30, params, [], [0.5], [], trajectories=[])
+
     @pytest.mark.parametrize("taus", [[], [0.5, 0.5], [-0.1, 0.2]])
     def test_bad_tau_grid_rejected(self, pair30, params, taus):
         with pytest.raises(ConfigError, match="tau grid"):

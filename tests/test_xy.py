@@ -276,7 +276,7 @@ class TestPropagateTimeDependent:
             for row in np.flatnonzero(phase >= PHASE_CAP):
                 first.setdefault(int(row), step)
         assert first[1] < first[0]
-        assert f"at t = {first[1] * h:.4g} us" in str(err.value)
+        assert f"at t = {(first[1] + 0.5) * h:.4g} us" in str(err.value)
 
     def test_step_size_violation_rejected(self, chain3, params):
         with pytest.raises(ConfigError, match="step size"):
