@@ -32,12 +32,18 @@ into its g block.  Populations are diag(M).  The Hermitian
 rho = (M + M^T)/2 + i (M - M^T)/2 is rebuilt only where a complex matrix is
 needed: by the positivity check and for ``SequenceResult.final_state``.
 
+Only the hopping entries of H change with time.  Each segment fills a
+Hamiltonian buffer with its drive once, and for atoms at rest with their
+hopping too; each RK4 stage of moving atoms overwrites just the hopping
+entries, with couplings that ``PairFlight`` evaluates for a chunk of steps
+at once (each step's start, midpoint and end) under a fixed scratch budget.
+
 The step size obeys 2 pi dt max(Omega, delta, nu_max) < 0.05 with additional
 per-segment-kind safety margins chosen so that halving dt changes sampled
-populations by less than 1e-6; ``PairFlight`` checks the couplings of every
-step against that bound (for atoms at rest, once per segment), and every
-sampled or branched state is checked for trace and positivity (a minimum
-eigenvalue below -1e-7 raises IntegrationError).  All states are
+populations by less than 1e-6; ``PairFlight`` checks the couplings at every
+step's start against that bound (for atoms at rest, once per segment), and
+every sampled or branched state is checked for trace and positivity (a
+minimum eigenvalue below -1e-7 raises IntegrationError).  All states are
 batchable: a leading batch axis carries independent thermal realizations,
 and in a readout scan several readout branches of the whole realization
 batch at once.  Those branches run in chunks sized to a fixed scratch
@@ -94,6 +100,8 @@ _BRANCH_BUDGET_BYTES = 2 * 2**20
 # temporaries of the RHS and the check.  Counted generously: tracemalloc
 # measures a peak of about 11 per branch at N = 3.
 _ARRAYS_PER_BRANCH = 20
+#: Scratch bytes the couplings planned for a chunk of RK4 steps may hold.
+_STEP_PLAN_BYTES = 2**18
 
 
 class Level(IntEnum):
@@ -242,19 +250,16 @@ class _OperatorTable:
                 index[1 + i] = index[1 + n_atoms + i] = int(level)
                 per_level.append(tuple(index))
             self.blocks.append(tuple(per_level))
-        # one hopping operator per pair i < j, in PairFlight's default order
+        # flat positions of each pair's hopping entries |d u><u d| + h.c.,
+        # one row per pair i < j in PairFlight's default order
         pairs = [(i, j) for i in range(n_atoms) for j in range(i + 1, n_atoms)]
         hop = []
         for i, j in pairs:
             du_i = _site_operator(_transition(Level.DOWN, Level.UP), i, n_atoms)
             ud_j = _site_operator(_transition(Level.UP, Level.DOWN), j, n_atoms)
             op = du_i @ ud_j
-            hop.append(op + op.T)
-        self.hop_flat = (
-            np.stack([h.reshape(-1) for h in hop])
-            if pairs
-            else np.zeros((0, self.d * self.d))
-        )
+            hop.append(np.flatnonzero(op + op.T))
+        self.hop_index = np.stack(hop) if pairs else np.zeros((0, 0), dtype=np.intp)
 
     @classmethod
     def get(cls, n_atoms: int) -> "_OperatorTable":
@@ -315,15 +320,15 @@ def _unpack(m: np.ndarray) -> np.ndarray:
 @dataclass(slots=True)
 class _SegmentCache:
     """Per-segment constants: drive Hamiltonian, decay rates, step size; for
-    motionless atoms also the full Hamiltonian.  The Hamiltonians are real
-    and in angular units, 2 pi H (rad/us)."""
+    motionless atoms also their (P,) couplings.  The Hamiltonian and the
+    couplings are real and in angular units, 2 pi H and 2 pi nu (rad/us)."""
 
     h_drive_flat: np.ndarray
     w_matrix: np.ndarray
     rates_up: np.ndarray
     rate_down: float
     dt: float
-    h_static: Optional[np.ndarray] = None
+    nu_rest: Optional[np.ndarray] = None
 
 
 class _Engine:
@@ -334,7 +339,9 @@ class _Engine:
     their own time-dependent couplings.  The scratch holds ``self.branches``
     copies of the batch (up to ``branches``, as many as fit the budget), so
     that a state of up to ``self.branches * batch`` rows (branch-major,
-    times of shape (branches, batch)) advances in one pass.
+    times of shape (branches, batch)) advances in one pass.  A segment fills
+    the Hamiltonian buffer once; its RK4 stages rewrite only the hopping
+    entries of moving atoms, from couplings planned per chunk of steps.
     """
 
     def __init__(
@@ -430,34 +437,55 @@ class _Engine:
         )
         if self.flight.static:
             # constant couplings: no step of the segment is longer than dt
-            nu = self.flight.couplings(t_start, dt)[0]
-            h_int = (2.0 * np.pi * nu @ ops.hop_flat).reshape(self.d, self.d)
-            cache.h_static = cache.h_drive_flat.reshape(self.d, self.d) + h_int
+            cache.nu_rest = 2.0 * np.pi * self.flight.couplings(t_start, dt)[0]
         return cache
 
-    def _rhs(self, t, m, cache: _SegmentCache, out, step: float = 0.0) -> np.ndarray:
-        """dM/dt of the packed states M = Re rho + Im rho into ``out``:
+    def _hamiltonian(self, cache: _SegmentCache, rows: int) -> np.ndarray:
+        """The flat (rows, d*d) Hamiltonian buffer filled for one segment:
+        the drive and, for atoms at rest, the hopping.  A hopping entry
+        changes two atoms and a drive entry one or none, so the stages of
+        moving atoms rewrite their hopping (:meth:`_hop`) and keep the drive."""
+        h = self._hflat[:rows]
+        h[...] = cache.h_drive_flat
+        self._hop(h, cache.nu_rest)
+        return h
+
+    def _hop(self, h, nu) -> None:
+        """Write the angular couplings nu, (rows, P) or (P,) for every row,
+        into the hopping entries of the flat Hamiltonians h; None writes none."""
+        if nu is not None:
+            h[:, self.ops.hop_index] = nu[..., None]
+
+    def _step_couplings(self, t_start, h: float, n_steps: int, rows: int):
+        """The angular couplings (3, rows, P) of each RK4 step at its start,
+        midpoint and end, planned a chunk of steps at a time.  Only the
+        starts carry the step size, so a failing step check names the
+        earliest step start."""
+        t_start = np.asarray(t_start)
+        # the step loop's running sum of h, accumulated in the same order
+        offsets = np.cumsum(np.r_[0.0, np.full(n_steps - 1, h)])
+        chunk = _step_chunk(rows, len(self.flight.pairs))
+        for first in range(0, n_steps, chunk):
+            t = t_start + offsets[first : first + chunk].reshape(-1, *(1,) * t_start.ndim)
+            times = np.stack((t, t + 0.5 * h, t + h), axis=1)
+            step = np.zeros_like(times)
+            step[:, 0] = h
+            nu = self.flight.couplings(times, step).reshape(len(t), 3, rows, -1)
+            nu *= 2.0 * np.pi
+            yield from nu
+
+    def _rhs(self, h, m, cache: _SegmentCache, out) -> np.ndarray:
+        """dM/dt of the packed states M = Re rho + Im rho into ``out``, under
+        the angular Hamiltonians h (rows, d, d):
 
             dM/dt = 2 pi (H M - M H)^T - w * M + R[M],
 
         computed as M^T (2 pi H) - (2 pi H) M^T.  R adds, per atom, its
         (up, up) and (down, down) blocks times their decay rates to its
         (g, g) block, through basic-slice views of the level tensor.
-
-        A nonzero ``step`` has ``PairFlight.couplings`` check the couplings
-        at t against an RK4 step of that size; constant couplings were
-        checked once, by :meth:`_segment_cache`.
         """
-        rows, d, ops = len(m), self.d, self.ops
+        rows, ops = len(m), self.ops
         m1, m2 = self._m1[:rows], self._m2[:rows]
-        if cache.h_static is not None:
-            h = cache.h_static
-        else:
-            nu = self.flight.couplings(t, step).reshape(rows, -1)
-            hflat = self._hflat[:rows]
-            np.matmul(2.0 * np.pi * nu, ops.hop_flat, out=hflat)
-            hflat += cache.h_drive_flat
-            h = hflat.reshape(rows, d, d)
         m_t = m.transpose(0, 2, 1)
         np.matmul(m_t, h, out=m1)
         np.matmul(h, m_t, out=m2)
@@ -481,7 +509,9 @@ class _Engine:
 
     def _advance(self, m, t_start, span: float, cache: _SegmentCache):
         """In-place RK4 from t_start over span; t_start has shape (B,), or
-        (branches, B) for a stack of branches."""
+        (branches, B) for a stack of branches.  The Hamiltonian buffer is
+        filled once; a stage of moving atoms rewrites only its hopping
+        entries, and k3 reuses the midpoint entries k2 wrote."""
         if span <= 0.0:
             return m
         n_steps = max(1, int(np.ceil(span / cache.dt)))
@@ -489,16 +519,23 @@ class _Engine:
         rows = len(m)
         k1, k2, k3, k4 = (k[:rows] for k in self._k)
         tmp = self._tmp[:rows]
-        offset = 0.0
-        for _ in range(n_steps):
-            t = t_start + offset
-            self._rhs(t, m, cache, k1, step=h)
+        h_flat = self._hamiltonian(cache, rows)
+        ham = h_flat.reshape(rows, self.d, self.d)
+        if cache.nu_rest is None:
+            plan = self._step_couplings(t_start, h, n_steps, rows)
+        else:
+            plan = [(None,) * 3] * n_steps
+        for nu in plan:
+            self._hop(h_flat, nu[0])
+            self._rhs(ham, m, cache, k1)
             self._axpy(tmp, m, 0.5 * h, k1)
-            self._rhs(t + 0.5 * h, tmp, cache, k2)
+            self._hop(h_flat, nu[1])
+            self._rhs(ham, tmp, cache, k2)
             self._axpy(tmp, m, 0.5 * h, k2)
-            self._rhs(t + 0.5 * h, tmp, cache, k3)
+            self._rhs(ham, tmp, cache, k3)
             self._axpy(tmp, m, h, k3)
-            self._rhs(t + h, tmp, cache, k4)
+            self._hop(h_flat, nu[2])
+            self._rhs(ham, tmp, cache, k4)
             # m += (h/6) (k1 + 2 k2 + 2 k3 + k4), clobbering k2
             k2 += k3
             k2 *= 2.0
@@ -506,7 +543,6 @@ class _Engine:
             k2 += k4
             k2 *= h / 6.0
             m += k2
-            offset += h
         return m
 
     def integrate_segment(self, m, t_start, segment: PulseSegment, snap_offsets=None):
@@ -627,6 +663,14 @@ def run_sequence(
         max_trace_deviation=max_dev,
         final_state=final_state,
     )
+
+
+def _step_chunk(rows: int, n_pairs: int) -> int:
+    """RK4 steps whose couplings are planned together under the budget: per
+    row, each of a step's start, midpoint and end holds a time, a step size,
+    a copy of the time and the (3, P) separation ``PairFlight.couplings``
+    reduces to (P,) couplings, in 8-byte words.  At least one step."""
+    return max(1, _STEP_PLAN_BYTES // (8 * 3 * rows * (3 + 4 * n_pairs)))
 
 
 def _branch_chunk(batch: int, n_atoms: int) -> int:

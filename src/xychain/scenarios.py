@@ -59,11 +59,17 @@ _EPSILON_OPTIONS = {
 }
 
 #: Numeric option checks: the values a key accepts, and the test a real
-#: number must pass for it.
+#: number must pass for it; ``_OPTION_NUMBERS`` for scenario options,
+#: ``_EPSILON_NUMBERS`` for loss-model options.
 _COUNT = ("an integer >= 1", lambda v: isinstance(v, numbers.Integral) and v >= 1)
+_FLOOR = ("a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_SLOPE = ("a finite number", math.isfinite)
+_OPTION_NUMBERS = {
+    "n_realizations": _COUNT, "n_trials": _COUNT, "floor": _FLOOR, "slope": _SLOPE,
+}
 _EPSILON_NUMBERS = {
-    "floor": ("a number in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "slope": ("a finite number", math.isfinite),
+    "floor": _FLOOR,
+    "slope": _SLOPE,
     "trap_depth": ("a finite number > 0", lambda v: math.isfinite(v) and v > 0.0),
     "n_mc": _COUNT,
 }
@@ -712,8 +718,8 @@ def catalog() -> list[ScenarioSpec]:
 def scenario_options(name: str, options: Optional[dict] = None) -> dict:
     """The options a scenario runs with: copies of its defaults, overlaid by
     ``options``.  An unknown scenario, option key, ``epsilon`` key or
-    ``epsilon`` backend or table kind raises ConfigError, and so does an
-    ``n_realizations`` or ``epsilon`` number out of its range."""
+    ``epsilon`` backend or table kind raises ConfigError, and so does a
+    count, ``floor``, ``slope`` or ``epsilon`` number out of its range."""
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ConfigError(f"unknown scenario {name!r} (expected one of: {known})")
@@ -726,8 +732,9 @@ def scenario_options(name: str, options: Optional[dict] = None) -> dict:
                 f"(expected one of: {', '.join(sorted(merged))})"
             )
         merged[key] = value
-    if "n_realizations" in merged:
-        _check_number("options.n_realizations", merged["n_realizations"], *_COUNT)
+    for key, check in _OPTION_NUMBERS.items():
+        if key in merged:
+            _check_number(f"options.{key}", merged[key], *check)
     epsilon = merged.get("epsilon") or {}
     if not isinstance(epsilon, dict):
         raise ConfigError(f"options.epsilon: expected a mapping, got {epsilon!r}")

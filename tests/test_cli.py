@@ -158,11 +158,19 @@ class TestRun:
             ["three-chain", "--n-realizations", "0"],
             ["long-chain", "--n-realizations", "0"],
             ["long-chain", "--set", "options.n_realizations=true"],
+            ["distance-scan", "--set", "options.n_trials=0"],
+            ["distance-scan", "--set", "options.n_trials=2.5"],
+            ["distance-scan", "--set", "options.n_trials=true"],
+            ["calibrate-epsilon", "--set", "options.floor=.nan"],
+            ["calibrate-epsilon", "--set", "options.floor=-0.1"],
+            ["calibrate-epsilon", "--set", "options.slope=.inf"],
         ],
         ids=["n_mc-0", "n_mc-negative", "n_mc-fraction", "floor-nan", "floor-2",
              "slope-inf", "trap_depth-string", "trap_depth-0",
              "two-atom-no-realizations", "three-chain-no-realizations",
-             "long-chain-no-realizations", "realizations-bool"],
+             "long-chain-no-realizations", "realizations-bool", "n_trials-0",
+             "n_trials-fraction", "n_trials-bool", "calibrate-floor-nan",
+             "calibrate-floor-negative", "calibrate-slope-inf"],
     )
     def test_out_of_range_option_exits_2_without_outputs(self, args, tmp_path, capsys):
         out_dir = tmp_path / "out"

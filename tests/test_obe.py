@@ -10,16 +10,20 @@ import pytest
 from scipy.linalg import expm
 
 from oracles import (
+    DOWN,
+    UP,
     hamiltonian_at,
+    ket_bra,
     lindblad_dissipator,
     liouvillian,
+    on_site,
     pack_state,
     unpack_state,
 )
 from xychain import obe, xy
 from xychain.detection import forward_detection, pattern_labels
 from xychain.errors import ConfigError, GeometryError, IntegrationError
-from xychain.model import ChainGeometry, PairFlight, PhysicalParams
+from xychain.model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams
 from xychain.obe import (
     PulseSegment,
     PulseSequence,
@@ -186,7 +190,13 @@ class TestRhsOracle:
             a = rng.normal(size=(batch, d, d)) + 1j * rng.normal(size=(batch, d, d))
             rho = (a + a.conj().transpose(0, 2, 1)) / d
             m = pack_state(rho)
-            out = unpack_state(engine._rhs(np.full(batch, t), m, cache, np.empty_like(m)))
+            # the buffer fill of an RK4 stage at t
+            h = engine._hamiltonian(cache, batch)
+            if moving:
+                engine._hop(h, 2.0 * np.pi * engine.flight.couplings(np.full(batch, t)))
+            out = unpack_state(
+                engine._rhs(h.reshape(batch, d, d), m, cache, np.empty_like(m))
+            )
             for b in range(batch):
                 h = hamiltonian_at(
                     t, segment, params, geometry, samples[b] if moving else None
@@ -195,6 +205,159 @@ class TestRhsOracle:
                     rho[b], params, segment.kind
                 )
                 assert np.abs(out[b] - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("moving", [False, True], ids=["static", "moving"])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_hamiltonian_buffer_matches_dense_build(n_atoms, moving, params):
+    """The stages rewrite only the hopping entries, so the drive must leave
+    them zero, and the filled buffer must equal the dense sum of the drive
+    and every pair's hopping operator times its coupling, bit for bit."""
+    geometry = ChainGeometry.line(n_atoms, 20.0)
+    samples = [sample_thermal(params, n_atoms, s) for s in (5, 6)] if moving else None
+    engine = _Engine(geometry, params, samples)
+    lower = ket_bra(DOWN, UP)
+    hop = np.zeros((len(engine.flight.pairs), 9**n_atoms))
+    for p, (i, j) in enumerate(engine.flight.pairs):
+        op = on_site(lower, i, n_atoms) @ on_site(lower.T, j, n_atoms)
+        hop[p] = (op + op.T).reshape(-1)
+    mask = tuple(k == 0 for k in range(n_atoms))
+    segments = (
+        PulseSegment.optical(0.1),
+        PulseSegment.optical(0.1, addressing_mask=mask),
+        PulseSegment.microwave(0.1),
+        PulseSegment.free(3.0),
+    )
+    batch, t = engine.batch, 1.7
+    for segment in segments:
+        cache = engine._segment_cache(segment, np.zeros(batch))
+        assert np.all(cache.h_drive_flat[hop.any(axis=0)] == 0.0)
+        h = engine._hamiltonian(cache, batch)
+        nu = engine.flight.couplings(np.full(batch, t if moving else 0.0))
+        if moving:
+            engine._hop(h, 2.0 * np.pi * nu)
+        assert np.array_equal(h, cache.h_drive_flat + 2.0 * np.pi * nu @ hop)
+
+
+@pytest.mark.parametrize("moving", [False, True], ids=["static", "moving"])
+@pytest.mark.parametrize("n_atoms", [2, 3])
+def test_step_plan_chunking_does_not_change_output(n_atoms, moving, params, monkeypatch):
+    geometry = ChainGeometry.line(n_atoms, 10.0)
+    samples = [sample_thermal(params, n_atoms, s) for s in (4, 5)] if moving else None
+    prefix = exchange_prefix(params, n_atoms)
+    suffix = deexcite_suffix(params, n_atoms)
+    taus = np.linspace(0.0, 0.4, 5)
+    batch, n_pairs = (2 if moving else 1), n_atoms * (n_atoms - 1) // 2
+    planned, advanced = [], []
+
+    def couplings(flight, t, step=0.0):
+        if np.ndim(t) > 2:
+            planned.append(np.shape(t)[0])
+            # only the step starts, not the midpoints and ends, are checked
+            assert np.all(step[:, 0] > 0.0) and np.all(step[:, 1:] == 0.0)
+        return couplings.wrapped(flight, t, step)
+
+    def advance(engine, m, t_start, span, cache):
+        if span > 0.0:
+            advanced.append(max(1, int(np.ceil(span / cache.dt))))
+        return advance.wrapped(engine, m, t_start, span, cache)
+
+    couplings.wrapped, advance.wrapped = PairFlight.couplings, _Engine._advance
+    monkeypatch.setattr(PairFlight, "couplings", couplings)
+    monkeypatch.setattr(_Engine, "_advance", advance)
+    # one branch at a time, so that every plan has rows = batch
+    monkeypatch.setattr(obe, "_BRANCH_BUDGET_BYTES", 0)
+    per_step = 8 * 3 * batch * (3 + 4 * n_pairs)
+    scans = []
+    # one step at a time, three at a time, whole segments
+    for budget, chunk in ((0, 1), (3 * per_step, 3), (10**9, None)):
+        monkeypatch.setattr(obe, "_STEP_PLAN_BYTES", budget)
+        planned.clear()
+        advanced.clear()
+        scans.append(
+            readout_scan(geometry, params, prefix, taus, suffix, samples, "g" * n_atoms)
+        )
+        if not moving:
+            assert planned == []
+        elif chunk is None:
+            assert planned == advanced
+        else:
+            assert obe._step_chunk(batch, n_pairs) == chunk
+            assert planned == [min(chunk, n - first) for n in advanced
+                               for first in range(0, n, chunk)]
+            assert chunk == 1 or any(n % chunk for n in advanced)  # a partial chunk
+    for scan in scans[1:]:
+        assert np.array_equal(scan.populations, scans[0].populations)
+        assert scan.max_trace_deviation == scans[0].max_trace_deviation
+
+
+def test_step_violation_names_the_earliest_step_start(pair30, params, monkeypatch):
+    # atom 0 passes 2 um from atom 1 at t = 10 us, and the bound is read at
+    # the window start alone, so the planned steps out-run the couplings
+    sample = ThermalSample(
+        displacements=[[0.0, 2.0, 0.0], [0.0, 0.0, 0.0]],
+        velocities=[[3.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        seed=0,
+    )
+    monkeypatch.setattr(
+        PairFlight, "bound",
+        lambda flight, t_lo, t_hi: float(np.abs(flight.couplings(t_lo)).max()),
+    )
+    # replay the free evolution's RK4 steps one at a time
+    engine = _Engine(pair30, params, sample)
+    dt = engine._segment_cache(PulseSegment.free(12.0), np.zeros(1)).dt
+    n_steps = int(np.ceil(12.0 / dt))
+    h, t = 12.0 / n_steps, 0.0
+    for _ in range(n_steps):
+        if 2.0 * np.pi * np.abs(engine.flight.couplings(t)).max() * h >= PHASE_CAP:
+            break
+        t += h
+    else:
+        pytest.fail("no step out-runs its couplings")
+    per_step = 8 * 3 * (3 + 4)  # one row, one pair
+    for budget in (0, 3 * per_step, 10**9):
+        monkeypatch.setattr(obe, "_STEP_PLAN_BYTES", budget)
+        with pytest.raises(IntegrationError, match="step size violation") as err:
+            readout_scan(pair30, params, [], [12.0], [], trajectories=sample,
+                         initial="ud")
+        assert f"at t = {t:.4g} us" in str(err.value)
+
+
+@pytest.mark.parametrize("moving", [False, True], ids=["static", "moving"])
+def test_couplings_are_evaluated_once_per_planned_chunk(chain3, params, moving,
+                                                        monkeypatch):
+    """A regression guard on the count, not the time: the couplings of
+    moving atoms are evaluated once per planned chunk of RK4 steps, those
+    of atoms at rest once per segment cache, never once per stage."""
+    samples = [sample_thermal(params, 3, s) for s in (1, 2)] if moving else None
+    calls = {"couplings": 0, "caches": 0, "chunks": 0, "steps": 0}
+
+    def couplings(flight, t, step=0.0):
+        calls["couplings"] += 1
+        return couplings.wrapped(flight, t, step)
+
+    def segment_cache(engine, *args, **kwargs):
+        calls["caches"] += 1
+        return segment_cache.wrapped(engine, *args, **kwargs)
+
+    def advance(engine, m, t_start, span, cache):
+        if span > 0.0:
+            n_steps = max(1, int(np.ceil(span / cache.dt)))
+            chunk = obe._step_chunk(len(m), len(engine.flight.pairs))
+            calls["steps"] += n_steps
+            calls["chunks"] += -(-n_steps // chunk)
+        return advance.wrapped(engine, m, t_start, span, cache)
+
+    couplings.wrapped, segment_cache.wrapped = PairFlight.couplings, _Engine._segment_cache
+    advance.wrapped = _Engine._advance
+    monkeypatch.setattr(PairFlight, "couplings", couplings)
+    monkeypatch.setattr(_Engine, "_segment_cache", segment_cache)
+    monkeypatch.setattr(_Engine, "_advance", advance)
+    readout_scan(chain3, params, exchange_prefix(params, 3), np.linspace(0.0, 0.6, 7),
+                 deexcite_suffix(params, 3), samples, "ggg")
+    expected = calls["chunks"] if moving else calls["caches"]
+    assert calls["couplings"] == expected
+    assert calls["couplings"] < calls["steps"]
 
 
 class TestRunSequence:
