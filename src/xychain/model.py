@@ -39,16 +39,6 @@ MAGIC_ANGLE = math.acos(1.0 / math.sqrt(3.0))
 _MIN_SEPARATION = 1e-9
 
 
-def to_angular(nu):
-    """Ordinary frequency (MHz) -> angular frequency (rad/us)."""
-    return 2.0 * np.pi * np.asarray(nu)
-
-
-def to_ordinary(omega):
-    """Angular frequency (rad/us) -> ordinary frequency (MHz)."""
-    return np.asarray(omega) / (2.0 * np.pi)
-
-
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -159,9 +149,25 @@ def angular_c3(c3_tilde: float, theta: float) -> float:
     return c3_tilde * (1.0 - 3.0 * math.cos(theta) ** 2)
 
 
-#: Bound on the phase 2*pi*nu*dt one integrator step may advance, shared by
-#: the master-equation and the closed-system step plans.
+#: Bound on the phase 2*pi*nu*dt one closed-system step may advance; the
+#: step checks of both engines are stated against it.
 PHASE_CAP = 0.05
+
+
+def taylor_plan(norm) -> tuple[np.ndarray, np.ndarray]:
+    """Substeps and Taylor orders of exp(A) for ||A|| <= ``norm``.
+
+    The one order rule of both engines (after Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011)): ceil(a) substeps (at least one) of A / substeps,
+    each truncated before the first term k whose size (a / substeps)^k / k!
+    is at most 1e-15, so at most 17 terms, since a / substeps <= 1.  ``norm``
+    is a scalar or an array; both results have its shape.
+    """
+    norm = np.asarray(norm, dtype=float)
+    substeps = np.maximum(1, np.ceil(norm)).astype(int)
+    ratio = (norm / substeps)[..., None] / np.arange(1, 19)
+    orders = np.count_nonzero(np.cumprod(ratio, axis=-1) > 1e-15, axis=-1)
+    return substeps, orders
 
 
 class PairFlight:
@@ -228,9 +234,10 @@ class PairFlight:
 
         ``t`` is a scalar, (B,), or (..., B) for several copies of the batch,
         each at its own times.  Coincident atoms raise GeometryError.  A
-        nonzero ``step`` (scalar, or shaped like ``t``) whose phase
-        2*pi*nu*step reaches ``PHASE_CAP`` raises IntegrationError naming the
-        first such time (earliest leading index, then row).
+        nonzero ``step`` (scalar, or shaped like ``t``; infinite where the
+        couplings must vanish) whose phase 2*pi*nu*step reaches
+        ``PHASE_CAP`` raises IntegrationError naming the first such time
+        (earliest leading index, then row).
         """
         t = np.asarray(t, dtype=float)
         rel = self._relv * (t[..., None, :, None] if t.ndim else t)   # (..., 3, B, P)
@@ -246,7 +253,8 @@ class PairFlight:
         # the closest pair bounds every phase, so the rows are only examined
         # when that bound fails; np.power cubes as the array power above does
         longest = step.max() if isinstance(step, np.ndarray) else step
-        if longest and 2.0 * np.pi * (abs(self.c3) / np.power(r_min, 3)) * longest >= PHASE_CAP:
+        nu_top = abs(self.c3) / np.power(r_min, 3)
+        if longest and nu_top and 2.0 * np.pi * nu_top * longest >= PHASE_CAP:
             phase = 2.0 * np.pi * np.abs(nu).max(axis=-1, initial=0.0) * step  # (..., B)
             over = phase >= PHASE_CAP
             if over.any():

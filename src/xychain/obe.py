@@ -22,9 +22,9 @@ Entries are ordinary frequencies (MHz); the equation of motion is
 
 Every Hamiltonian above is real symmetric and L maps real matrices to real
 ones, so the engine carries rho = A + iB (A symmetric, B antisymmetric) as one
-real matrix M = A + B and integrates, by fixed-step 4th-order Runge-Kutta,
+real matrix M = A + B and integrates
 
-    dM/dt = 2 pi (H M - M H)^T - w * M + R[M],
+    dM/dt = L M = 2 pi (H M - M H)^T - w * M + R[M],
 
 where w_kl = (w_k + w_l)/2 holds the total decay rates w_k of the basis
 states and R moves each atom's up and down blocks, times their decay rates,
@@ -32,18 +32,24 @@ into its g block.  Populations are diag(M).  The Hermitian
 rho = (M + M^T)/2 + i (M - M^T)/2 is rebuilt only where a complex matrix is
 needed: by the positivity check and for ``SequenceResult.final_state``.
 
-Only the hopping entries of H change with time.  Each segment fills a
-Hamiltonian buffer with its drive once, and for atoms at rest with their
-hopping too; each RK4 stage of moving atoms overwrites just the hopping
-entries, with couplings that ``PairFlight`` evaluates for a chunk of steps
-at once (each step's start, midpoint and end) under a fixed scratch budget.
-
-The step size obeys 2 pi dt max(Omega, delta, nu_max) < 0.05 with additional
-per-segment-kind safety margins chosen so that halving dt changes sampled
-populations by less than 1e-6; ``PairFlight`` checks the couplings at every
-step's start against that bound (for atoms at rest, once per segment), and
-every sampled or branched state is checked for trace and positivity (a
-minimum eigenvalue below -1e-7 raises IntegrationError).  All states are
+A step applies exp(h L) by its truncated Taylor series, a sum of repeated
+right-hand sides, to the substeps and order that ``model.taylor_plan`` (the
+closed-system engine's rule) picks from a bound on ||h L||_inf: 2 ||2 pi
+H||_inf, with the hopping bounded through ``PairFlight.bound`` over the
+segment and the diagonal counted from the middle of its range (the
+commutator does not see a multiple of the identity), plus the dissipator's
+norm, the sum of every atom's decay rates.
+Moving atoms take the 4th-order commutator-free Magnus step of Alvermann &
+Fehske, J. Comput. Phys. 230, 5930 (2011): two exponentials over h/2, each of
+the drive and effective couplings from the step's Gauss points.  One step
+size serves the whole batch, h ||L|| <= 2 ``dt_scale``.  Only the hopping
+entries of H change with time: a segment fills a Hamiltonian buffer with its
+drive once (for atoms at rest with the hopping too), and each factor of a
+moving step overwrites the hopping entries, from Gauss-point couplings that
+``PairFlight`` evaluates, and checks against the limit the order was picked
+for, a chunk of steps at a time under a fixed scratch budget.  Every sampled
+or branched state is checked for trace and positivity (a minimum eigenvalue
+below -1e-7 raises IntegrationError).  All states are
 batchable: a leading batch axis carries independent thermal realizations,
 and in a readout scan several readout branches of the whole realization
 batch at once.  Those branches run in chunks sized to a fixed scratch
@@ -54,6 +60,7 @@ size.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import reduce
@@ -62,28 +69,18 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams
+from .model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams, taylor_plan
 from .thermal import ThermalSample
 
 SEGMENT_KINDS = ("optical", "microwave", "free_evolution")
 
-# Safety margins by segment character, tuned empirically so that halving dt
-# changes sampled populations by < 1e-6 end to end and the density matrix
-# stays positive within -1e-7.  Microwave pulses act on nearly pure states
-# whose zero eigenvalues expose the integration error directly; addressed
-# optical pulses carry the largest level splitting relative to the
-# step-control scale; static (motionless) free evolution uses a wider margin
-# because deterministic theory curves are held to the tightest tolerances.
-_MARGIN_OPTICAL = 1.2
-_MARGIN_MICROWAVE = 2.0
-_MARGIN_ADDRESSED = 3.0
-_MARGIN_FREE = 3.0
-_MARGIN_FREE_STATIC = 6.0
-# Error per step scales as (scale*dt)^5 and accumulates over duration*scale
-# steps, so margins widen as (duration*scale / reference)^(1/4) beyond the
-# reference phase budgets below.
-_REF_BUDGET_DRIVE = 0.5
-_REF_BUDGET_FREE = 7.0
+# The CF4 step of h from t applies exp(h (a1 L(t1) + a2 L(t2))) exp(h (a2
+# L(t1) + a1 L(t2))), right factor first, at the Gauss points
+# t1,2 = t + (1/2 -+ sqrt(3)/6) h.  Since a1 + a2 = 1/2, a factor is
+# exp((h/2) L) of the drive and the couplings 2 (a nu(t1) + b nu(t2)).
+_GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_A1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
+_A2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 
 _MAX_OBE_ATOMS = 6
 _POSITIVITY_TOL = -1e-7
@@ -94,13 +91,13 @@ _HERMITIAN_TOL = 1e-12
 #: density matrices while peak memory keeps growing.
 _BRANCH_BUDGET_BYTES = 2 * 2**20
 # B x d x d real arrays one branch occupies while it runs: its state in the
-# branch buffer (1), the engine's four RK4 stages and stage input (5), the RHS
-# scratch and Hamiltonian (3), the complex rho the positivity check hands to
-# eigvalsh (2) and eigvalsh's own copy of it (2), and the elementwise
-# temporaries of the RHS and the check.  Counted generously: tracemalloc
-# measures a peak of about 11 per branch at N = 3.
-_ARRAYS_PER_BRANCH = 20
-#: Scratch bytes the couplings planned for a chunk of RK4 steps may hold.
+# branch buffer (1), the engine's two Taylor terms (2), the RHS scratch and
+# Hamiltonian (3), the complex rho the positivity check hands to eigvalsh (2)
+# and eigvalsh's own copy of it (2), and the elementwise temporaries of the
+# RHS and the check.  Counted generously: tracemalloc measures a peak of
+# about 11 per branch at N = 3.
+_ARRAYS_PER_BRANCH = 17
+#: Scratch bytes the couplings planned for a chunk of CF4 steps may hold.
 _STEP_PLAN_BYTES = 2**18
 
 
@@ -260,6 +257,8 @@ class _OperatorTable:
             op = du_i @ ud_j
             hop.append(np.flatnonzero(op + op.T))
         self.hop_index = np.stack(hop) if pairs else np.zeros((0, 0), dtype=np.intp)
+        #: the number of hopping entries in each row of H
+        self.hop_count = np.bincount(self.hop_index.ravel() // self.d, minlength=self.d)
 
     @classmethod
     def get(cls, n_atoms: int) -> "_OperatorTable":
@@ -319,7 +318,9 @@ def _unpack(m: np.ndarray) -> np.ndarray:
 
 @dataclass(slots=True)
 class _SegmentCache:
-    """Per-segment constants: drive Hamiltonian, decay rates, step size; for
+    """Per-segment constants: drive Hamiltonian, decay rates, the bound
+    ``norm`` on every generator a step applies, the step size, the step
+    ``check`` that ``PairFlight.couplings`` applies to the couplings; for
     motionless atoms also their (P,) couplings.  The Hamiltonian and the
     couplings are real and in angular units, 2 pi H and 2 pi nu (rad/us)."""
 
@@ -327,21 +328,25 @@ class _SegmentCache:
     w_matrix: np.ndarray
     rates_up: np.ndarray
     rate_down: float
+    norm: float
     dt: float
+    check: float
     nu_rest: Optional[np.ndarray] = None
 
 
 class _Engine:
-    """Batched RK4 integrator for the master equation.
+    """Batched exponential integrator for the master equation.
 
     The batch axis carries independent realizations (distinct thermal
     trajectories); all states evolve under the same segment structure but
     their own time-dependent couplings.  The scratch holds ``self.branches``
     copies of the batch (up to ``branches``, as many as fit the budget), so
     that a state of up to ``self.branches * batch`` rows (branch-major,
-    times of shape (branches, batch)) advances in one pass.  A segment fills
-    the Hamiltonian buffer once; its RK4 stages rewrite only the hopping
-    entries of moving atoms, from couplings planned per chunk of steps.
+    times of shape (branches, batch)) advances in one pass.  A segment's
+    step and Taylor orders follow from its norm bound, as the module
+    describes; the CF4 factors of a moving step rewrite only the hopping
+    entries of the Hamiltonian buffer, from couplings planned per chunk of
+    steps.
     """
 
     def __init__(
@@ -366,12 +371,11 @@ class _Engine:
         self.branches = min(branches, _branch_chunk(self.batch, n))
         self.gamma_eff = params.gamma_eff_per_atom(n)
 
-        # scratch buffers for the allocation-free RK4 hot path; a smaller
+        # scratch buffers for the allocation-free Taylor loop; a smaller
         # state uses their leading rows
         rows = self.branches * self.batch
         shape = (rows, self.d, self.d)
-        self._k = [np.empty(shape) for _ in range(4)]
-        self._tmp = np.empty(shape)
+        self._terms = (np.empty(shape), np.empty(shape))
         self._m1 = np.empty(shape)
         self._m2 = np.empty(shape)
         self._hflat = np.empty((rows, self.d * self.d))
@@ -380,10 +384,8 @@ class _Engine:
         """Constants of one segment whose step suits the couplings over
         [t_start, t_end], by default the segment itself."""
         ops, params, n, d = self.ops, self.params, self.n, self.d
-        # drive Hamiltonian (MHz), per-atom detunings and largest Rabi frequency
+        # drive Hamiltonian (MHz)
         h_drive = np.zeros((d, d))
-        delta_eff = np.zeros(n)
-        drive_max = 0.0
         if segment.kind == "optical":
             mask = segment.addressing_mask
             if mask is not None and len(mask) != n:
@@ -397,11 +399,9 @@ class _Engine:
                 h_drive = h_drive + 0.5 * omega_opt[i] * ops.x_gu[i]
                 diag -= delta_eff[i] * ops.diag_rydberg[i]
             h_drive[np.diag_indices(d)] += diag
-            drive_max = float(np.max(np.abs(omega_opt)))
         elif segment.kind == "microwave":
             for i in range(n):
                 h_drive = h_drive + 0.5 * params.omega_mw * ops.x_ud[i]
-            drive_max = abs(params.omega_mw)
         gamma_optical = self.gamma_eff if segment.kind == "optical" else 0.0
         rates_up = params.gamma_up + np.broadcast_to(gamma_optical, (n,)).astype(float)
         rate_down = params.gamma_down
@@ -413,37 +413,28 @@ class _Engine:
         t_start = np.atleast_1d(t_start)
         if t_end is None:
             t_end = t_start + segment.duration
-        nu_max = float(np.max(self.flight.bound(t_start, t_end)))
-        scale = max(drive_max, float(np.max(np.abs(delta_eff))), nu_max)
-        if segment.kind == "free_evolution":
-            margin = _MARGIN_FREE_STATIC if self.flight.static else _MARGIN_FREE
-            budget = _REF_BUDGET_FREE
-        elif np.max(np.abs(delta_eff)) > drive_max:
-            margin = _MARGIN_ADDRESSED
-            budget = _REF_BUDGET_DRIVE
-        elif segment.kind == "microwave":
-            margin = _MARGIN_MICROWAVE
-            budget = _REF_BUDGET_DRIVE
-        else:
-            margin = _MARGIN_OPTICAL
-            budget = _REF_BUDGET_DRIVE
-        margin *= max(1.0, (segment.duration * scale / budget)) ** 0.25
-        if scale <= 0.0:
-            dt = segment.duration
-        else:
-            dt = PHASE_CAP * self.dt_scale / (2.0 * np.pi * scale * margin)
+        # The checked couplings may reach nu_lim = 2 a2 nu_max, above the bound
+        # that couplings at rest equal.  A CF4 factor applies 2 (a nu1 + b nu2),
+        # at most 2 a2 max(|nu1|, |nu2|) for couplings of one sign.
+        nu_lim = 2.0 * _A2 * float(np.max(np.abs(self.flight.bound(t_start, t_end))))
+        nu_hop = nu_lim if self.flight.static else 2.0 * _A2 * nu_lim
+        diag = np.diagonal(h_drive)
+        h_drive_rows = np.abs(h_drive - 0.5 * (diag.max() + diag.min()) * np.eye(d)).sum(axis=1)
+        h_rows = h_drive_rows + ops.hop_count * nu_hop
+        norm = 4.0 * np.pi * float(h_rows.max()) + float(rates_up.sum() + n * rate_down)
         cache = _SegmentCache(
-            2.0 * np.pi * h_drive.reshape(-1), w_matrix, rates_up, rate_down, dt
+            2.0 * np.pi * h_drive.reshape(-1), w_matrix, rates_up, rate_down, norm,
+            dt=2.0 * self.dt_scale / norm if norm > 0.0 else np.inf,
+            check=PHASE_CAP / (2.0 * np.pi * nu_lim) if nu_lim > 0.0 else np.inf,
         )
         if self.flight.static:
-            # constant couplings: no step of the segment is longer than dt
-            cache.nu_rest = 2.0 * np.pi * self.flight.couplings(t_start, dt)[0]
+            cache.nu_rest = 2.0 * np.pi * self.flight.couplings(t_start, cache.check)[0]
         return cache
 
     def _hamiltonian(self, cache: _SegmentCache, rows: int) -> np.ndarray:
         """The flat (rows, d*d) Hamiltonian buffer filled for one segment:
         the drive and, for atoms at rest, the hopping.  A hopping entry
-        changes two atoms and a drive entry one or none, so the stages of
+        changes two atoms and a drive entry one or none, so the CF4 factors of
         moving atoms rewrite their hopping (:meth:`_hop`) and keep the drive."""
         h = self._hflat[:rows]
         h[...] = cache.h_drive_flat
@@ -456,23 +447,23 @@ class _Engine:
         if nu is not None:
             h[:, self.ops.hop_index] = nu[..., None]
 
-    def _step_couplings(self, t_start, h: float, n_steps: int, rows: int):
-        """The angular couplings (3, rows, P) of each RK4 step at its start,
-        midpoint and end, planned a chunk of steps at a time.  Only the
-        starts carry the step size, so a failing step check names the
-        earliest step start."""
+    def _cf4_couplings(self, t_start, h: float, n_steps: int, rows: int, check: float):
+        """The effective angular couplings (2, rows, P) of each CF4 step's
+        factors, the first to act first, planned a chunk of steps at a time
+        from the couplings at the Gauss points.  Every Gauss point is checked
+        against ``check`` in time order, so a failing check names the
+        earliest."""
         t_start = np.asarray(t_start)
-        # the step loop's running sum of h, accumulated in the same order
-        offsets = np.cumsum(np.r_[0.0, np.full(n_steps - 1, h)])
+        nodes = np.multiply(_GAUSS_NODES, h).reshape(-1, *(1,) * t_start.ndim)
         chunk = _step_chunk(rows, len(self.flight.pairs))
         for first in range(0, n_steps, chunk):
-            t = t_start + offsets[first : first + chunk].reshape(-1, *(1,) * t_start.ndim)
-            times = np.stack((t, t + 0.5 * h, t + h), axis=1)
-            step = np.zeros_like(times)
-            step[:, 0] = h
-            nu = self.flight.couplings(times, step).reshape(len(t), 3, rows, -1)
-            nu *= 2.0 * np.pi
-            yield from nu
+            starts = np.arange(first, min(first + chunk, n_steps)) * h
+            times = t_start + starts.reshape(-1, 1, *(1,) * t_start.ndim) + nodes
+            nu = self.flight.couplings(times, check).reshape(len(starts), 2, rows, -1)
+            nu1, nu2 = nu[:, 0], nu[:, 1]
+            factors = np.stack((_A2 * nu1 + _A1 * nu2, _A1 * nu1 + _A2 * nu2), axis=1)
+            factors *= 4.0 * np.pi
+            yield from factors
 
     def _rhs(self, h, m, cache: _SegmentCache, out) -> np.ndarray:
         """dM/dt of the packed states M = Re rho + Im rho into ``out``, under
@@ -501,48 +492,41 @@ class _Engine:
             out_g += cache.rate_down * m_levels[down]
         return out
 
-    @staticmethod
-    def _axpy(out, x, alpha: float, y):
-        """out = x + alpha * y."""
-        np.multiply(y, alpha, out=out)
-        out += x
+    def _taylor(self, m, ham, cache: _SegmentCache, tau: float, count: int, order: int):
+        """Apply exp(tau L) ``count`` times to the packed states m in place,
+        each by its Taylor series to ``order`` terms: a term is L of the
+        term before, times tau / k."""
+        terms = [buffer[: len(m)] for buffer in self._terms]
+        for _ in range(count):
+            term = m
+            for k in range(1, order + 1):
+                out = self._rhs(ham, term, cache, terms[k % 2])
+                out *= tau / k
+                m += out
+                term = out
+        return m
 
     def _advance(self, m, t_start, span: float, cache: _SegmentCache):
-        """In-place RK4 from t_start over span; t_start has shape (B,), or
-        (branches, B) for a stack of branches.  The Hamiltonian buffer is
-        filled once; a stage of moving atoms rewrites only its hopping
-        entries, and k3 reuses the midpoint entries k2 wrote."""
+        """Advance the packed states in place from t_start over span, in
+        equal steps no longer than the segment's; t_start has shape (B,), or
+        (branches, B) for a stack of branches.  Atoms at rest take exp(h L)
+        per step; moving atoms take the two factors of a CF4 step, each a
+        rewrite of the hopping entries and exp(h L / 2)."""
         if span <= 0.0:
             return m
         n_steps = max(1, int(np.ceil(span / cache.dt)))
         h = span / n_steps
         rows = len(m)
-        k1, k2, k3, k4 = (k[:rows] for k in self._k)
-        tmp = self._tmp[:rows]
         h_flat = self._hamiltonian(cache, rows)
         ham = h_flat.reshape(rows, self.d, self.d)
-        if cache.nu_rest is None:
-            plan = self._step_couplings(t_start, h, n_steps, rows)
-        else:
-            plan = [(None,) * 3] * n_steps
-        for nu in plan:
-            self._hop(h_flat, nu[0])
-            self._rhs(ham, m, cache, k1)
-            self._axpy(tmp, m, 0.5 * h, k1)
-            self._hop(h_flat, nu[1])
-            self._rhs(ham, tmp, cache, k2)
-            self._axpy(tmp, m, 0.5 * h, k2)
-            self._rhs(ham, tmp, cache, k3)
-            self._axpy(tmp, m, h, k3)
-            self._hop(h_flat, nu[2])
-            self._rhs(ham, tmp, cache, k4)
-            # m += (h/6) (k1 + 2 k2 + 2 k3 + k4), clobbering k2
-            k2 += k3
-            k2 *= 2.0
-            k2 += k1
-            k2 += k4
-            k2 *= h / 6.0
-            m += k2
+        if cache.nu_rest is not None:
+            substeps, order = taylor_plan(h * cache.norm)
+            return self._taylor(m, ham, cache, h / substeps, n_steps * substeps, order)
+        substeps, order = taylor_plan(0.5 * h * cache.norm)
+        for factors in self._cf4_couplings(t_start, h, n_steps, rows, cache.check):
+            for nu in factors:
+                self._hop(h_flat, nu)
+                self._taylor(m, ham, cache, 0.5 * h / substeps, substeps, order)
         return m
 
     def integrate_segment(self, m, t_start, segment: PulseSegment, snap_offsets=None):
@@ -666,11 +650,12 @@ def run_sequence(
 
 
 def _step_chunk(rows: int, n_pairs: int) -> int:
-    """RK4 steps whose couplings are planned together under the budget: per
-    row, each of a step's start, midpoint and end holds a time, a step size,
-    a copy of the time and the (3, P) separation ``PairFlight.couplings``
-    reduces to (P,) couplings, in 8-byte words.  At least one step."""
-    return max(1, _STEP_PLAN_BYTES // (8 * 3 * rows * (3 + 4 * n_pairs)))
+    """CF4 steps whose couplings are planned together under the budget: per
+    row, each of a step's two Gauss points holds a time and the (3, P)
+    separation ``PairFlight.couplings`` reduces to (P,) couplings, and each
+    of its two factors (P,) effective couplings and their temporary, in
+    8-byte words.  At least one step."""
+    return max(1, _STEP_PLAN_BYTES // (8 * 2 * rows * (1 + 6 * n_pairs)))
 
 
 def _branch_chunk(batch: int, n_atoms: int) -> int:

@@ -1,4 +1,4 @@
-"""Thermal position/velocity sampling, free flight, and Monte-Carlo averaging.
+"""Thermal position/velocity sampling and Monte-Carlo averaging.
 
 Atoms sit in harmonic microtraps while cold, but the traps are switched off
 for the whole pulse sequence, so each atom flies ballistically from a
@@ -67,10 +67,9 @@ class ThermalSample:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Mean and standard error over seeded Monte-Carlo realizations."""
+    """Mean over seeded Monte-Carlo realizations."""
 
     mean: np.ndarray
-    stderr: np.ndarray
     n_realizations: int
 
 
@@ -84,13 +83,6 @@ def sample_thermal(params: PhysicalParams, n_atoms: int, seed: int) -> ThermalSa
     r0 = rng.normal(0.0, sigma_position(params), size=(n_atoms, 3))
     v0 = rng.normal(0.0, sigma_velocity(params), size=(n_atoms, 3))
     return ThermalSample(displacements=r0, velocities=v0, seed=seed)
-
-
-def free_flight(sample: ThermalSample, t: float) -> np.ndarray:
-    """Displacement of every atom at time t (us): r0 + v0 t."""
-    if t < 0:
-        raise ValueError(f"free flight time must be >= 0, got {t}")
-    return sample.displacements + sample.velocities * t
 
 
 def realization_seeds(base_seed: int, n_realizations: int) -> list[int]:
@@ -147,12 +139,7 @@ def monte_carlo(
     stacked = np.concatenate(results, axis=0)
     if len(stacked) != n_realizations:
         raise ValueError(f"run returned {len(stacked)} results for {n_realizations} seeds")
-    mean = stacked.mean(axis=0)
-    if n_realizations == 1:
-        stderr = np.zeros_like(mean)
-    else:
-        stderr = stacked.std(axis=0, ddof=1) / np.sqrt(n_realizations)
-    return EnsembleResult(mean=mean, stderr=stderr, n_realizations=n_realizations)
+    return EnsembleResult(mean=stacked.mean(axis=0), n_realizations=n_realizations)
 
 
 def recapture_epsilon(

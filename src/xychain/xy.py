@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams
+from .model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams, taylor_plan
 from .thermal import ThermalSample
 
 RANGE_MODES = ("full", "nearest_neighbor")
@@ -203,19 +203,16 @@ def _step_count(duration: float, dt: np.ndarray) -> np.ndarray:
 def _taylor_plan(norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Substeps and Taylor weights of exp(A) for rows of a = ||A||_inf = ``norm``.
 
-    ``norm`` has shape (..., B).  Each row takes ceil(a) substeps (at least
-    one) of A / substeps, and in each the smallest order m whose first
-    omitted term (a / substeps)^(m+1) / (m+1)! is at most 1e-15; 17
-    suffices, since a / substeps <= 1.  Returns the (..., B) substeps and
+    ``norm`` has shape (..., B).  Each row takes the substeps and order
+    that :func:`xychain.model.taylor_plan` picks from its own norm.
+    Returns the (..., B) substeps and
     the (..., U, 18, B, 1, 1) weights 1/k of the k-th term in substep u,
     zero past the row's order and in the substeps past its count, with U
     the largest count.  Every choice is the row's own, so a row's weights do
     not depend on the other rows.
     """
-    substeps = np.maximum(1, np.ceil(norm)).astype(int)
+    substeps, orders = taylor_plan(norm)
     k = np.arange(1, 19)[:, None]
-    ratio = (norm / substeps)[..., None, :] / k                       # (..., 18, B)
-    orders = np.count_nonzero(np.cumprod(ratio, axis=-2) > 1e-15, axis=-2)
     sub = np.arange(substeps.max(initial=1))[:, None, None]
     active = np.where(sub < substeps[..., None, None, :], orders[..., None, None, :], 0)
     weights = np.where(k <= active, 1.0 / k, 0.0)                     # (..., U, 18, B)

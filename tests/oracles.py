@@ -15,7 +15,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from xychain.model import PHASE_CAP, PairFlight
-from xychain.thermal import free_flight
 
 # single-atom levels in the order of the master equation's product basis
 G, UP, DOWN = 0, 1, 2
@@ -87,6 +86,13 @@ def midpoint_populations(geometry, params, sample, initial, times):
         t_now = t_target
         pops[:, k] = np.abs(psi) ** 2
     return pops
+
+
+def free_flight(sample, t: float) -> np.ndarray:
+    """Displacement of every atom of a thermal sample at time t (us): r0 + v0 t."""
+    if t < 0:
+        raise ValueError(f"free flight time must be >= 0, got {t}")
+    return sample.displacements + sample.velocities * t
 
 
 def ket_bra(a: int, b: int) -> np.ndarray:
@@ -174,11 +180,12 @@ def unpack_state(m) -> np.ndarray:
     return 0.5 * (m + m_t) + 0.5j * (m - m_t)
 
 
-def liouvillian(segment, params, geometry) -> np.ndarray:
-    """Superoperator (d^2, d^2) of -2 pi i [H, rho] + L[rho] for atoms at
-    rest, acting on row-major flattened rho; assembled column by column from
-    ``hamiltonian_at`` and ``lindblad_dissipator`` on the basis matrices."""
-    h = hamiltonian_at(0.0, segment, params, geometry)
+def liouvillian(segment, params, geometry, t=0.0, sample=None) -> np.ndarray:
+    """Superoperator (d^2, d^2) of -2 pi i [H, rho] + L[rho] at time t (for
+    atoms at rest without a sample), acting on row-major flattened rho;
+    assembled column by column from ``hamiltonian_at`` and
+    ``lindblad_dissipator`` on the basis matrices."""
+    h = hamiltonian_at(t, segment, params, geometry, sample)
     d = len(h)
     columns = []
     for k in range(d * d):

@@ -11,23 +11,13 @@ from xychain.model import (
     PhysicalParams,
     angular_c3,
     pair_coupling,
-    to_angular,
-    to_ordinary,
     validate,
 )
-from xychain.thermal import free_flight, sample_thermal
+from xychain.thermal import sample_thermal
+
+from oracles import free_flight
 
 A20 = 7965.0 / 20**3  # nearest-neighbor coupling at 20 um
-
-
-class TestUnits:
-    def test_round_trip_is_machine_exact(self, rng):
-        nu = rng.uniform(1e-3, 1e3, size=200)
-        back = to_ordinary(to_angular(nu))
-        assert np.all(np.abs(back - nu) <= 2 * np.finfo(float).eps * np.abs(nu))
-
-    def test_one_mhz_is_one_cycle_per_us(self):
-        assert to_angular(1.0) == pytest.approx(2 * np.pi)
 
 
 class TestAngularC3:

@@ -6,7 +6,6 @@ from xychain.thermal import (
     EnsembleResult,
     MonteCarloError,
     ThermalSample,
-    free_flight,
     monte_carlo,
     realization_seeds,
     recapture_epsilon,
@@ -14,6 +13,8 @@ from xychain.thermal import (
     sigma_position,
     sigma_velocity,
 )
+
+from oracles import free_flight
 
 
 class TestSampling:
@@ -70,16 +71,6 @@ class TestMonteCarlo:
             lambda seeds: np.array([[float(seed % 7), 1.0] for seed in seeds]), 1, 99
         )
         assert result.n_realizations == 1
-        assert np.all(result.stderr == 0.0)
-
-    def test_zero_temperature_has_zero_variance(self):
-        params = PhysicalParams(temperature=0.0)
-
-        def run(seeds):
-            return np.stack([sample_thermal(params, 3, s).displacements.ravel() for s in seeds])
-
-        result = monte_carlo(run, 10, 4)
-        assert np.all(result.stderr == 0.0)
 
     def test_mean_is_order_independent(self):
         def run(seeds):
@@ -88,7 +79,6 @@ class TestMonteCarlo:
         sequential = monte_carlo(run, 24, 123, n_workers=1)
         threaded = monte_carlo(run, 24, 123, n_workers=4)
         assert np.array_equal(sequential.mean, threaded.mean)
-        assert np.array_equal(sequential.stderr, threaded.stderr)
 
     def test_seeds_are_deterministic(self):
         assert realization_seeds(42, 5) == realization_seeds(42, 5)
@@ -110,7 +100,7 @@ class TestMonteCarlo:
         with pytest.raises(MonteCarloError, match=r"realizations 0-2 failed together"):
             monte_carlo(run, 3, 7)
 
-    def test_mean_and_stderr_definitions(self):
+    def test_mean_definition(self):
         values = {}
 
         def run(seeds):
@@ -123,7 +113,6 @@ class TestMonteCarlo:
         result = monte_carlo(run, 4, 0)
         data = np.array([0.0, 1.0, 2.0, 3.0])
         assert result.mean[0] == pytest.approx(data.mean())
-        assert result.stderr[0] == pytest.approx(data.std(ddof=1) / 2.0)
 
 
 class TestRecapture:
@@ -158,5 +147,5 @@ class TestRecapture:
 
 class TestEnsembleResult:
     def test_fields(self):
-        result = EnsembleResult(mean=np.ones(3), stderr=np.zeros(3), n_realizations=5)
+        result = EnsembleResult(mean=np.ones(3), n_realizations=5)
         assert result.n_realizations == 5
