@@ -149,8 +149,8 @@ def angular_c3(c3_tilde: float, theta: float) -> float:
     return c3_tilde * (1.0 - 3.0 * math.cos(theta) ** 2)
 
 
-#: Bound on the phase 2*pi*nu*dt one closed-system step may advance; the
-#: step checks of both engines are stated against it.
+#: Phase 2*pi*nu*step at which ``PairFlight.couplings`` refuses a coupling;
+#: the step checks of both engines are stated against it.
 PHASE_CAP = 0.05
 
 
@@ -168,6 +168,37 @@ def taylor_plan(norm) -> tuple[np.ndarray, np.ndarray]:
     ratio = (norm / substeps)[..., None] / np.arange(1, 19)
     orders = np.count_nonzero(np.cumprod(ratio, axis=-1) > 1e-15, axis=-1)
     return substeps, orders
+
+
+# The CF4 step of h from t (Alvermann & Fehske, J. Comput. Phys. 230, 5930
+# (2011)) applies exp(h (a1 L(t1) + a2 L(t2))) exp(h (a2 L(t1) + a1 L(t2))),
+# right factor first, at the Gauss points t1,2 = t + (1/2 -+ sqrt(3)/6) h.
+# Since a1 + a2 = 1/2, a factor is exp((h/2) L) at the effective couplings
+# 2 (a nu(t1) + b nu(t2)).
+_GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_A1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
+_A2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+
+
+def cf4_couplings(flight: "PairFlight", starts, h, check=0.0) -> np.ndarray:
+    """Effective couplings (MHz) of the two factors of CF4 steps, (S, 2, ..., B, P).
+
+    The steps start at the (S, ..., B) ``starts`` and last ``h`` (a scalar or
+    shaped like ``starts``).  Factor 0 acts first, with 2 (a2 nu(t1) + a1
+    nu(t2)); factor 1 takes 2 (a1 nu(t1) + a2 nu(t2)).  Every Gauss point
+    is checked by ``flight.couplings`` against ``check`` (a scalar or shaped
+    like ``starts``) in time order, so a failing check names the earliest.
+    A pair's two couplings share the sign of c3 and a1 < 0 < a2, so a
+    factor's coupling is at most 2 a2 times the larger magnitude of the two.
+    """
+    starts = np.expand_dims(starts, 1)
+    h, check = (np.expand_dims(a, 1) if np.ndim(a) else a for a in (h, check))
+    nodes = np.reshape(_GAUSS_NODES, (2,) + (1,) * (starts.ndim - 2))
+    nu = flight.couplings(starts + nodes * h, check)
+    nu1, nu2 = nu[:, 0], nu[:, 1]
+    factors = np.stack((_A2 * nu1 + _A1 * nu2, _A1 * nu1 + _A2 * nu2), axis=1)
+    factors *= 2.0
+    return factors
 
 
 class PairFlight:
@@ -267,13 +298,14 @@ class PairFlight:
         return nu
 
     def bound(self, t_lo, t_hi) -> np.ndarray:
-        """Largest coupling (MHz) each realization reaches for t in [t_lo, t_hi].
+        """Largest coupling magnitude (MHz) of each pair for t in [t_lo, t_hi].
 
         Free flight is ballistic, so the smallest separation of a pair is at
         a window end or at the vertex of |rel0 + relv t|^2 when that falls
         inside the window; sizing a fixed step from this bound keeps it valid
         even when a thermal draw brings atoms closer together mid-window.
-        ``t_lo`` and ``t_hi`` are scalars or (B,); the result is (B,).
+        ``t_lo`` and ``t_hi`` are scalars or (B,); the result is |c3| /
+        r_min^3 of shape (B, P).
         """
         t_lo = np.asarray(t_lo, dtype=float).reshape(-1, 1)
         t_hi = np.asarray(t_hi, dtype=float).reshape(-1, 1)
@@ -290,10 +322,9 @@ class PairFlight:
         rel_star = rel0 + relv * np.where(in_window, t_star, 0.0)
         r_star_sq = np.where(in_window, (rel_star**2).sum(axis=0), np.inf)
         r = np.sqrt(np.minimum(r_sq, r_star_sq))
-        r_min = r.min(axis=-1, initial=np.inf)
-        if (r_min < _MIN_SEPARATION).any():
+        if r.min(initial=np.inf) < _MIN_SEPARATION:
             raise self._coincident(r)
-        return self.c3 / r_min**3
+        return abs(self.c3) / r**3
 
 
 def pair_coupling(

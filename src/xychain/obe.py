@@ -45,8 +45,9 @@ the drive and effective couplings from the step's Gauss points.  One step
 size serves the whole batch, h ||L|| <= 2 ``dt_scale``.  Only the hopping
 entries of H change with time: a segment fills a Hamiltonian buffer with its
 drive once (for atoms at rest with the hopping too), and each factor of a
-moving step overwrites the hopping entries, from Gauss-point couplings that
-``PairFlight`` evaluates, and checks against the limit the order was picked
+moving step overwrites the hopping entries with the effective couplings of
+``model.cf4_couplings`` (the closed-system engine's step), whose
+Gauss-point couplings are checked against the limit the order was picked
 for, a chunk of steps at a time under a fixed scratch budget.  Every sampled
 or branched state is checked for trace and positivity (a minimum eigenvalue
 below -1e-7 raises IntegrationError).  All states are
@@ -60,7 +61,6 @@ size.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import reduce
@@ -69,18 +69,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams, taylor_plan
+from .model import (_A2, PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams,
+                    cf4_couplings, taylor_plan)
 from .thermal import ThermalSample
 
 SEGMENT_KINDS = ("optical", "microwave", "free_evolution")
-
-# The CF4 step of h from t applies exp(h (a1 L(t1) + a2 L(t2))) exp(h (a2
-# L(t1) + a1 L(t2))), right factor first, at the Gauss points
-# t1,2 = t + (1/2 -+ sqrt(3)/6) h.  Since a1 + a2 = 1/2, a factor is
-# exp((h/2) L) of the drive and the couplings 2 (a nu(t1) + b nu(t2)).
-_GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-_A1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
-_A2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 
 _MAX_OBE_ATOMS = 6
 _POSITIVITY_TOL = -1e-7
@@ -416,7 +409,7 @@ class _Engine:
         # The checked couplings may reach nu_lim = 2 a2 nu_max, above the bound
         # that couplings at rest equal.  A CF4 factor applies 2 (a nu1 + b nu2),
         # at most 2 a2 max(|nu1|, |nu2|) for couplings of one sign.
-        nu_lim = 2.0 * _A2 * float(np.max(np.abs(self.flight.bound(t_start, t_end))))
+        nu_lim = 2.0 * _A2 * float(np.max(np.abs(self.flight.bound(t_start, t_end)), initial=0.0))
         nu_hop = nu_lim if self.flight.static else 2.0 * _A2 * nu_lim
         diag = np.diagonal(h_drive)
         h_drive_rows = np.abs(h_drive - 0.5 * (diag.max() + diag.min()) * np.eye(d)).sum(axis=1)
@@ -450,19 +443,16 @@ class _Engine:
     def _cf4_couplings(self, t_start, h: float, n_steps: int, rows: int, check: float):
         """The effective angular couplings (2, rows, P) of each CF4 step's
         factors, the first to act first, planned a chunk of steps at a time
-        from the couplings at the Gauss points.  Every Gauss point is checked
-        against ``check`` in time order, so a failing check names the
-        earliest."""
+        by :func:`xychain.model.cf4_couplings`, which checks every Gauss
+        point against ``check`` in time order."""
         t_start = np.asarray(t_start)
-        nodes = np.multiply(_GAUSS_NODES, h).reshape(-1, *(1,) * t_start.ndim)
         chunk = _step_chunk(rows, len(self.flight.pairs))
         for first in range(0, n_steps, chunk):
             starts = np.arange(first, min(first + chunk, n_steps)) * h
-            times = t_start + starts.reshape(-1, 1, *(1,) * t_start.ndim) + nodes
-            nu = self.flight.couplings(times, check).reshape(len(starts), 2, rows, -1)
-            nu1, nu2 = nu[:, 0], nu[:, 1]
-            factors = np.stack((_A2 * nu1 + _A1 * nu2, _A1 * nu1 + _A2 * nu2), axis=1)
-            factors *= 4.0 * np.pi
+            starts = t_start + starts.reshape(-1, *(1,) * t_start.ndim)
+            factors = cf4_couplings(self.flight, starts, h, check)
+            factors = factors.reshape(len(starts), 2, rows, -1)
+            factors *= 2.0 * np.pi
             yield from factors
 
     def _rhs(self, h, m, cache: _SegmentCache, out) -> np.ndarray:

@@ -9,22 +9,27 @@ eigen-decomposition:
 
     psi(t) = sum_k exp(-2 pi i lambda_k t) <v_k|psi0> v_k
 
-Time-dependent couplings (thermal motion) are handled by fixed-step
-piecewise-constant propagation of all realizations at once.  Each step
-applies exp(-2 pi i H h) of the midpoint matrix H through a truncated Taylor
-series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), whose order
-each realization picks from its own matrix norm so that the first omitted
-term is at most 1e-15.  The truncation does not preserve the norm exactly:
+Time-dependent couplings (thermal motion) are handled by propagating all
+realizations at once with the master equation's step, the 4th-order
+commutator-free Magnus step (CF4) of Alvermann & Fehske, J. Comput. Phys.
+230, 5930 (2011): two exponentials over h/2, at effective couplings from the
+step's two Gauss points (``model.cf4_couplings``).  Each exponential is
+applied through a truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 488 (2011)), whose order each realization picks from its own
+matrix norm so that the first omitted term is at most 1e-15.  A
+realization's step h obeys h 2 pi R <= 1, where R bounds the row sums of its
+hopping matrix over the run, so every factor's norm is at most a2 = 0.54 and
+one series covers it.  The truncation does not preserve the norm exactly:
 over 80 twenty-atom realizations of 10 us at 50 uK it deviated from 1 by at
-most 1.1e-14 (Taylor orders 8-9), and the populations stayed within 6.1e-14
-of the exact midpoint exponential.
+most 5.3e-15 (Taylor orders 12-13), and the populations stayed within
+4.7e-15 of the exact exponentials of the same steps.
 
 Each sample interval is set up before its steps run, in chunks of steps
-under a fixed scratch budget (``_STEP_BUDGET_BYTES``) by one function, with
-no object holding buffers: the midpoint couplings of all its steps and
-realizations in one call, checked against their steps by ``PairFlight``,
-and each realization's norms, Taylor orders and generator entries.  A step
-then gathers its own generator and runs the products of its Taylor series.
+under a fixed scratch budget (``_STEP_BUDGET_BYTES``), with no object
+holding buffers: the Gauss-point couplings of all its steps and
+realizations in one call, checked by ``PairFlight``, and each factor's
+norms, Taylor orders and generator entries.  A factor then gathers its own
+generator and runs the products of its Taylor series.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams, taylor_plan
+from .model import (PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams, cf4_couplings,
+                    taylor_plan)
 from .thermal import ThermalSample
 
 RANGE_MODES = ("full", "nearest_neighbor")
@@ -176,89 +182,62 @@ _STEP_BUDGET_BYTES = 2**20
 
 
 def _step_chunk(rows: int, n: int, n_pairs: int) -> int:
-    """Steps of one sample interval that are set up together under the budget.
+    """CF4 steps of one sample interval that are set up together under the budget.
 
-    Each row holds, for every step of the chunk, its (P,) couplings while
-    ``PairFlight.couplings`` computes them from a (3, P) separation, their
-    magnitudes and complex generator entries with a zero slot, the (N, N)
-    gathered magnitudes whose row sums give the norm, and two 18-term
-    arrays of the Taylor plan; and once, the complex (N, N) generator a
-    step gathers and a few (N,) complex states of the matrix-vector products.
-    Counted in 8-byte words, at least one step.
+    Each row holds, for every step of the chunk, the (3, P) separations and
+    (P,) couplings that ``PairFlight.couplings`` computes at the two Gauss
+    points, and for each of the two factors its (P,) effective couplings,
+    their magnitudes and complex generator entries with a zero slot, the
+    (N, N) gathered magnitudes whose row sums give the norm, and an 18-term
+    weight array; and once, the complex (N, N) generator a factor gathers
+    and a few (N,) complex states of the matrix-vector products.  Counted
+    in 8-byte words, at least one step.
     """
-    per_step = n * n + 7 * (n_pairs + 1) + 3 * 18
+    per_step = 8 * n_pairs + 2 * (n * n + 4 * (n_pairs + 1) + 18)
     fixed = 2 * n * n + 8 * n
     words = _STEP_BUDGET_BYTES // np.dtype(float).itemsize // rows
     return max(1, (words - fixed) // per_step)
 
 
-def _step_count(duration: float, dt: np.ndarray) -> np.ndarray:
-    """Steps per row for one sample interval: none if it is empty, else
-    ceil(duration / dt), at least one."""
+def _step_count(duration: float, rate: np.ndarray) -> np.ndarray:
+    """Steps per row for one sample interval: none if it is empty, else the
+    fewest equal steps h with h * rate <= 1, at least one."""
     if duration <= 0.0:
-        return np.zeros(dt.shape, dtype=int)
-    return np.maximum(1, np.ceil(duration / dt)).astype(int)
+        return np.zeros(rate.shape, dtype=int)
+    return np.maximum(1, np.ceil(duration * rate)).astype(int)
 
 
-def _taylor_plan(norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Substeps and Taylor weights of exp(A) for rows of a = ||A||_inf = ``norm``.
+def _row_norm(magnitudes: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Infinity norms (...,) of the hopping matrices whose (..., P) entry
+    magnitudes the ``slots`` of :func:`_pair_slots` gather."""
+    padded = np.zeros(magnitudes.shape[:-1] + (magnitudes.shape[-1] + 1,))
+    padded[..., :-1] = magnitudes
+    return padded.take(slots, axis=-1).sum(axis=-1).max(axis=-1)
 
-    ``norm`` has shape (..., B).  Each row takes the substeps and order
-    that :func:`xychain.model.taylor_plan` picks from its own norm.
-    Returns the (..., B) substeps and
-    the (..., U, 18, B, 1, 1) weights 1/k of the k-th term in substep u,
-    zero past the row's order and in the substeps past its count, with U
-    the largest count.  Every choice is the row's own, so a row's weights do
-    not depend on the other rows.
-    """
-    substeps, orders = taylor_plan(norm)
-    k = np.arange(1, 19)[:, None]
-    sub = np.arange(substeps.max(initial=1))[:, None, None]
-    active = np.where(sub < substeps[..., None, None, :], orders[..., None, None, :], 0)
-    weights = np.where(k <= active, 1.0 / k, 0.0)                     # (..., U, 18, B)
-    return substeps, weights[..., None, None]
+
+def _taylor_weights(orders: np.ndarray) -> np.ndarray:
+    """Weights (M, B, 1, 1) of the Taylor series of exp(A) to the (B,)
+    ``orders`` (from :func:`xychain.model.taylor_plan`): 1/k for term k up
+    to the row's order, zero past it, with M the largest order.  A row's
+    weights do not depend on the other rows."""
+    k = np.arange(1, orders.max(initial=0) + 1)[:, None]
+    return np.where(k <= orders, 1.0 / k, 0.0)[..., None, None]
 
 
 def _taylor_apply(generator: np.ndarray, weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Apply the truncated Taylor series of exp(A) to every row of psi.
 
-    ``generator`` is (B, N, N) complex and holds A_b / substeps_b, ``psi``
-    is (B, N, 1) and ``weights`` (U, M, B, 1, 1) as from
-    :func:`_taylor_plan`, cut to the U substeps and M terms the step needs.
-    A row past its order or its substep count adds exact zeros, so its
-    result does not depend on the other rows of the batch.
+    ``generator`` is (B, N, N) complex and holds A_b, ``psi`` is (B, N, 1)
+    and ``weights`` (M, B, 1, 1) as from :func:`_taylor_weights`.  A row
+    past its order adds exact zeros, so its result does not depend on the
+    other rows of the batch.
     """
-    for per_term in weights:
-        term, psi = psi, psi.copy()
-        for weight in per_term:
-            term = np.matmul(generator, term)
-            term *= weight
-            psi += term
+    term, psi = psi, psi.copy()
+    for weight in weights:
+        term = np.matmul(generator, term)
+        term *= weight
+        psi += term
     return psi
-
-
-def _plan_steps(flight: PairFlight, slots: np.ndarray, start: np.ndarray,
-                h_step: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Set up S steps of every row from their (S, B) starts and lengths.
-
-    Takes the couplings at every step's midpoint, checked against the step
-    by ``flight``, and picks each row's substeps and Taylor weights from the
-    infinity norm of its generator A = -2*pi*i*H*h (gathered through the
-    ``slots`` of :func:`_pair_slots`).  Returns the (S, B, P+1) entries of
-    A / substeps, slot P zero, and per step the weights for
-    :func:`_taylor_apply`, cut to the substeps and terms the step needs.
-    """
-    nu = flight.couplings(start + 0.5 * h_step, h_step)                 # (S, B, P)
-    magnitude = np.zeros(nu.shape[:-1] + (nu.shape[-1] + 1,))
-    np.abs(nu, out=magnitude[..., :-1])
-    row_sums = magnitude.take(slots, axis=-1).sum(axis=-1)
-    theta = 2.0 * np.pi * h_step
-    substeps, weights = _taylor_plan(theta * row_sums.max(axis=-1))
-    entries = np.zeros(magnitude.shape, dtype=complex)
-    np.multiply(nu, (-theta / substeps)[..., None], out=entries.imag[..., :-1])
-    n_sub = substeps.max(axis=-1).tolist()
-    n_terms = weights.any(axis=(1, 3, 4, 5)).sum(axis=-1).tolist()
-    return entries, [w[:u, :m] for w, u, m in zip(weights, n_sub, n_terms)]
 
 
 def propagate_ensemble(
@@ -268,26 +247,27 @@ def propagate_ensemble(
     range_mode: str,
     initial: SpinState,
     times,
-    dt: Optional[float] = None,
 ) -> np.ndarray:
     """Site populations of B realizations under free-flight couplings, (B, N, T).
 
     ``samples`` holds one trajectory draw per realization (``None`` is an
     atom chain at rest).  All realizations advance together as one (B, N)
-    state, but each keeps its own step plan: ``dt`` defaults to a value
-    safely inside the step bound 2*pi*nu_max*dt < 0.05 for the row's own
-    coupling bound over the run, each sample interval takes the row's own
-    number of equal steps, and rows that finish an interval early wait with
-    zero steps.  Each interval is set up before its steps run, in chunks of
-    steps under a fixed scratch budget, by the function :func:`_plan_steps`:
-    the midpoint couplings of all its steps and rows, checked against their
-    steps by ``PairFlight.couplings`` (a violation means the coupling bound
-    was wrong and raises IntegrationError naming the step's midpoint), and
-    each row's norm, Taylor order and generator -2*pi*i*H*h; a step then
-    gathers its generator and applies the Taylor series of exp(-2*pi*i*H*h)
-    to the row's own order.  A row's populations are therefore the same
-    whichever realizations share its batch and however the intervals are
-    chunked.  The truncation leaves the norm unconserved at the 1e-14 level.
+    state, but each keeps its own step plan: its CF4 step h obeys
+    h * 2*pi*R <= 1, where R sums ``PairFlight.bound``'s pair bounds over
+    the run along each row of the hopping matrix and takes the largest sum;
+    each sample interval takes the row's own number of equal steps, and rows
+    that finish an interval early wait with zero steps.  Each interval is set
+    up before its steps run, in chunks of steps under a fixed scratch budget:
+    the effective couplings of both factors of all its steps and rows from
+    ``model.cf4_couplings``, whose Gauss-point couplings ``PairFlight``
+    checks against 1.05 times the row's largest pair bound (a violation
+    means the bound was wrong and raises IntegrationError naming the
+    earliest Gauss point), and each factor's norm, Taylor order and
+    generator -2*pi*i*H*h/2.  A factor then gathers its generator and
+    applies the Taylor series of its exponential to the row's own order.  A
+    row's populations are therefore the same whichever realizations share
+    its batch and however the intervals are chunked.  The truncation leaves
+    the norm unconserved at the 1e-15 level.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0) or np.any(np.diff(times) < 0):
@@ -298,23 +278,12 @@ def propagate_ensemble(
     if initial.n != n:
         raise ValueError("state dimension does not match geometry")
     flight = PairFlight.of_samples(geometry, params, samples, _pairs(n, range_mode))
-    nu_bound = flight.bound(0.0, float(times[-1]))                    # (B,)
-    if dt is None:
-        with np.errstate(divide="ignore"):
-            dt = np.where(
-                nu_bound > 0,
-                PHASE_CAP / (2.0 * np.pi * nu_bound * 1.05),
-                times[-1] or 1.0,
-            )
-    dt = np.broadcast_to(np.asarray(dt, dtype=float), nu_bound.shape)
-    phase = 2.0 * np.pi * nu_bound * dt
-    if np.any(phase >= PHASE_CAP):
-        raise ConfigError(
-            f"step size too large: 2*pi*nu_max*dt = {phase.max():.3g} "
-            f">= {PHASE_CAP} (nu_max bounds the coupling over the whole run)"
-        )
-
     slots = _pair_slots(n, flight.pairs)
+    bound = flight.bound(0.0, float(times[-1]))                       # (B, P)
+    rate = 2.0 * np.pi * _row_norm(bound, slots)                      # (B,)
+    with np.errstate(divide="ignore"):
+        check = PHASE_CAP / (2.0 * np.pi * 1.05 * bound.max(axis=-1, initial=0.0))
+
     chunk = _step_chunk(len(samples), n, len(flight.pairs))
     psi = np.empty((len(samples), n, 1), dtype=complex)
     psi[...] = initial.amplitudes[:, None]
@@ -322,17 +291,23 @@ def propagate_ensemble(
     t_start = 0.0
     for k, t_target in enumerate(times):
         span = t_target - t_start
-        n_steps = _step_count(span, dt)
+        n_steps = _step_count(span, rate)
         h = span / np.maximum(n_steps, 1)
         for first in range(0, n_steps.max(initial=0), chunk):
             step = np.arange(first, min(first + chunk, n_steps.max()))[:, None]
             live = step < n_steps                                     # (S, B)
-            entries, plan = _plan_steps(
-                flight, slots, np.where(live, t_start + step * h, t_target),
-                np.where(live, h, 0.0),
-            )
-            for s, weights in enumerate(plan):
-                psi = _taylor_apply(entries[s].take(slots, axis=-1), weights, psi)
+            h_live = np.where(live, h, 0.0)
+            nu = cf4_couplings(flight, np.where(live, t_start + step * h, t_target),
+                               h_live, np.where(live, check, 0.0))    # (S, 2, B, P)
+            # a factor advances by h/2; as h * rate <= 1 its norm is at most
+            # a2 < 1, so one Taylor series covers it (one substep)
+            theta = np.pi * h_live[:, None]                           # (S, 1, B)
+            orders = taylor_plan(theta * _row_norm(np.abs(nu), slots))[1]
+            entries = np.zeros(nu.shape[:-1] + (nu.shape[-1] + 1,), dtype=complex)
+            np.multiply(nu, -theta[..., None], out=entries.imag[..., :-1])
+            for factor, order in zip(entries.reshape(-1, *entries.shape[2:]),
+                                     orders.reshape(-1, len(samples))):
+                psi = _taylor_apply(factor.take(slots, axis=-1), _taylor_weights(order), psi)
         t_start = t_target
         populations[..., k] = np.abs(psi[..., 0]) ** 2
     return populations
@@ -345,19 +320,13 @@ def propagate_time_dependent(
     range_mode: str,
     initial: SpinState,
     times,
-    dt: Optional[float] = None,
 ) -> np.ndarray:
     """Site populations under couplings that follow the atoms' free flight.
 
-    One realization of :func:`propagate_ensemble`, shape (N, T): the
-    coupling matrix is rebuilt each step at the midpoint of the step and
-    applied through a truncated Taylor series of its exponential, whose
-    order the step picks from the matrix norm.  The norm is no longer
-    preserved exactly; it drifts by about 1e-14 over a 20-atom run.
-    ``dt`` defaults to a value safely inside the step bound
-    2*pi*nu_max*dt < 0.05 and is validated against the instantaneous
-    couplings of every step.
+    One realization of :func:`propagate_ensemble`, shape (N, T): each CF4
+    step applies the exponentials of the effective coupling matrices of its
+    two Gauss points through truncated Taylor series, whose orders the
+    factors pick from their matrix norms.  The norm is not preserved
+    exactly; it drifts by about 1e-15 over a 20-atom run.
     """
-    return propagate_ensemble(
-        geometry, params, [trajectories], range_mode, initial, times, dt
-    )[0]
+    return propagate_ensemble(geometry, params, [trajectories], range_mode, initial, times)[0]

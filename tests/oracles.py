@@ -2,10 +2,10 @@
 
 These deliberately use different algorithms from the package code: full
 2^N Hilbert-space matrix exponentials for the spin dynamics, dense matrix
-exponentials of each step's midpoint couplings for the moving chain, the
-master-equation Hamiltonian and dissipator summed term by term from 3 x 3
-single-atom operators, and explicit enumeration of every true state and loss
-outcome for the detection channel.  They import only public names of the
+exponentials of each step's midpoint or Gauss-point couplings for the moving
+chain, the master-equation Hamiltonian and dissipator summed term by term
+from 3 x 3 single-atom operators, and explicit enumeration of every true
+state and loss outcome for the detection channel.  They import only public names of the
 package.
 """
 
@@ -55,21 +55,29 @@ def brute_force_populations(entries: np.ndarray, initial_site: int, times):
     return pops
 
 
-def midpoint_populations(geometry, params, sample, initial, times):
-    """One realization of the moving chain, one step at a time: (N, T).
+def _dense_hopping(n, pairs, nu) -> np.ndarray:
+    """The (N, N) hopping matrix with nu[p] on both entries of pairs[p]."""
+    ham = np.zeros((n, n))
+    for (i, j), value in zip(pairs, nu):
+        ham[i, j] = ham[j, i] = value
+    return ham
 
-    Follows the step plan of ``xychain.xy.propagate_time_dependent`` with
-    every pair coupled: dt safely inside 2*pi*nu_max*dt < PHASE_CAP
-    for the bound over the run, ceil(span / dt) equal steps per sample
-    interval, and each step the exact exponential (``scipy.linalg.expm``) of
-    the hopping matrix at its midpoint.
+
+def midpoint_populations(geometry, params, sample, initial, times, refine=1):
+    """One realization of the moving chain, one midpoint step at a time: (N, T).
+
+    Every pair is coupled.  The step is dt = PHASE_CAP / (2*pi*nu_max*1.05)
+    / ``refine`` for the largest pair bound nu_max over the run, with
+    ceil(span / dt) equal steps per sample interval; each step is the exact
+    exponential (``scipy.linalg.expm``) of the hopping matrix at its
+    midpoint, a second-order method.
     """
     n = geometry.n_atoms
     flight = PairFlight(
         geometry, params, sample.displacements[None], sample.velocities[None]
     )
-    nu_bound = float(flight.bound(0.0, float(times[-1]))[0])
-    dt = PHASE_CAP / (2.0 * np.pi * nu_bound * 1.05)
+    nu_bound = float(flight.bound(0.0, float(times[-1])).max())
+    dt = PHASE_CAP / (2.0 * np.pi * nu_bound * 1.05) / refine
     psi = np.asarray(initial, dtype=complex)
     pops = np.empty((n, len(times)))
     t_now = 0.0
@@ -78,11 +86,48 @@ def midpoint_populations(geometry, params, sample, initial, times):
         n_steps = max(1, int(np.ceil(span / dt))) if span > 0 else 0
         for _ in range(n_steps):
             h = span / n_steps
-            ham = np.zeros((n, n))
-            for (i, j), nu in zip(flight.pairs, flight.couplings(t_now + 0.5 * h)[0]):
-                ham[i, j] = ham[j, i] = nu
+            ham = _dense_hopping(n, flight.pairs, flight.couplings(t_now + 0.5 * h)[0])
             psi = expm(-2j * np.pi * h * ham) @ psi
             t_now += h
+        t_now = t_target
+        pops[:, k] = np.abs(psi) ** 2
+    return pops
+
+
+def cf4_populations(geometry, params, sample, initial, times):
+    """One realization of the moving chain, one CF4 step at a time: (N, T).
+
+    Follows the step plan of ``xychain.xy.propagate_time_dependent`` with
+    every pair coupled: R is the largest row sum of the hopping matrix of
+    pair bounds over the run, each sample interval takes the fewest equal
+    steps h with 2*pi*R*h <= 1, and a step from t applies, each by its
+    exact exponential (``scipy.linalg.expm``) over h/2, the hopping matrices
+    2 (a2 nu(t1) + a1 nu(t2)) and then 2 (a1 nu(t1) + a2 nu(t2)) at the
+    Gauss points t1,2 = t + (1/2 -+ sqrt(3)/6) h, with
+    a1,2 = (3 -+ 2 sqrt(3)) / 12 (Alvermann & Fehske, J. Comput. Phys. 230,
+    5930 (2011)).
+    """
+    n = geometry.n_atoms
+    flight = PairFlight(
+        geometry, params, sample.displacements[None], sample.velocities[None]
+    )
+    bounds = _dense_hopping(n, flight.pairs, flight.bound(0.0, float(times[-1]))[0])
+    rate = 2.0 * np.pi * bounds.sum(axis=1).max()
+    nodes = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+    a1, a2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
+    psi = np.asarray(initial, dtype=complex)
+    pops = np.empty((n, len(times)))
+    t_now = 0.0
+    for k, t_target in enumerate(times):
+        span = t_target - t_now
+        n_steps = max(1, int(np.ceil(span * rate))) if span > 0 else 0
+        for step in range(n_steps):
+            h = span / n_steps
+            t = t_now + step * h
+            nu1, nu2 = (flight.couplings(t + node * h)[0] for node in nodes)
+            for a, b in ((a2, a1), (a1, a2)):
+                ham = _dense_hopping(n, flight.pairs, 2.0 * (a * nu1 + b * nu2))
+                psi = expm(-1j * np.pi * h * ham) @ psi
         t_now = t_target
         pops[:, k] = np.abs(psi) ** 2
     return pops

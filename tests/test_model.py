@@ -113,7 +113,11 @@ class TestPairFlight:
         flight = PairFlight(chain3, params)
         assert flight.static
         assert flight.couplings(5.0)[0] == pytest.approx([A20, A20 / 8, A20])
-        assert flight.bound(0.0, 5.0) == pytest.approx(A20, rel=1e-15)
+        # one magnitude per realization and pair, whatever the sign of c3
+        expected = np.array([[A20, A20 / 8, A20]])
+        assert flight.bound(0.0, 5.0) == pytest.approx(expected, rel=1e-15)
+        flipped = PairFlight(chain3, PhysicalParams(c3=-params.c3))
+        assert np.array_equal(flipped.bound(0.0, 5.0), flight.bound(0.0, 5.0))
 
     def test_bound_covers_a_dense_grid(self, params, rng):
         geometry = ChainGeometry.line(4, 6.0)
@@ -121,8 +125,8 @@ class TestPairFlight:
         vel = rng.normal(0.0, 1.0, size=(3, 4, 3))
         flight = PairFlight(geometry, params, disp, vel)
         grid = np.linspace(1.0, 6.0, 5001)
-        # each realization's bound covers its own peak
-        peak = np.max([flight.couplings(t).max(axis=1) for t in grid], axis=0)
+        # each pair's bound covers its own peak in each realization
+        peak = np.max([flight.couplings(t) for t in grid], axis=0)
         assert np.all(flight.bound(1.0, 6.0) >= peak)
         # per-realization window starts, as the master-equation batch uses
         assert np.array_equal(

@@ -7,16 +7,17 @@ import pytest
 
 from scipy.linalg import expm
 
-from oracles import brute_force_populations, midpoint_populations
+from oracles import brute_force_populations, cf4_populations, midpoint_populations
 from xychain import xy
-from xychain.errors import ConfigError, GeometryError, IntegrationError
-from xychain.model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams
-from xychain.thermal import ThermalSample, sample_thermal
+from xychain.errors import GeometryError, IntegrationError
+from xychain.model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams, taylor_plan
+from xychain.scenarios import run_scenario
+from xychain.thermal import ThermalSample, realization_seeds, sample_thermal
 from xychain.xy import (
     CouplingMatrix,
     SpinState,
     _taylor_apply,
-    _taylor_plan,
+    _taylor_weights,
     build_coupling_matrix,
     eigenmodes,
     propagate,
@@ -235,9 +236,7 @@ class TestPropagateTimeDependent:
             seed=0,
         )
         monkeypatch.setattr(
-            PairFlight,
-            "bound",
-            lambda flight, t_lo, t_hi: np.abs(flight.couplings(t_lo)).max(axis=-1),
+            PairFlight, "bound", lambda flight, t_lo, t_hi: np.abs(flight.couplings(t_lo))
         )
         with pytest.raises(IntegrationError, match="step size violation") as err:
             propagate_ensemble(
@@ -247,43 +246,52 @@ class TestPropagateTimeDependent:
         assert t_raised < 10.0
 
     def test_step_violation_names_the_earliest_step(self, pair30, params, monkeypatch):
-        # atom 0 passes 2 um from atom 1 at 3 um/us in row 0 and at 4 um/us
-        # in row 1, so row 1 breaks the under-reported step plan first
-        speeds = (3.0, 4.0)
+        # atom 0 flies past atom 1 at 1 um/us in row 0 and at 4 um/us in
+        # row 1, so row 1 breaks the under-reported step plan first
+        speeds = (1.0, 4.0)
         samples = [
             ThermalSample(displacements=[[0.0, 2.0, 0.0], [0.0, 0.0, 0.0]],
                           velocities=[[v, 0.0, 0.0], [0.0, 0.0, 0.0]], seed=0)
             for v in speeds
         ]
         monkeypatch.setattr(
-            PairFlight,
-            "bound",
-            lambda flight, t_lo, t_hi: np.abs(flight.couplings(t_lo)).max(axis=-1),
+            PairFlight, "bound", lambda flight, t_lo, t_hi: np.abs(flight.couplings(t_lo))
         )
         with pytest.raises(IntegrationError, match="step size violation") as err:
             propagate_ensemble(
                 pair30, params, samples, "full", SpinState.excitation_at(2, 0), [12.0]
             )
-        # the same plan, one step at a time: both rows share dt
+        # the same plan, one Gauss point at a time: both rows share the step
+        # and the check, 1.05 times their pair bound
         flight = PairFlight(pair30, params, np.stack([s.displacements for s in samples]),
                             np.stack([s.velocities for s in samples]))
-        dt = PHASE_CAP / (2.0 * np.pi * float(flight.bound(0.0, 12.0)[0]) * 1.05)
-        n_steps = int(np.ceil(12.0 / dt))
+        bound = float(flight.bound(0.0, 12.0).max())
+        check = PHASE_CAP / (2.0 * np.pi * 1.05 * bound)
+        n_steps = int(np.ceil(12.0 * 2.0 * np.pi * bound))
         h = 12.0 / n_steps
+        nodes = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+        points = [step * h + node * h for step in range(n_steps) for node in nodes]
         first = {}
-        for step in range(n_steps):
-            phase = 2.0 * np.pi * flight.couplings((step + 0.5) * h).max(axis=-1) * h
+        for k, t in enumerate(points):
+            phase = 2.0 * np.pi * np.abs(flight.couplings(t)).max(axis=-1) * check
             for row in np.flatnonzero(phase >= PHASE_CAP):
-                first.setdefault(int(row), step)
+                first.setdefault(int(row), k)
         assert first[1] < first[0]
-        assert f"at t = {(first[1] + 0.5) * h:.4g} us" in str(err.value)
+        assert f"at t = {points[first[1]]:.4g} us" in str(err.value)
 
-    def test_step_size_violation_rejected(self, chain3, params):
-        with pytest.raises(ConfigError, match="step size"):
-            propagate_time_dependent(
-                chain3, params, None, "full",
-                SpinState.excitation_at(3, 0), [1.0], dt=0.5,
-            )
+    def test_negative_c3_matches_the_oracle(self, chain3):
+        # beyond the magic angle c3 < 0; the step plan takes the bound's
+        # magnitude, and the chain at rest still follows the exact propagator
+        params = PhysicalParams(c3=-7965.0)
+        sample = sample_thermal(PhysicalParams(temperature=50.0), 3, seed=11)
+        times = np.linspace(0.0, 2.0, 11)
+        state = SpinState.excitation_at(3, 0)
+        pops = propagate_time_dependent(chain3, params, sample, "full", state, times)
+        oracle = cf4_populations(chain3, params, sample, state.amplitudes, times)
+        assert np.abs(pops - oracle).max() < 1e-12
+        static = propagate(build_coupling_matrix(chain3, params), state, times)
+        at_rest = propagate_time_dependent(chain3, params, None, "full", state, times)
+        assert np.abs(static - at_rest).max() < 1e-8
 
 
 class TestPropagateEnsemble:
@@ -292,7 +300,7 @@ class TestPropagateEnsemble:
         hot = PhysicalParams(temperature=50.0)
         return [sample_thermal(hot, n_atoms, seed) for seed in seeds]
 
-    def test_moving_batch_matches_midpoint_oracle(self, params):
+    def test_moving_batch_matches_cf4_oracle(self, params):
         geometry = ChainGeometry.line(5, 10.0)
         samples = self.samples(5, (1, 2, 3, 4))
         times = np.linspace(0.0, 2.0, 11)
@@ -300,12 +308,12 @@ class TestPropagateEnsemble:
         pops = propagate_ensemble(geometry, params, samples, "full", state, times)
         assert pops.shape == (4, 5, 11)
         for row, sample in zip(pops, samples):
-            oracle = midpoint_populations(geometry, params, sample, state.amplitudes, times)
+            oracle = cf4_populations(geometry, params, sample, state.amplitudes, times)
             assert np.abs(row - oracle).max() < 1e-12
 
-    def test_dense_cluster_matches_midpoint_oracle(self, params):
+    def test_dense_cluster_matches_cf4_oracle(self, params):
         # 8 sites of a 3 x 3 um grid: the row sums of the hopping matrix are
-        # several times its largest entry, so the steps need high orders
+        # several times its largest entry, which the step rule must count
         grid = [(1.5 * i, 1.5 * j, 0.0) for i in range(3) for j in range(3)][:8]
         geometry = ChainGeometry(positions=grid)
         entries = build_coupling_matrix(geometry, params).entries
@@ -315,7 +323,7 @@ class TestPropagateEnsemble:
         state = SpinState.excitation_at(8, 4)
         pops = propagate_ensemble(geometry, params, samples, "full", state, times)
         for row, sample in zip(pops, samples):
-            oracle = midpoint_populations(geometry, params, sample, state.amplitudes, times)
+            oracle = cf4_populations(geometry, params, sample, state.amplitudes, times)
             assert np.abs(row - oracle).max() < 1e-12
 
     def test_rows_do_not_depend_on_the_batch(self, params):
@@ -348,34 +356,27 @@ class TestPropagateEnsemble:
             geometry = ChainGeometry.line(6, 15.0)
             hot = sample_thermal(PhysicalParams(temperature=3000.0), 6, seed=9)
             samples = [hot, None] + self.samples(6, (7, 8))
-            times, dt = np.linspace(0.0, 3.0, 16), None
+            times = np.linspace(0.0, 3.0, 16)
         else:
-            # the centre site of a 79-site cluster couples to the others 22
-            # times as strongly as to its nearest neighbour, so steps near
-            # the bound on that neighbour take two substeps
+            # a 79-site cluster at rest: 3081 pairs, and the centre site's row
+            # sum, which sets the step, is 22 times its largest coupling
             geometry = self.fcc_cluster(79, 5.0)
             samples = [None]
-            dt = 0.049 / (2.0 * np.pi * params.c3 / 5.0**3)
-            times = np.array([0.0, 6.65, 9.5]) * dt
+            row_sum = build_coupling_matrix(geometry, params).entries.sum(axis=1).max()
+            times = np.array([0.0, 7.5, 10.6]) / (2.0 * np.pi * row_sum)
         state = SpinState.excitation_at(geometry.n_atoms, 0)
         rows, n = len(samples), geometry.n_atoms
         n_pairs = n * (n - 1) // 2
-        seen = {"steps": [], "substeps": 0}
+        seen = []
 
-        def step_count(duration, dt):
-            counts = step_count.wrapped(duration, dt)
-            seen["steps"].append(int(counts.max(initial=0)))
+        def step_count(duration, rate):
+            counts = step_count.wrapped(duration, rate)
+            seen.append(int(counts.max(initial=0)))
             return counts
 
-        def taylor_plan(norm):
-            substeps, weights = taylor_plan.wrapped(norm)
-            seen["substeps"] = max(seen["substeps"], int(substeps.max()))
-            return substeps, weights
-
-        step_count.wrapped, taylor_plan.wrapped = xy._step_count, xy._taylor_plan
+        step_count.wrapped = xy._step_count
         monkeypatch.setattr(xy, "_step_count", step_count)
-        monkeypatch.setattr(xy, "_taylor_plan", taylor_plan)
-        per_step = n * n + 7 * (n_pairs + 1) + 3 * 18
+        per_step = 8 * n_pairs + 2 * (n * n + 4 * (n_pairs + 1) + 18)
         fixed = 2 * n * n + 8 * n
         runs = []
         # one step at a time, three at a time, whole intervals
@@ -383,18 +384,16 @@ class TestPropagateEnsemble:
             monkeypatch.setattr(xy, "_STEP_BUDGET_BYTES", budget)
             if chunk is not None:
                 assert xy._step_chunk(rows, n, n_pairs) == chunk
-            seen["steps"].clear()
-            runs.append(propagate_ensemble(geometry, params, samples, "full", state, times, dt))
-        assert xy._step_chunk(rows, n, n_pairs) >= max(seen["steps"])
-        assert any(count > 3 and count % 3 for count in seen["steps"])  # a partial chunk
-        if case == "dense-cluster":
-            assert seen["substeps"] > 1
+            seen.clear()
+            runs.append(propagate_ensemble(geometry, params, samples, "full", state, times))
+        assert xy._step_chunk(rows, n, n_pairs) >= max(seen)
+        assert any(count > 3 and count % 3 for count in seen)  # a partial chunk
         for run in runs[1:]:
             assert np.array_equal(run, runs[0])
 
     def test_step_scratch_is_bounded(self, params):
-        # one interval of about 400 steps: all of its complex generators
-        # at once would hold 25 MB at 10 rows and 100 MB at 40
+        # one interval of about 30 CF4 steps: their setup all at once would
+        # hold about 10 MB at 10 rows and 40 MB at 40
         geometry = ChainGeometry.line(20, 20.0)
         state = SpinState.excitation_at(20, 0)
         for seeds in (range(10), range(10, 50)):
@@ -411,18 +410,54 @@ class TestPropagateEnsemble:
             assert peak < xy._STEP_BUDGET_BYTES + inputs + pair_vectors + pops.nbytes
 
     def test_taylor_step_substeps_large_norms(self, rng):
+        # norms 1, about 0.05 and 0: the largest a factor could reach, and
+        # other orders in the other rows
         hops = rng.normal(size=(3, 6, 6))
         hops = hops + hops.transpose(0, 2, 1)
-        theta = np.array([1.5, 0.01, 0.0])      # norms about 7, 0.05 and 0
+        row_sums = np.abs(hops).sum(axis=2).max(axis=1)
+        theta = np.array([1.0, 0.05, 0.0]) / row_sums
         psi = rng.normal(size=(3, 6, 1)) + 1j * rng.normal(size=(3, 6, 1))
-        substeps, weights = _taylor_plan(theta * np.abs(hops).sum(axis=2).max(axis=1))
-        generator = hops * (-1j * theta / substeps)[:, None, None]
-        out = _taylor_apply(generator, weights, psi)
-        assert substeps[0] > 3 and substeps[1] == substeps[2] == 1
+        substeps, orders = taylor_plan(theta * row_sums)
+        generator = hops * (-1j * theta)[:, None, None]
+        out = _taylor_apply(generator, _taylor_weights(orders), psi)
+        assert np.all(substeps == 1) and orders[0] == 17 > orders[1] > orders[2] == 0
         for b in range(3):
             exact = expm(-1j * theta[b] * hops[b]) @ psi[b]
             assert np.abs(out[b] - exact).max() < 1e-13
         assert np.array_equal(out[2], psi[2])
+
+    def test_default_step_is_close_to_a_refined_midpoint_run(self, params):
+        # the ensemble mean of the golden long-chain run (N = 4, scenario
+        # seed 11, 3 realizations at 50 uK, tau_step 0.2) against second-order
+        # midpoint steps at 1/32 of their usual length, within 1e-9 of the
+        # exact populations; midpoint steps of the usual length miss by 1.9e-7
+        geometry = ChainGeometry.line(4, 20.0)
+        seeds = realization_seeds(realization_seeds(11, 4)[0], 3)
+        samples = [sample_thermal(params, 4, seed) for seed in seeds]
+        times = np.linspace(0.0, 2.0, 11)
+        state = SpinState.excitation_at(4, 0)
+        pops = propagate_ensemble(geometry, params, samples, "full", state, times)
+        reference = [midpoint_populations(geometry, params, sample, state.amplitudes, times,
+                                          refine=32) for sample in samples]
+        assert np.abs(pops.mean(axis=0) - np.mean(reference, axis=0)).max() < 5e-8
+
+    def test_long_chain_takes_one_exponential_pair_per_interval(self, monkeypatch):
+        # 20 atoms, 10 realizations at 50 uK, 200 intervals of 0.05 us: the
+        # second-order midpoint steps took 2,200 Taylor series of 92 terms
+        # per interval; CF4 takes one step of two factors per interval
+        terms = []
+
+        def counting(generator, weights, psi):
+            terms.append(len(weights))
+            return taylor_apply(generator, weights, psi)
+
+        taylor_apply = xy._taylor_apply
+        monkeypatch.setattr(xy, "_taylor_apply", counting)
+        result = run_scenario("long-chain", seed=1, options={
+            "n_atoms": 20, "n_realizations": 10, "temperature": 50.0})
+        intervals = len(result.tables["populations"].data) - 1
+        assert len(terms) <= 2 * intervals == 400
+        assert sum(terms) <= 30 * intervals
 
 
 class TestSpinState:
