@@ -50,12 +50,17 @@ moving step overwrites the hopping entries with the effective couplings of
 Gauss-point couplings are checked against the limit the order was picked
 for, a chunk of steps at a time under a fixed scratch budget.  Every sampled
 or branched state is checked for trace and positivity (a minimum eigenvalue
-below -1e-7 raises IntegrationError).  All states are
+below -1e-7 raises IntegrationError); a batched Cholesky factorization of
+rho + 1e-7 I screens the states, and eigenvalues are computed only for a
+stack that fails it, to name the offending row.  All states are
 batchable: a leading batch axis carries independent thermal realizations,
 and in a readout scan several readout branches of the whole realization
 batch at once.  Those branches run in chunks sized to a fixed scratch
 budget and share one step plan, so the output does not depend on the chunk
-size.
+size.  The scan's free evolution is one plan too: one segment cache over
+the whole window up to the last tau, one Taylor plan for the steps between
+consecutive taus, and their Gauss-point couplings planned in chunks across
+the taus.
 """
 
 from __future__ import annotations
@@ -85,10 +90,10 @@ _HERMITIAN_TOL = 1e-12
 _BRANCH_BUDGET_BYTES = 2 * 2**20
 # B x d x d real arrays one branch occupies while it runs: its state in the
 # branch buffer (1), the engine's two Taylor terms (2), the RHS scratch and
-# Hamiltonian (3), the complex rho the positivity check hands to eigvalsh (2)
-# and eigvalsh's own copy of it (2), and the elementwise temporaries of the
-# RHS and the check.  Counted generously: tracemalloc measures a peak of
-# about 11 per branch at N = 3.
+# Hamiltonian (3), the complex rho the positivity check hands to the Cholesky
+# screen (2) and the factor it returns (2), and the elementwise temporaries
+# of the RHS and the check.  Counted generously: tracemalloc measures a peak
+# of about 11 per branch at N = 3.
 _ARRAYS_PER_BRANCH = 17
 #: Scratch bytes the couplings planned for a chunk of CF4 steps may hold.
 _STEP_PLAN_BYTES = 2**18
@@ -440,17 +445,24 @@ class _Engine:
         if nu is not None:
             h[:, self.ops.hop_index] = nu[..., None]
 
-    def _cf4_couplings(self, t_start, h: float, n_steps: int, rows: int, check: float):
-        """The effective angular couplings (2, rows, P) of each CF4 step's
-        factors, the first to act first, planned a chunk of steps at a time
+    def _cf4_couplings(self, t_starts, h, n_steps, rows: int, check: float):
+        """The effective angular couplings (2, rows, P) of every CF4 step of
+        consecutive spans, in order, the first factor to act first.  Span k
+        starts at ``t_starts[k]`` and takes ``n_steps[k]`` steps of
+        ``h[k]``.  The steps are planned a chunk at a time across the spans
         by :func:`xychain.model.cf4_couplings`, which checks every Gauss
         point against ``check`` in time order."""
-        t_start = np.asarray(t_start)
+        t_starts = np.asarray(t_starts)
+        trailing = (1,) * (t_starts.ndim - 1)
+        # each step's span and its place in that span
+        span = np.repeat(np.arange(len(n_steps)), n_steps)
+        index = np.concatenate([np.arange(n) for n in n_steps])
         chunk = _step_chunk(rows, len(self.flight.pairs))
-        for first in range(0, n_steps, chunk):
-            starts = np.arange(first, min(first + chunk, n_steps)) * h
-            starts = t_start + starts.reshape(-1, *(1,) * t_start.ndim)
-            factors = cf4_couplings(self.flight, starts, h, check)
+        for first in range(0, len(span), chunk):
+            k = span[first : first + chunk]
+            steps = h[k].reshape(-1, *trailing)
+            starts = t_starts[k] + index[first : first + chunk].reshape(steps.shape) * steps
+            factors = cf4_couplings(self.flight, starts, steps, check)
             factors = factors.reshape(len(starts), 2, rows, -1)
             factors *= 2.0 * np.pi
             yield from factors
@@ -461,15 +473,17 @@ class _Engine:
 
             dM/dt = 2 pi (H M - M H)^T - w * M + R[M],
 
-        computed as M^T (2 pi H) - (2 pi H) M^T.  R adds, per atom, its
-        (up, up) and (down, down) blocks times their decay rates to its
-        (g, g) block, through basic-slice views of the level tensor.
+        computed as M^T (2 pi H) - (2 pi H) M^T.  H is symmetric, so the
+        second product is (M (2 pi H))^T: the contiguous M H written through
+        a transposed view, which is cheaper than H times the strided M^T.
+        R adds, per atom, its (up, up) and (down, down) blocks times their
+        decay rates to its (g, g) block, through basic-slice views of the
+        level tensor.
         """
         rows, ops = len(m), self.ops
         m1, m2 = self._m1[:rows], self._m2[:rows]
-        m_t = m.transpose(0, 2, 1)
-        np.matmul(m_t, h, out=m1)
-        np.matmul(h, m_t, out=m2)
+        np.matmul(m.transpose(0, 2, 1), h, out=m1)
+        np.matmul(m, h, out=m2.transpose(0, 2, 1))
         np.subtract(m1, m2, out=out)
         np.multiply(cache.w_matrix, m, out=m1)
         out -= m1
@@ -496,61 +510,61 @@ class _Engine:
                 term = out
         return m
 
-    def _advance(self, m, t_start, span: float, cache: _SegmentCache):
-        """Advance the packed states in place from t_start over span, in
-        equal steps no longer than the segment's; t_start has shape (B,), or
-        (branches, B) for a stack of branches.  Atoms at rest take exp(h L)
-        per step; moving atoms take the two factors of a CF4 step, each a
-        rewrite of the hopping entries and exp(h L / 2)."""
-        if span <= 0.0:
-            return m
-        n_steps = max(1, int(np.ceil(span / cache.dt)))
-        h = span / n_steps
+    def _advance(self, m, t_starts, spans, cache: _SegmentCache):
+        """Advance the packed states in place through consecutive spans,
+        yielding after each.  Span k starts at ``t_starts[k]``, of shape
+        (B,), or (branches, B) for a stack of branches, and takes equal
+        steps no longer than the segment's; an empty span takes none.  Atoms
+        at rest take exp(h L) per step; moving atoms take the two factors of
+        a CF4 step, each a rewrite of the hopping entries and exp(h L / 2).
+        One Taylor plan serves all spans; each span refills the Hamiltonian
+        buffer, so the caller may use it between spans.  A single span runs
+        whole at the first ``next``."""
+        spans = np.asarray(spans, dtype=float)
+        n_steps = np.where(spans > 0.0, np.maximum(1, np.ceil(spans / cache.dt)), 0).astype(int)
+        h = spans / np.maximum(n_steps, 1)
         rows = len(m)
-        h_flat = self._hamiltonian(cache, rows)
-        ham = h_flat.reshape(rows, self.d, self.d)
-        if cache.nu_rest is not None:
-            substeps, order = taylor_plan(h * cache.norm)
-            return self._taylor(m, ham, cache, h / substeps, n_steps * substeps, order)
-        substeps, order = taylor_plan(0.5 * h * cache.norm)
-        for factors in self._cf4_couplings(t_start, h, n_steps, rows, cache.check):
-            for nu in factors:
-                self._hop(h_flat, nu)
-                self._taylor(m, ham, cache, 0.5 * h / substeps, substeps, order)
-        return m
-
-    def integrate_segment(self, m, t_start, segment: PulseSegment, snap_offsets=None):
-        """Evolve the packed states through one segment; returns (m,
-        snapshots at offsets).
-
-        ``m`` is advanced in place and must be owned by the caller; the
-        returned snapshots are independent copies.
-        """
-        cache = self._segment_cache(segment, t_start)
-        snaps = []
-        cursor = 0.0
-        for target in snap_offsets if snap_offsets is not None else []:
-            if target < -1e-12 or target > segment.duration + 1e-12:
-                raise ConfigError("snapshot offset outside segment")
-            m = self._advance(m, t_start + cursor, target - cursor, cache)
-            cursor = target
-            snaps.append(m.copy())
-        m = self._advance(m, t_start + cursor, segment.duration - cursor, cache)
-        return m, snaps
+        static = cache.nu_rest is not None
+        if static:
+            substeps, orders = taylor_plan(h * cache.norm)
+        else:
+            substeps, orders = taylor_plan(0.5 * h * cache.norm)
+            steps = self._cf4_couplings(t_starts, h, n_steps, rows, cache.check)
+        plan = zip(n_steps.tolist(), h.tolist(), substeps.tolist(), orders.tolist())
+        for n, step, sub, order in plan:
+            h_flat = self._hamiltonian(cache, rows)
+            ham = h_flat.reshape(rows, self.d, self.d)
+            if static:
+                self._taylor(m, ham, cache, step / sub, n * sub, order)
+            else:
+                for _ in range(n):
+                    for nu in next(steps):
+                        self._hop(h_flat, nu)
+                        self._taylor(m, ham, cache, 0.5 * step / sub, sub, order)
+            yield
 
     def check_state(self, m, t) -> float:
         """Largest trace deviation of the stacked packed states; raises on a
         positivity violation of their density matrices, naming the time (of
-        t, one per row or broadcast) of the offending row."""
+        t, one per row or broadcast) of the offending row.  A batched
+        Cholesky factorization of rho + 1e-7 I screens the stack: in exact
+        arithmetic it exists exactly when every eigenvalue of rho is above
+        -1e-7, so the eigenvalues are only computed when it fails."""
         trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
-        min_eigs = np.linalg.eigvalsh(_unpack(m)).min(axis=-1)
-        row = int(np.argmin(min_eigs))
-        if min_eigs[row] < _POSITIVITY_TOL:
-            t_row = float(np.broadcast_to(np.ravel(t), min_eigs.shape)[row])
-            raise IntegrationError(
-                f"density matrix positivity violated at t = {t_row:.6g} "
-                f"us (min eigenvalue {min_eigs[row]:.3g})"
-            )
+        shifted = _unpack(m)
+        diag = np.arange(self.d)
+        shifted[:, diag, diag] -= _POSITIVITY_TOL
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            min_eigs = np.linalg.eigvalsh(_unpack(m)).min(axis=-1)
+            row = int(np.argmin(min_eigs))
+            if min_eigs[row] < _POSITIVITY_TOL:
+                t_row = float(np.broadcast_to(np.ravel(t), min_eigs.shape)[row])
+                raise IntegrationError(
+                    f"density matrix positivity violated at t = {t_row:.6g} "
+                    f"us (min eigenvalue {min_eigs[row]:.3g})"
+                ) from None
         return trace_dev
 
 
@@ -618,14 +632,18 @@ def run_sequence(
         k += 1
     for seg in sequence.segments:
         seg_end = cursor + seg.duration
-        offsets = []
+        first, offsets = k, [0.0]
         while k < len(times) and times[k] <= seg_end + 1e-12:
             offsets.append(min(times[k] - cursor, seg.duration))
             k += 1
-        m, snaps = engine.integrate_segment(m, t0, seg, offsets)
-        for j, snap in enumerate(snaps):
-            populations[k - len(snaps) + j] = np.diagonal(snap[0])
-            max_dev = max(max_dev, engine.check_state(snap, cursor + offsets[j]))
+        offsets.append(seg.duration)
+        starts = [t0 + offset for offset in offsets[:-1]]
+        stream = engine._advance(m, starts, np.diff(offsets), engine._segment_cache(seg, t0))
+        for j in range(first, k):
+            next(stream)
+            populations[j] = np.diagonal(m[0])
+            max_dev = max(max_dev, engine.check_state(m, cursor + offsets[j - first + 1]))
+        next(stream)  # the rest of the segment
         t0 = t0 + seg.duration
         cursor = seg_end
     max_dev = max(max_dev, engine.check_state(m, cursor))
@@ -677,8 +695,10 @@ def readout_scan(
     realizations of two or more atoms).  Each suffix segment has one step
     size for all branches, sized for its couplings from the first branch's
     start to the last branch's end, so the result does not depend on how the
-    branches are chunked.  Every branch's state is checked for trace and
-    positivity as it enters and leaves the suffix.
+    branches are chunked.  The free evolution likewise has one step size,
+    sized for its couplings from the prefix end to the last tau.  Every
+    branch's state is checked for trace and positivity as it enters and
+    leaves the suffix.
     """
     n = geometry.n_atoms
     taus = np.atleast_1d(np.asarray(tau_grid, dtype=float))
@@ -692,7 +712,7 @@ def readout_scan(
     m = np.broadcast_to(_resolve_initial(initial, n), (batch, d, d)).copy()
     t_now = np.zeros(batch)
     for seg in prefix:
-        m, _ = engine.integrate_segment(m, t_now, seg)
+        next(engine._advance(m, [t_now], [seg.duration], engine._segment_cache(seg, t_now)))
         t_now = t_now + seg.duration
     prefix_duration = float(sum(s.duration for s in prefix))
     suffix_duration = float(sum(s.duration for s in suffix))
@@ -703,26 +723,31 @@ def readout_scan(
         plan.append((seg.duration, engine._segment_cache(seg, first, last + seg.duration)))
         first, last = first + seg.duration, last + seg.duration
 
+    # one plan for the whole free evolution: a span from each tau to the
+    # next, whose starts accumulate as the stream advances
+    spans = np.diff(taus, prepend=0.0)
+    ends = [t_now]
+    for span in spans:
+        ends.append(ends[-1] + span)
+    free = [None] * len(taus)  # tau = 0 alone: no free evolution
+    if taus[-1] > 0.0:
+        window = engine._segment_cache(PulseSegment.free(taus[-1]), t_now)
+        free = engine._advance(m, ends[:-1], spans, window)
+
     branches = np.empty((chunk * batch, d, d))
     starts = np.empty((chunk, batch))
     populations = np.empty((batch, len(taus), d))
     max_dev = 0.0
-    cursor = 0.0
-    for k, tau in enumerate(taus):
-        if tau > cursor:
-            segment = PulseSegment.free(tau - cursor)
-            m, _ = engine.integrate_segment(m, t_now, segment)
-            t_now = t_now + (tau - cursor)
-            cursor = tau
+    for k, _ in enumerate(free):
         j = k % chunk
         branches[j * batch : (j + 1) * batch] = m
-        starts[j] = t_now
+        starts[j] = ends[k + 1]
         if j + 1 < chunk and k + 1 < len(taus):
             continue
         stack, t_branch = branches[: (j + 1) * batch], starts[: j + 1]
         max_dev = max(max_dev, engine.check_state(stack, t_branch))
         for duration, cache in plan:
-            engine._advance(stack, t_branch, duration, cache)
+            next(engine._advance(stack, [t_branch], [duration], cache))
             t_branch = t_branch + duration
         max_dev = max(max_dev, engine.check_state(stack, t_branch))
         pops = np.diagonal(stack, axis1=-2, axis2=-1).reshape(j + 1, batch, d)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -16,6 +17,7 @@ from xychain.cli import (
     main,
     read_table,
     validate_config_dict,
+    write_table,
 )
 from xychain.errors import ConfigError
 
@@ -301,3 +303,18 @@ class TestConfigValidation:
     def test_table_format_checked(self):
         with pytest.raises(ConfigError, match="table_format"):
             validate_config_dict({"scenario": "three-chain", "table_format": "xlsx"})
+
+
+def test_write_table_text_is_nine_digit_formatting_of_the_values(tmp_path):
+    data = np.array([
+        [0.0, -0.0, 1.0 / 3.0, 123456789.123],
+        [np.nan, np.inf, -np.inf, -2.5e12],
+        [1e-300, 5e-324, 0.1 + 0.2, -1.0],
+    ])
+    path = tmp_path / "table.tsv"
+    write_table(path, ["a", "b", "c", "d"], data, "\t")
+    expected = ["a\tb\tc\td"] + ["\t".join(f"{x:.9g}" for x in row) for row in data]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert path.read_text().splitlines()[1:3] == [
+        "0\t-0\t0.333333333\t123456789", "nan\tinf\t-inf\t-2.5e+12"
+    ]

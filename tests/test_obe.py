@@ -248,11 +248,13 @@ def test_step_plan_chunking_does_not_change_output(n_atoms, moving, params, monk
     suffix = deexcite_suffix(params, n_atoms)
     taus = np.linspace(0.0, 0.4, 5)
     batch, n_pairs = (2 if moving else 1), n_atoms * (n_atoms - 1) // 2
-    planned, advanced = [], []
+    # the chunk sizes planned by each step plan; the free evolution's plan
+    # runs between the readout's, so each call is booked to the running plan
+    planned, advanced, running = {}, [], []
 
     def couplings(flight, t, step=0.0):
         if np.ndim(t) > 2:
-            planned.append(np.shape(t)[0])
+            planned.setdefault(running[-1], []).append(np.shape(t)[0])
             # both Gauss points of every step, a fixed gap apart, are checked
             assert np.ndim(step) == 0 and step > 0.0
             gap = np.diff(t, axis=1)
@@ -260,10 +262,19 @@ def test_step_plan_chunking_does_not_change_output(n_atoms, moving, params, monk
             assert np.shape(t)[1] == 2 and gap.flat[0] > 0.0
         return couplings.wrapped(flight, t, step)
 
-    def advance(engine, m, t_start, span, cache):
-        if span > 0.0:
-            advanced.append(max(1, int(np.ceil(span / cache.dt))))
-        return advance.wrapped(engine, m, t_start, span, cache)
+    def advance(engine, m, t_starts, spans, cache):
+        # one plan's steps, over all of its spans
+        plan = len(advanced)
+        advanced.append(sum(max(1, int(np.ceil(span / cache.dt)))
+                            for span in spans if span > 0.0))
+        stream, end = advance.wrapped(engine, m, t_starts, spans, cache), object()
+        while True:
+            running.append(plan)
+            item = next(stream, end)
+            running.pop()
+            if item is end:
+                return
+            yield item
 
     couplings.wrapped, advance.wrapped = PairFlight.couplings, _Engine._advance
     monkeypatch.setattr(PairFlight, "couplings", couplings)
@@ -272,7 +283,7 @@ def test_step_plan_chunking_does_not_change_output(n_atoms, moving, params, monk
     monkeypatch.setattr(obe, "_BRANCH_BUDGET_BYTES", 0)
     per_step = 8 * 2 * batch * (1 + 6 * n_pairs)
     scans = []
-    # one step at a time, three at a time, whole segments
+    # one step at a time, three at a time, whole plans
     for budget, chunk in ((0, 1), (3 * per_step, 3), (10**9, None)):
         monkeypatch.setattr(obe, "_STEP_PLAN_BYTES", budget)
         planned.clear()
@@ -281,14 +292,15 @@ def test_step_plan_chunking_does_not_change_output(n_atoms, moving, params, monk
             readout_scan(geometry, params, prefix, taus, suffix, samples, "g" * n_atoms)
         )
         if not moving:
-            assert planned == []
-        elif chunk is None:
-            assert planned == advanced
-        else:
+            assert planned == {}
+            continue
+        if chunk is not None:
             assert obe._step_chunk(batch, n_pairs) == chunk
-            assert planned == [min(chunk, n - first) for n in advanced
-                               for first in range(0, n, chunk)]
             assert chunk == 1 or any(n % chunk for n in advanced)  # a partial chunk
+        assert planned == {
+            plan: [min(chunk or n, n - first) for first in range(0, n, chunk or n)]
+            for plan, n in enumerate(advanced) if n
+        }
     for scan in scans[1:]:
         assert np.array_equal(scan.populations, scans[0].populations)
         assert scan.max_trace_deviation == scans[0].max_trace_deviation
@@ -332,7 +344,9 @@ def test_couplings_are_evaluated_once_per_planned_chunk(chain3, params, moving,
                                                         monkeypatch):
     """A regression guard on the count, not the time: the couplings of
     moving atoms are evaluated once per planned chunk of CF4 steps, those
-    of atoms at rest once per segment cache, never once per step or factor."""
+    of atoms at rest once per segment cache, never once per step or factor.
+    The free evolution of a scan is one plan over all its taus: one segment
+    cache, its steps planned in chunks across the taus."""
     samples = [sample_thermal(params, 3, s) for s in (1, 2)] if moving else None
     calls = {"couplings": 0, "caches": 0, "chunks": 0, "steps": 0}
 
@@ -344,21 +358,21 @@ def test_couplings_are_evaluated_once_per_planned_chunk(chain3, params, moving,
         calls["caches"] += 1
         return segment_cache.wrapped(engine, *args, **kwargs)
 
-    def advance(engine, m, t_start, span, cache):
-        if span > 0.0:
-            n_steps = max(1, int(np.ceil(span / cache.dt)))
-            chunk = obe._step_chunk(len(m), len(engine.flight.pairs))
-            calls["steps"] += n_steps
-            calls["chunks"] += -(-n_steps // chunk)
-        return advance.wrapped(engine, m, t_start, span, cache)
+    def advance(engine, m, t_starts, spans, cache):
+        n_steps = sum(max(1, int(np.ceil(span / cache.dt))) for span in spans if span > 0.0)
+        chunk = obe._step_chunk(len(m), len(engine.flight.pairs))
+        calls["steps"] += n_steps
+        calls["chunks"] += -(-n_steps // chunk)
+        return advance.wrapped(engine, m, t_starts, spans, cache)
 
     couplings.wrapped, segment_cache.wrapped = PairFlight.couplings, _Engine._segment_cache
     advance.wrapped = _Engine._advance
     monkeypatch.setattr(PairFlight, "couplings", couplings)
     monkeypatch.setattr(_Engine, "_segment_cache", segment_cache)
     monkeypatch.setattr(_Engine, "_advance", advance)
-    readout_scan(chain3, params, exchange_prefix(params, 3), np.linspace(0.0, 0.6, 7),
-                 deexcite_suffix(params, 3), samples, "ggg")
+    prefix, suffix = exchange_prefix(params, 3), deexcite_suffix(params, 3)
+    readout_scan(chain3, params, prefix, np.linspace(0.0, 0.6, 7), suffix, samples, "ggg")
+    assert calls["caches"] == len(prefix) + 1 + len(suffix)
     expected = calls["chunks"] if moving else calls["caches"]
     assert calls["couplings"] == expected
     assert calls["couplings"] < calls["steps"]
@@ -496,6 +510,25 @@ class TestReadoutScan:
             result = run_sequence(seq, pair30, params,
                                   sample_times=[seq.total_duration])
             assert np.abs(scan.populations[0, k] - result.populations[-1]).max() < 1e-9
+
+    # the scan plans the free evolution once over all taus, each full run over
+    # its own tau, so moving atoms take different steps in the two (the gaps
+    # were 2.0e-9 at N = 2 and 1.1e-8 at N = 3)
+    @pytest.mark.parametrize("n_atoms", [2, 3])
+    def test_moving_atoms_match_separate_full_runs(self, n_atoms, pair30, chain3, params):
+        geometry = pair30 if n_atoms == 2 else chain3
+        samples = [sample_thermal(params, n_atoms, s) for s in (1, 2)]
+        taus = np.array([0.05, 0.5, 1.5])
+        prefix = exchange_prefix(params, n_atoms)
+        suffix = deexcite_suffix(params, n_atoms)
+        scan = readout_scan(geometry, params, prefix, taus, suffix, samples)
+        for b, sample in enumerate(samples):
+            for k, tau in enumerate(taus):
+                seq = PulseSequence(segments=(*prefix, PulseSegment.free(tau), *suffix))
+                result = run_sequence(seq, geometry, params, sample,
+                                      sample_times=[seq.total_duration])
+                gap = np.abs(scan.populations[b, k] - result.populations[-1]).max()
+                assert gap < 1e-7, (b, tau)
 
     def test_batched_trajectories(self, chain3, params):
         taus = np.array([0.5, 1.0])
@@ -727,6 +760,21 @@ class TestExponentialStep:
         assert scan.max_trace_deviation < 1e-8
 
 
+    def test_hot_atoms_default_steps_match_fine_steps(self):
+        """An accuracy guard on the step rule: three hot atoms at 20 um,
+        through the exchange prefix, 2 us of free evolution and the readout.
+        The default steps landed 3.8e-8 from 1/8 of them; steps twice as
+        long land 7.4e-7, four times as long 1.4e-5."""
+        params = PhysicalParams(temperature=300.0)
+        geometry = ChainGeometry.line(3, 20.0)
+        samples = [sample_thermal(params, 3, s) for s in (0, 1, 2)]
+        args = (geometry, params, exchange_prefix(params, 3), np.linspace(0.0, 2.0, 11),
+                deexcite_suffix(params, 3), samples)
+        default = readout_scan(*args)
+        fine = readout_scan(*args, dt_scale=1 / 8)
+        assert np.abs(default.populations - fine.populations).max() < 1e-6
+
+
 class TestReadoutProjection:
     def test_labels(self):
         # the level order of the master equation is the order the readout reads
@@ -759,3 +807,41 @@ class TestCheckState:
         engine = _Engine(pair30, PhysicalParams())
         with pytest.raises(IntegrationError, match="positivity"):
             engine.check_state(pack_state(rho)[None], 0.0)
+
+    @staticmethod
+    def dipped(labels, depth):
+        """A mixture of 'ud' and 'du' whose 'uu' population is -depth, so its
+        smallest eigenvalue is -depth and its trace 1."""
+        rho = 0.5 * (basis_rho("ud") + basis_rho("du"))
+        rho[basis_index(labels), basis_index(labels)] -= depth
+        rho[basis_index("ud"), basis_index("ud")] += depth
+        return rho
+
+    def test_positivity_names_the_one_dipping_row(self, pair30):
+        # the Cholesky screen fails for the whole stack; the refusal names
+        # the row below -1e-7, its time and its eigenvalue
+        engine = _Engine(pair30, PhysicalParams())
+        stack = np.stack([self.dipped("uu", 0.0), self.dipped("uu", 2e-7),
+                          self.dipped("uu", 5e-8)])
+        with pytest.raises(IntegrationError) as err:
+            engine.check_state(pack_state(stack), np.array([0.25, 0.75, 1.25]))
+        assert str(err.value) == (
+            "density matrix positivity violated at t = 0.75 us (min eigenvalue -2e-07)"
+        )
+
+    def test_eigenvalue_above_the_tolerance_passes(self, pair30):
+        engine = _Engine(pair30, PhysicalParams())
+        state = pack_state(self.dipped("uu", 5e-8)[None])
+        assert np.linalg.eigvalsh(self.dipped("uu", 5e-8)).min() < -4e-8
+        assert engine.check_state(state, 0.5) < 1e-15
+
+    def test_passing_stack_returns_its_trace_deviation(self, pair30):
+        engine = _Engine(pair30, PhysicalParams())
+        stack = np.stack([self.dipped("uu", 0.0), self.dipped("gg", 3e-8),
+                          self.dipped("uu", 0.0)])
+        stack[0] *= 1.0 + 4e-9
+        stack[2] *= 1.0 - 7e-9
+        m = pack_state(stack)
+        expected = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
+        assert expected > 6e-9
+        assert engine.check_state(m, np.zeros(3)) == expected
