@@ -56,7 +56,7 @@ class RunConfig:
     seed: int = 1234
     output_dir: str = "results"
     table_format: str = "csv"
-    workers: int = 1
+    workers: int = 1  # a thread cap that every run meets, since each uses one
     params: dict = dataclasses.field(default_factory=dict)
     options: dict = dataclasses.field(default_factory=dict)
 
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=None, help="master seed")
     run.add_argument("--output-dir", default=None, help="output directory")
-    run.add_argument("--workers", type=int, default=None, help="worker cap")
+    run.add_argument("--workers", type=int, default=None, help="thread cap (every run uses one)")
     run.add_argument(
         "--table-format", choices=sorted(_TABLE_DELIMS), default=None
     )
@@ -335,7 +335,6 @@ def cmd_run(args) -> int:
             params=params,
             seed=config.seed,
             options=config.options,
-            workers=config.workers,
         )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

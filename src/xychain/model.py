@@ -99,6 +99,7 @@ class PhysicalParams:
     the effective damping of the ground-Rydberg transition and acts only
     during optical pulse segments.  Every value is real: a complex drive,
     detuning or rate is refused, since the engines build real Hamiltonians.
+    A non-finite value and a negative temperature are refused too.
     """
 
     c3: float = DEFAULT_C3                      # MHz um^3, effective on-axis
@@ -119,6 +120,10 @@ class PhysicalParams:
             value = getattr(self, f.name)
             if np.iscomplexobj(value):
                 raise ConfigError(f"params.{f.name} must be real, got {value!r}")
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigError(f"params.{f.name}: expected a finite value, got {value!r}")
+        if self.temperature < 0:
+            raise ConfigError(f"params.temperature: expected >= 0, got {self.temperature!r}")
 
     def _per_atom(self, value, n_atoms: int) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
@@ -380,8 +385,6 @@ def validate(geometry: ChainGeometry, params: PhysicalParams) -> list[str]:
         issues.append(str(exc))
     if params.mass <= 0:
         issues.append(f"non-physical mass: {params.mass} kg")
-    if params.temperature < 0:
-        issues.append(f"non-physical temperature: {params.temperature} uK")
     if params.temperature > 0 and params.omega_perp <= 0:
         issues.append(
             "omega_perp must be positive when temperature > 0 "

@@ -14,8 +14,9 @@ calibration.  Scenarios come in two modes where applicable:
   three-atom chain and the temperature ablation run this one exchange
   experiment through one helper.
 
-Every scenario is deterministic under its master seed; Monte-Carlo draws and
-noise realizations derive from it through a fixed seed lineage.
+Every scenario runs on one thread and is deterministic under its master
+seed; Monte-Carlo draws and noise realizations derive from it through a
+fixed seed lineage.
 
 A runner declares each of its options once, as a parameter
 ``name: Annotated[<type>, "<help>"] = <default>``; the catalog, the
@@ -66,6 +67,7 @@ _FLOOR = ("a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 _SLOPE = ("a finite number", math.isfinite)
 _OPTION_NUMBERS = {
     "n_realizations": _COUNT, "n_trials": _COUNT, "floor": _FLOOR, "slope": _SLOPE,
+    "temperature": ("a finite number >= 0", lambda v: math.isfinite(v) and v >= 0.0),
 }
 _EPSILON_NUMBERS = {
     "floor": _FLOOR,
@@ -81,7 +83,7 @@ _EPSILON_HELP = "loss-model options: " + ", ".join(
 
 #: Runner parameters that ``run_scenario`` supplies itself; every other
 #: parameter is a scenario option.
-_NOT_OPTIONS = ("params", "seed", "workers")
+_NOT_OPTIONS = ("params", "seed")
 
 
 @dataclass(frozen=True)
@@ -348,7 +350,6 @@ def two_atom_exchange(
     mode: Annotated[str, "ideal (theory) or full (open-system) pipeline"] = "full",
     n_realizations: Annotated[int, "thermal Monte-Carlo realizations"] = 100,
     epsilon: Annotated[dict, _EPSILON_HELP] = {},
-    workers: int = 1,
 ) -> tuple[dict[str, Table], dict]:
     """Exchange oscillation between two atoms at the given spacing."""
     if not 2.0 <= spacing <= 100.0:
@@ -391,7 +392,6 @@ def distance_scan(
     n_trials: Annotated[int, "noisy-scan repetitions for scatter statistics"] = 1,
     n_realizations: Annotated[int, "realizations per point in full mode"] = 20,
     epsilon: Annotated[dict, _EPSILON_HELP] = {},
-    workers: int = 1,
 ) -> tuple[dict[str, Table], dict]:
     """Interaction energy versus distance, with a power-law fit.
 
@@ -467,7 +467,6 @@ def three_chain(
     temperature: Annotated[Optional[float], "override temperature, uK"] = None,
     n_realizations: Annotated[int, "thermal Monte-Carlo realizations"] = 100,
     epsilon: Annotated[dict, _EPSILON_HELP] = {},
-    workers: int = 1,
 ) -> tuple[dict[str, Table], dict]:
     """Excitation transfer along the three-atom chain."""
     taus = _tau_grid(tau_max, tau_step)
@@ -513,7 +512,6 @@ def temperature_ablation(
     n_realizations: Annotated[int, "thermal Monte-Carlo realizations"] = 100,
     envelope_window: Annotated[float, "sliding window for envelopes, us"] = 1.0,
     epsilon: Annotated[dict, _EPSILON_HELP] = {},
-    workers: int = 1,
 ) -> tuple[dict[str, Table], dict]:
     """Decompose thermal damping of the far-site signal into loss and motion.
 
@@ -567,7 +565,6 @@ def long_chain(
     range_mode: Annotated[str, "full or nearest_neighbor coupling"] = "full",
     baseline_window: Annotated[float, "pre-arrival window for the far site, us"] = 1.0,
     epsilon: Annotated[dict, _EPSILON_HELP] = {},
-    workers: int = 1,
 ) -> tuple[dict[str, Table], dict]:
     """Single-excitation transport along a long chain with thermal motion.
 
@@ -590,7 +587,7 @@ def long_chain(
 
     eps_model = resolve_epsilon_model(epsilon, params, seeds[2], taus[-1])
     n_eff = 1 if params.temperature == 0.0 else n_realizations
-    ensemble = thermal.monte_carlo(realizations, n_eff, seeds[0], n_workers=workers)
+    ensemble = thermal.monte_carlo(realizations, n_eff, seeds[0])
     true_mean = ensemble.mean                                  # (N, T)
     observed = detection.scale_excitation_large_n(taus, true_mean, eps_model, n_atoms)
 
@@ -624,7 +621,6 @@ def calibrate_epsilon(
     floor: Annotated[float, "background loss at t = 0"] = EPSILON_FLOOR,
     slope: Annotated[float, "synthetic loss slope, 1/us"] = EPSILON_SLOPE,
     table_path: Annotated[Optional[str], "measured (t, epsilon) table to ingest"] = None,
-    workers: int = 1,
 ) -> tuple[dict[str, Table], dict]:
     """Fit the loss probability from an all-ground recapture experiment.
 
@@ -719,7 +715,8 @@ def scenario_options(name: str, options: Optional[dict] = None) -> dict:
     """The options a scenario runs with: copies of its defaults, overlaid by
     ``options``.  An unknown scenario, option key, ``epsilon`` key or
     ``epsilon`` backend or table kind raises ConfigError, and so does a
-    count, ``floor``, ``slope`` or ``epsilon`` number out of its range."""
+    count, ``floor``, ``slope``, ``temperature`` or ``epsilon`` number out of
+    its range."""
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ConfigError(f"unknown scenario {name!r} (expected one of: {known})")
@@ -733,7 +730,8 @@ def scenario_options(name: str, options: Optional[dict] = None) -> dict:
             )
         merged[key] = value
     for key, check in _OPTION_NUMBERS.items():
-        if key in merged:
+        # None passes only where it is the default (an unset temperature)
+        if key in merged and (merged[key] is not None or spec.options[key][0] is not None):
             _check_number(f"options.{key}", merged[key], *check)
     epsilon = merged.get("epsilon") or {}
     if not isinstance(epsilon, dict):
@@ -758,9 +756,13 @@ def run_scenario(
     options: Optional[dict] = None,
     workers: int = 1,
 ) -> ScenarioResult:
-    """Run a scenario by name; the result echoes the options it ran with."""
+    """Run a scenario by name; the result echoes the options it ran with.
+
+    ``workers`` is a thread cap that every run meets: every engine runs on
+    the calling thread, so it never changes a result.
+    """
     merged = scenario_options(name, options)
     if params is None:
         params = PhysicalParams()
-    tables, summary = SCENARIOS[name].runner(params, seed, workers=workers, **merged)
+    tables, summary = SCENARIOS[name].runner(params, seed, **merged)
     return ScenarioResult(name, seed, merged, tables, summary)

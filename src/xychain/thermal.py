@@ -13,7 +13,6 @@ which for 50 uK in a 2*pi*90 kHz trap gives roughly 0.12 um and 0.07 um/us.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,8 +74,6 @@ class EnsembleResult:
 
 def sample_thermal(params: PhysicalParams, n_atoms: int, seed: int) -> ThermalSample:
     """Draw one thermal realization; T = 0 yields exact zeros."""
-    if params.temperature < 0:
-        raise ValueError(f"temperature must be >= 0, got {params.temperature}")
     if params.temperature == 0.0:
         return ThermalSample.at_rest(n_atoms, seed=seed)
     rng = np.random.default_rng(seed)
@@ -97,46 +94,31 @@ def monte_carlo(
     run: Callable[[list[int]], np.ndarray],
     n_realizations: int,
     base_seed: int,
-    n_workers: int = 1,
 ) -> EnsembleResult:
     """Average ``run(seeds)`` over deterministically seeded realizations.
 
-    ``run`` takes a list of seeds and returns one result per seed, stacked
-    along axis 0.  The seeds are split into at most ``n_workers`` contiguous
-    chunks, run on that many threads, and the results are joined in
-    realization order, so the mean is bit-identical for any ``n_workers``
-    as long as a row of ``run`` does not depend on the other seeds of its
-    chunk.  When a chunk fails, its seeds are run again one at a time and
-    the first failure is re-raised with the offending realization index and
-    seed attached.
+    ``run`` takes the list of all seeds and returns one result per seed,
+    stacked along axis 0 in seed order; the engines advance the
+    realizations as one batch, on the calling thread.  When the batch
+    fails, its seeds are run again one at a time and the first failure is
+    re-raised with the offending realization index and seed attached.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     seeds = realization_seeds(base_seed, n_realizations)
-    chunks = np.array_split(np.arange(n_realizations), min(max(n_workers, 1), n_realizations))
-
-    def call(indices: np.ndarray) -> np.ndarray:
-        try:
-            return np.asarray(run([seeds[i] for i in indices]), dtype=float)
-        except Exception as exc:
-            for i in indices:
-                try:
-                    run([seeds[i]])
-                except Exception as single:
-                    raise MonteCarloError(
-                        f"realization {i} (seed {seeds[i]}) failed: {single}"
-                    ) from single
-            raise MonteCarloError(
-                f"realizations {indices[0]}-{indices[-1]} failed together: {exc}"
-            ) from exc
-
-    if len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(call, chunks))
-    else:
-        results = [call(chunks[0])]
-
-    stacked = np.concatenate(results, axis=0)
+    try:
+        stacked = np.asarray(run(seeds), dtype=float)
+    except Exception as exc:
+        for i, seed in enumerate(seeds):
+            try:
+                run([seed])
+            except Exception as single:
+                raise MonteCarloError(
+                    f"realization {i} (seed {seed}) failed: {single}"
+                ) from single
+        raise MonteCarloError(
+            f"realizations 0-{n_realizations - 1} failed together: {exc}"
+        ) from exc
     if len(stacked) != n_realizations:
         raise ValueError(f"run returned {len(stacked)} results for {n_realizations} seeds")
     return EnsembleResult(mean=stacked.mean(axis=0), n_realizations=n_realizations)

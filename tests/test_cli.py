@@ -14,6 +14,7 @@ from xychain.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    apply_override,
     main,
     read_table,
     validate_config_dict,
@@ -166,13 +167,26 @@ class TestRun:
             ["calibrate-epsilon", "--set", "options.floor=.nan"],
             ["calibrate-epsilon", "--set", "options.floor=-0.1"],
             ["calibrate-epsilon", "--set", "options.slope=.inf"],
+            ["long-chain", "--set", "params.c3=.nan"],
+            ["long-chain", "--set", "params.omega_perp=.nan"],
+            ["three-chain", "--set", "options.mode=ideal", "--set", "params.c3=.inf"],
+            ["two-atom-exchange", "--set", "params.temperature=.nan"],
+            ["two-atom-exchange", "--set", "params.temperature=-5"],
+            ["three-chain", "--set", "options.temperature=-5"],
+            ["long-chain", "--set", "options.temperature=-5"],
+            ["temperature-ablation", "--set", "options.temperature=.nan"],
+            ["temperature-ablation", "--set", "options.temperature=null"],
         ],
         ids=["n_mc-0", "n_mc-negative", "n_mc-fraction", "floor-nan", "floor-2",
              "slope-inf", "trap_depth-string", "trap_depth-0",
              "two-atom-no-realizations", "three-chain-no-realizations",
              "long-chain-no-realizations", "realizations-bool", "n_trials-0",
              "n_trials-fraction", "n_trials-bool", "calibrate-floor-nan",
-             "calibrate-floor-negative", "calibrate-slope-inf"],
+             "calibrate-floor-negative", "calibrate-slope-inf", "c3-nan",
+             "omega_perp-nan", "ideal-c3-inf", "params-temperature-nan",
+             "params-temperature-negative", "three-chain-temperature-negative",
+             "long-chain-temperature-negative", "ablation-temperature-nan",
+             "ablation-temperature-null"],
     )
     def test_out_of_range_option_exits_2_without_outputs(self, args, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -180,6 +194,15 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "expected" in capsys.readouterr().err
         assert not out_dir.exists()
+        # validate-config refuses the same settings written as a config file
+        raw = {"scenario": args[0]}
+        for flag, value in zip(args[1::2], args[2::2]):
+            setting = value if flag == "--set" else f"options.n_realizations={value}"
+            key, _, text = setting.partition("=")
+            apply_override(raw, key, yaml.safe_load(text))
+        config = tmp_path / "bad.yaml"
+        config.write_text(yaml.safe_dump(raw))
+        assert run_cli(["validate-config", str(config)]) == EXIT_CONFIG
 
     def test_table_round_trips_into_analysis(self, tmp_path):
         run_cli(

@@ -47,7 +47,7 @@ class TestCatalog:
             run_scenario("does-not-exist")
 
     def test_option_without_help_text_refused(self):
-        def runner(params, seed, tau_max: float = 1.0, workers: int = 1):
+        def runner(params, seed, tau_max: float = 1.0):
             return {}, {}
 
         with pytest.raises(TypeError, match="tau_max"):
@@ -265,6 +265,7 @@ class TestLongChain:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_names_the_realization(self, monkeypatch, workers):
+        # workers is an accepted key with no effect: both runs take one thread
         # the third of four realizations flies atom 0 through atom 1 at t = 4/3 us
         seeds = thermal.realization_seeds(thermal.realization_seeds(11, 4)[0], 4)
         draw = thermal.sample_thermal
