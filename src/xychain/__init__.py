@@ -10,10 +10,10 @@ utilities, and pre-built scenarios behind a CLI.
 
 __version__ = "0.1.0"
 
-from .model import ChainGeometry, PhysicalParams, angular_c3, pair_coupling, validate
+from .model import ChainGeometry, PhysicalParams, angular_c3, pair_coupling
 from .xy import CouplingMatrix, SpinState, build_coupling_matrix, eigenmodes, propagate
 from .obe import Level, PulseSegment, PulseSequence, run_sequence
-from .thermal import ThermalSample, monte_carlo, sample_thermal
+from .thermal import ThermalSample, run_ensemble, sample_thermal
 from .detection import EpsilonModel, fit_epsilon, forward_detection
 from .analysis import beat_spectrum, fit_power_law, fit_sinusoid
 from .scenarios import ScenarioResult, run_scenario
@@ -23,7 +23,6 @@ __all__ = [
     "PhysicalParams",
     "angular_c3",
     "pair_coupling",
-    "validate",
     "CouplingMatrix",
     "SpinState",
     "build_coupling_matrix",
@@ -34,7 +33,7 @@ __all__ = [
     "PulseSequence",
     "run_sequence",
     "ThermalSample",
-    "monte_carlo",
+    "run_ensemble",
     "sample_thermal",
     "EpsilonModel",
     "fit_epsilon",

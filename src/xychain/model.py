@@ -38,6 +38,9 @@ MAGIC_ANGLE = math.acos(1.0 / math.sqrt(3.0))
 # Distances below this (um) are treated as coincident atoms.
 _MIN_SEPARATION = 1e-9
 
+# The ``PhysicalParams`` fields that may hold one value per atom.
+_PER_ATOM_FIELDS = ("omega_opt", "delta_opt", "gamma_eff")
+
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
@@ -51,7 +54,8 @@ class ChainGeometry:
 
     Positions are full 3-vectors (um) even for linear chains so that planar
     arrays need no schema change.  The quantization axis is stored as a unit
-    vector; the chain of the reference experiments is aligned with it.
+    vector; the chain of the reference experiments is aligned with it.  Two
+    atoms closer than ``_MIN_SEPARATION`` at rest raise ConfigError.
     """
 
     positions: np.ndarray
@@ -69,6 +73,12 @@ class ChainGeometry:
             raise GeometryError("quantization axis must be a nonzero vector")
         object.__setattr__(self, "positions", _as_readonly(pos))
         object.__setattr__(self, "quantization_axis", _as_readonly(axis / norm))
+        close = np.argwhere(np.triu(self.separations() < _MIN_SEPARATION, k=1))
+        if len(close):
+            i, j = close[0]
+            raise ConfigError(
+                f"geometry: atoms {i} and {j} coincide at rest (expected distinct positions)"
+            )
 
     @property
     def n_atoms(self) -> int:
@@ -97,9 +107,15 @@ class PhysicalParams:
     relates to it through :func:`angular_c3`.  ``omega_opt``, ``delta_opt``
     and ``gamma_eff`` may be scalars or per-atom sequences.  ``gamma_eff`` is
     the effective damping of the ground-Rydberg transition and acts only
-    during optical pulse segments.  Every value is real: a complex drive,
-    detuning or rate is refused, since the engines build real Hamiltonians.
-    A non-finite value and a negative temperature are refused too.
+    during optical pulse segments.  Every other field takes one number.
+
+    A value is refused with a ConfigError naming its field when it is not a
+    real number (the engines build real Hamiltonians), is not finite, or is
+    a sequence given to a field that takes one number; so are a negative
+    decay rate (``gamma_up``, ``gamma_down``, any ``gamma_eff`` entry), a
+    negative temperature, a mass <= 0, and an ``omega_perp`` <= 0 when the
+    temperature is above zero.  A per-atom value whose length differs from
+    the chain's is refused when it is expanded for the chain.
     """
 
     c3: float = DEFAULT_C3                      # MHz um^3, effective on-axis
@@ -116,33 +132,56 @@ class PhysicalParams:
     mass: float = RB87_MASS                     # kg
 
     def __post_init__(self):
+        values = {}
         for f in fields(self):
             value = getattr(self, f.name)
+            if value is None and f.name == "c3_tilde":
+                continue
             if np.iscomplexobj(value):
                 raise ConfigError(f"params.{f.name} must be real, got {value!r}")
-            if value is not None and not np.all(np.isfinite(value)):
+            try:
+                if isinstance(value, str):
+                    raise ValueError(value)
+                values[f.name] = arr = np.asarray(value, dtype=float)
+            except (TypeError, ValueError):
+                raise ConfigError(f"params.{f.name}: expected a number, got {value!r}") from None
+            if arr.ndim and f.name not in _PER_ATOM_FIELDS:
+                raise ConfigError(f"params.{f.name}: expected one number, got {value!r}")
+            if not np.all(np.isfinite(arr)):
                 raise ConfigError(f"params.{f.name}: expected a finite value, got {value!r}")
-        if self.temperature < 0:
+        for name in ("gamma_up", "gamma_down", "gamma_eff"):
+            if np.any(values[name] < 0):
+                value = getattr(self, name)
+                raise ConfigError(f"params.{name}: expected rates >= 0, got {value!r}")
+        if values["temperature"] < 0:
             raise ConfigError(f"params.temperature: expected >= 0, got {self.temperature!r}")
+        if values["mass"] <= 0:
+            raise ConfigError(f"params.mass: expected > 0, got {self.mass!r}")
+        if values["temperature"] > 0 and values["omega_perp"] <= 0:
+            raise ConfigError(
+                f"params.omega_perp: expected > 0 when the temperature is above 0, "
+                f"got {self.omega_perp!r}"
+            )
 
-    def _per_atom(self, value, n_atoms: int) -> np.ndarray:
-        arr = np.asarray(value, dtype=float)
+    def _per_atom(self, name: str, n_atoms: int) -> np.ndarray:
+        arr = np.asarray(getattr(self, name), dtype=float)
         if arr.ndim == 0:
             return np.full(n_atoms, float(arr))
         if arr.shape != (n_atoms,):
-            raise ValueError(
-                f"per-atom parameter has shape {arr.shape}, expected ({n_atoms},)"
+            raise ConfigError(
+                f"params.{name}: expected one value or {n_atoms} per-atom values, "
+                f"got shape {arr.shape}"
             )
         return arr.copy()
 
     def omega_opt_per_atom(self, n_atoms: int) -> np.ndarray:
-        return self._per_atom(self.omega_opt, n_atoms)
+        return self._per_atom("omega_opt", n_atoms)
 
     def delta_opt_per_atom(self, n_atoms: int) -> np.ndarray:
-        return self._per_atom(self.delta_opt, n_atoms)
+        return self._per_atom("delta_opt", n_atoms)
 
     def gamma_eff_per_atom(self, n_atoms: int) -> np.ndarray:
-        return self._per_atom(self.gamma_eff, n_atoms)
+        return self._per_atom("gamma_eff", n_atoms)
 
 
 def angular_c3(c3_tilde: float, theta: float) -> float:
@@ -354,40 +393,3 @@ def pair_coupling(
         disp[0, j] = displacement_j
     return float(PairFlight(geometry, params, disp, pairs=[(i, j)]).couplings(0.0)[0, 0])
 
-
-def validate(geometry: ChainGeometry, params: PhysicalParams) -> list[str]:
-    """Check the shared invariants; returns human-readable violations.
-
-    An empty list means the pair (geometry, params) is usable by every other
-    module.  Diagnostics, not exceptions: callers decide severity.
-    """
-    issues: list[str] = []
-    n = geometry.n_atoms
-    sep = geometry.separations()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sep[i, j] < _MIN_SEPARATION:
-                issues.append(
-                    f"singular geometry: atoms {i} and {j} coincide "
-                    f"(R = {sep[i, j]:g} um)"
-                )
-    for name in ("gamma_up", "gamma_down"):
-        if getattr(params, name) < 0:
-            issues.append(f"non-physical rate: {name} = {getattr(params, name)} < 0")
-    try:
-        if np.any(params.gamma_eff_per_atom(n) < 0):
-            issues.append("non-physical rate: gamma_eff has negative entries")
-        omega = params.omega_opt_per_atom(n)
-        if np.any(omega < 0):
-            issues.append("non-physical drive: omega_opt has negative entries")
-        params.delta_opt_per_atom(n)
-    except ValueError as exc:
-        issues.append(str(exc))
-    if params.mass <= 0:
-        issues.append(f"non-physical mass: {params.mass} kg")
-    if params.temperature > 0 and params.omega_perp <= 0:
-        issues.append(
-            "omega_perp must be positive when temperature > 0 "
-            f"(got {params.omega_perp})"
-        )
-    return issues

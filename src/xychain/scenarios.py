@@ -169,16 +169,22 @@ def _fit_tau_grid(tau_max: float, tau_step: float) -> np.ndarray:
     return taus
 
 
-def _pi_time(frequency: float) -> float:
-    """Duration of a resonant pi pulse at ordinary Rabi frequency (MHz)."""
+def _pi_time(name: str, frequency: float) -> float:
+    """Duration of a resonant pi pulse at ordinary Rabi frequency (MHz): the
+    drive ``params.<name>``, averaged over the atoms; <= 0 is refused."""
+    if frequency <= 0.0:
+        raise ConfigError(
+            f"params.{name}: expected a drive > 0 (mean over the atoms), got {frequency:g}"
+        )
     return 1.0 / (2.0 * frequency)
 
 
 def exchange_prefix(params: PhysicalParams, n_atoms: int):
     """Preparation segments: shift atom 0 aside, excite and transfer the
-    rest to the lower spin state, then excite atom 0."""
-    t_opt = _pi_time(float(np.mean(params.omega_opt_per_atom(n_atoms))))
-    t_mw = _pi_time(params.omega_mw)
+    rest to the lower spin state, then excite atom 0.  A mean ``omega_opt``
+    or an ``omega_mw`` <= 0 raises ConfigError."""
+    t_opt = _pi_time("omega_opt", float(np.mean(params.omega_opt_per_atom(n_atoms))))
+    t_mw = _pi_time("omega_mw", params.omega_mw)
     mask = tuple(i == 0 for i in range(n_atoms))
     return [
         obe.PulseSegment.optical(t_opt, addressing_mask=mask),
@@ -188,8 +194,9 @@ def exchange_prefix(params: PhysicalParams, n_atoms: int):
 
 
 def deexcite_suffix(params: PhysicalParams, n_atoms: int):
-    """Readout segment mapping the upper spin state back to the ground state."""
-    t_opt = _pi_time(float(np.mean(params.omega_opt_per_atom(n_atoms))))
+    """Readout segment mapping the upper spin state back to the ground state;
+    a mean ``omega_opt`` <= 0 raises ConfigError."""
+    t_opt = _pi_time("omega_opt", float(np.mean(params.omega_opt_per_atom(n_atoms))))
     return [obe.PulseSegment.optical(t_opt)]
 
 
@@ -288,11 +295,11 @@ def _exchange_readouts(
     """The exchange experiment as one open-system readout scan per
     temperature (default: that of ``params``).
 
-    A scan advances its thermal realizations as one batch (a single one at
-    rest when T = 0) and reads out their mean in realization order, so
-    results are bit-reproducible; recapture is linear, so the patterns equal
-    the mean of the per-realization patterns.  One loss model, resolved from
-    ``params`` before any scan runs, spans the longest sequence.
+    A scan advances the thermal batch of ``thermal.run_ensemble`` and reads
+    out its mean in realization order, so results are bit-reproducible;
+    recapture is linear, so the patterns equal the mean of the
+    per-realization patterns.  One loss model, resolved from ``params``
+    before any scan runs, spans the longest sequence.
     """
     n = geometry.n_atoms
     prefix = exchange_prefix(params, n)
@@ -303,21 +310,18 @@ def _exchange_readouts(
     readouts = []
     for temperature in temperatures or (params.temperature,):
         scan_params = replace(params, temperature=temperature)
-        samples = None
-        if temperature != 0.0:
-            samples = [
-                thermal.sample_thermal(scan_params, n, s)
-                for s in thermal.realization_seeds(seeds[0], n_realizations)
-            ]
-        scan = obe.readout_scan(
-            geometry, scan_params, prefix, taus, suffix, trajectories=samples
+        scan = thermal.run_ensemble(
+            lambda samples: obe.readout_scan(
+                geometry, scan_params, prefix, taus, suffix, trajectories=samples
+            ),
+            scan_params, n, n_realizations, seeds[0],
         )
         mean = scan.populations.mean(axis=0)
         readouts.append(_Readout(
             true_patterns=detection.forward_detection(mean, 0.0),
             observed=detection.forward_detection(mean, eps_model(scan.total_durations)),
             max_trace_deviation=scan.max_trace_deviation,
-            n_realizations=1 if samples is None else n_realizations,
+            n_realizations=len(scan.populations),
         ))
     return readouts
 
@@ -580,15 +584,14 @@ def long_chain(
         params = replace(params, temperature=float(temperature))
     seeds = thermal.realization_seeds(seed, 4)
     initial = xy.SpinState.excitation_at(n_atoms, 0)
-
-    def realizations(sample_seeds: list[int]) -> np.ndarray:
-        samples = [thermal.sample_thermal(params, n_atoms, s) for s in sample_seeds]
-        return xy.propagate_ensemble(geometry, params, samples, range_mode, initial, taus)
-
     eps_model = resolve_epsilon_model(epsilon, params, seeds[2], taus[-1])
-    n_eff = 1 if params.temperature == 0.0 else n_realizations
-    ensemble = thermal.monte_carlo(realizations, n_eff, seeds[0])
-    true_mean = ensemble.mean                                  # (N, T)
+    realizations = thermal.run_ensemble(                      # (B, N, T)
+        lambda samples: xy.propagate_ensemble(
+            geometry, params, samples, range_mode, initial, taus
+        ),
+        params, n_atoms, n_realizations, seeds[0],
+    )
+    true_mean = realizations.mean(axis=0)                      # (N, T)
     observed = detection.scale_excitation_large_n(taus, true_mean, eps_model, n_atoms)
 
     site_cols = [f"P_site_{i + 1:02d}" for i in range(n_atoms)]
@@ -602,7 +605,7 @@ def long_chain(
     norm_dev = float(np.abs(true_mean.sum(axis=0) - 1.0).max())
     summary = {
         "temperature_uk": params.temperature,
-        "n_realizations": ensemble.n_realizations,
+        "n_realizations": len(realizations),
         "norm_deviation": norm_dev,
         "far_site_peak": float(far_obs.max()),
         "far_site_peak_tau_us": float(taus[far_obs.argmax()]),

@@ -1,4 +1,4 @@
-"""Thermal position/velocity sampling and Monte-Carlo averaging.
+"""Thermal position/velocity sampling and the Monte-Carlo ensemble.
 
 Atoms sit in harmonic microtraps while cold, but the traps are switched off
 for the whole pulse sequence, so each atom flies ballistically from a
@@ -14,11 +14,11 @@ which for 50 uK in a 2*pi*90 kHz trap gives roughly 0.12 um and 0.07 um/us.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import XYChainError
+from .errors import GeometryError, IntegrationError, XYChainError
 from .model import BOLTZMANN, PhysicalParams
 
 
@@ -64,14 +64,6 @@ class ThermalSample:
         return cls(displacements=zero, velocities=zero.copy(), seed=seed)
 
 
-@dataclass(frozen=True)
-class EnsembleResult:
-    """Mean over seeded Monte-Carlo realizations."""
-
-    mean: np.ndarray
-    n_realizations: int
-
-
 def sample_thermal(params: PhysicalParams, n_atoms: int, seed: int) -> ThermalSample:
     """Draw one thermal realization; T = 0 yields exact zeros."""
     if params.temperature == 0.0:
@@ -90,38 +82,40 @@ def realization_seeds(base_seed: int, n_realizations: int) -> list[int]:
     return [int(s) for s in state]
 
 
-def monte_carlo(
-    run: Callable[[list[int]], np.ndarray],
+def run_ensemble(
+    run: Callable[[list[Optional[ThermalSample]]], object],
+    params: PhysicalParams,
+    n_atoms: int,
     n_realizations: int,
     base_seed: int,
-) -> EnsembleResult:
-    """Average ``run(seeds)`` over deterministically seeded realizations.
+):
+    """``run`` over the thermal batch of ``params``, called once.
 
-    ``run`` takes the list of all seeds and returns one result per seed,
-    stacked along axis 0 in seed order; the engines advance the
-    realizations as one batch, on the calling thread.  When the batch
-    fails, its seeds are run again one at a time and the first failure is
-    re-raised with the offending realization index and seed attached.
+    The batch is one ``sample_thermal`` draw per seed of
+    ``realization_seeds(base_seed, n_realizations)``, in seed order, or
+    ``[None]``, one chain at rest, when T = 0.  ``run`` takes the list of
+    samples and its result for the whole batch is returned as is.  When the
+    batch raises IntegrationError or GeometryError, its samples are run again
+    one at a time, and MonteCarloError names the first failing realization
+    and its seed, or says that the realizations failed only together.
     """
-    if n_realizations < 1:
-        raise ValueError("n_realizations must be >= 1")
-    seeds = realization_seeds(base_seed, n_realizations)
+    if params.temperature == 0.0:
+        samples = [None]
+    else:
+        seeds = realization_seeds(base_seed, n_realizations)
+        samples = [sample_thermal(params, n_atoms, s) for s in seeds]
     try:
-        stacked = np.asarray(run(seeds), dtype=float)
-    except Exception as exc:
-        for i, seed in enumerate(seeds):
+        return run(samples)
+    except (IntegrationError, GeometryError) as exc:
+        for i, sample in enumerate(samples):
             try:
-                run([seed])
-            except Exception as single:
-                raise MonteCarloError(
-                    f"realization {i} (seed {seed}) failed: {single}"
-                ) from single
+                run([sample])
+            except (IntegrationError, GeometryError) as single:
+                seed = "at rest" if sample is None else f"seed {sample.seed}"
+                raise MonteCarloError(f"realization {i} ({seed}) failed: {single}") from single
         raise MonteCarloError(
-            f"realizations 0-{n_realizations - 1} failed together: {exc}"
+            f"realizations 0-{len(samples) - 1} failed together: {exc}"
         ) from exc
-    if len(stacked) != n_realizations:
-        raise ValueError(f"run returned {len(stacked)} results for {n_realizations} seeds")
-    return EnsembleResult(mean=stacked.mean(axis=0), n_realizations=n_realizations)
 
 
 def recapture_epsilon(

@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import xychain
-from xychain import analysis, xy
+from xychain import analysis, obe, xy
 from xychain.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -176,6 +176,13 @@ class TestRun:
             ["long-chain", "--set", "options.temperature=-5"],
             ["temperature-ablation", "--set", "options.temperature=.nan"],
             ["temperature-ablation", "--set", "options.temperature=null"],
+            ["long-chain", "--set", "params.omega_perp=0"],
+            ["long-chain", "--set", "params.omega_perp=-1"],
+            ["long-chain", "--set", "params.mass=0"],
+            ["two-atom-exchange", "--set", "params.gamma_up=-1"],
+            ["two-atom-exchange", "--set", "params.gamma_eff=-1"],
+            ["long-chain", "--set", "params.c3=abc"],
+            ["long-chain", "--set", "params.c3=[1,2]"],
         ],
         ids=["n_mc-0", "n_mc-negative", "n_mc-fraction", "floor-nan", "floor-2",
              "slope-inf", "trap_depth-string", "trap_depth-0",
@@ -186,7 +193,9 @@ class TestRun:
              "omega_perp-nan", "ideal-c3-inf", "params-temperature-nan",
              "params-temperature-negative", "three-chain-temperature-negative",
              "long-chain-temperature-negative", "ablation-temperature-nan",
-             "ablation-temperature-null"],
+             "ablation-temperature-null", "omega_perp-0", "omega_perp-negative",
+             "mass-0", "gamma_up-negative", "gamma_eff-negative", "c3-string",
+             "c3-sequence"],
     )
     def test_out_of_range_option_exits_2_without_outputs(self, args, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -203,6 +212,31 @@ class TestRun:
         config = tmp_path / "bad.yaml"
         config.write_text(yaml.safe_dump(raw))
         assert run_cli(["validate-config", str(config)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["three-chain", "--set", "params.omega_opt=[5.2,5.3]"], "params.omega_opt"),
+            (["two-atom-exchange", "--set", "params.omega_opt=0"], "params.omega_opt"),
+            (["two-atom-exchange", "--set", "params.omega_mw=0"], "params.omega_mw"),
+            (["long-chain", "--set", "options.spacing=0"], "atoms 0 and 1 coincide"),
+            (["three-chain", "--set", "options.spacing=0"], "atoms 0 and 1 coincide"),
+        ],
+        ids=["omega_opt-per-atom-length", "omega_opt-0", "omega_mw-0",
+             "long-chain-spacing-0", "three-chain-spacing-0"],
+    )
+    def test_refused_at_run_exits_2_before_any_work(self, args, named, tmp_path,
+                                                    monkeypatch, capsys):
+        # settings that only the chain's length or geometry makes invalid
+        def propagate(*args, **kwargs):
+            raise AssertionError("the run started before its inputs were checked")
+
+        monkeypatch.setattr(xy, "propagate_ensemble", propagate)
+        monkeypatch.setattr(obe, "readout_scan", propagate)
+        out_dir = tmp_path / "out"
+        assert run_cli(["run", *args, "--output-dir", str(out_dir)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_table_round_trips_into_analysis(self, tmp_path):
         run_cli(

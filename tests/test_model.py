@@ -6,12 +6,12 @@ from xychain.model import (
     DEFAULT_C3,
     MAGIC_ANGLE,
     PHASE_CAP,
+    RB87_MASS,
     ChainGeometry,
     PairFlight,
     PhysicalParams,
     angular_c3,
     pair_coupling,
-    validate,
 )
 from xychain.thermal import sample_thermal
 
@@ -218,21 +218,49 @@ class TestPairFlight:
 
 
 class TestValidate:
-    def test_valid_setup_is_clean(self, chain3, params):
-        assert validate(chain3, params) == []
+    """Inputs are refused, naming the field or the atoms, where they are built."""
 
-    def test_coincident_atoms_flagged(self, params):
-        geom = ChainGeometry(positions=[[0, 0, 0], [0, 0, 0], [20, 0, 0]])
-        issues = validate(geom, params)
-        assert any("singular geometry" in msg for msg in issues)
+    def test_valid_setup_is_clean(self):
+        ChainGeometry.line(3, 20.0)
+        PhysicalParams()
+        # without motion no trap frequency is needed; c3_tilde is optional
+        PhysicalParams(temperature=0.0, omega_perp=0.0, c3_tilde=None)
 
-    def test_negative_rate_flagged(self, chain3):
-        issues = validate(chain3, PhysicalParams(gamma_up=-0.01))
-        assert any("non-physical rate" in msg for msg in issues)
+    def test_coincident_atoms_flagged(self):
+        with pytest.raises(ConfigError, match="atoms 1 and 2 coincide"):
+            ChainGeometry(positions=[[0, 0, 0], [20, 0, 0], [20, 0, 0]])
+        with pytest.raises(ConfigError, match="atoms 0 and 1 coincide"):
+            ChainGeometry.line(3, 0.0)
 
-    def test_zero_trap_frequency_with_temperature_flagged(self, chain3):
-        issues = validate(chain3, PhysicalParams(temperature=50.0, omega_perp=0.0))
-        assert any("omega_perp" in msg for msg in issues)
+    def test_negative_rate_flagged(self):
+        for field, value in [("gamma_up", -0.01), ("gamma_down", -1.0),
+                             ("gamma_eff", -1.0), ("gamma_eff", (1.0, -0.5, 1.0))]:
+            with pytest.raises(ConfigError, match=f"params.{field}: expected rates >= 0"):
+                PhysicalParams(**{field: value})
+
+    def test_zero_trap_frequency_with_temperature_flagged(self):
+        for omega_perp in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="params.omega_perp: expected > 0"):
+                PhysicalParams(temperature=50.0, omega_perp=omega_perp)
+
+    def test_non_positive_mass_refused(self):
+        for mass in (0.0, -RB87_MASS):
+            with pytest.raises(ConfigError, match="params.mass: expected > 0"):
+                PhysicalParams(mass=mass)
+
+    def test_value_that_is_not_a_number_refused(self):
+        for field, value in [("c3", "abc"), ("c3", "5"), ("omega_mw", {"a": 1}),
+                             ("omega_opt", (5.3, "x"))]:
+            with pytest.raises(ConfigError, match=f"params.{field}: expected a number"):
+                PhysicalParams(**{field: value})
+
+    def test_sequence_refused_where_one_number_is_expected(self):
+        for field in ("c3", "omega_mw", "temperature", "mass"):
+            with pytest.raises(ConfigError, match=f"params.{field}: expected one number"):
+                PhysicalParams(**{field: (1.0, 2.0)})
+        # the per-atom fields take sequences, and keep them as given
+        value = (5.2, 5.3, 5.4)
+        assert PhysicalParams(omega_opt=value, delta_opt=value, gamma_eff=value).omega_opt is value
 
 
 class TestTypes:
@@ -247,7 +275,7 @@ class TestTypes:
         assert np.allclose(params.omega_opt_per_atom(3), [5.3, 5.3, 5.3])
         custom = PhysicalParams(omega_opt=(5.2, 5.3, 5.4))
         assert np.allclose(custom.omega_opt_per_atom(3), [5.2, 5.3, 5.4])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="params.omega_opt: expected one value or 2"):
             custom.omega_opt_per_atom(2)
 
     # a complex drive would make the master-equation Hamiltonian non-Hermitian

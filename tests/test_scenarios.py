@@ -96,6 +96,26 @@ class TestTwoAtomExchange:
         assert np.abs(total - 1.0).max() < 1e-8
         assert result.summary["max_trace_deviation"] < 1e-8
 
+    def test_failure_names_the_realization(self, monkeypatch):
+        # the third of four realizations flies atom 0 through atom 1, 30 um
+        # away, at t = 2 us: inside the free evolution after the prefix
+        seeds = thermal.realization_seeds(thermal.realization_seeds(11, 4)[0], 4)
+        draw = thermal.sample_thermal
+
+        def sample(params, n_atoms, seed):
+            if seed == seeds[2]:
+                vel = np.zeros((n_atoms, 3))
+                vel[0, 0] = 15.0
+                return thermal.ThermalSample(np.zeros((n_atoms, 3)), vel, seed)
+            return draw(params, n_atoms, seed)
+
+        monkeypatch.setattr(thermal, "sample_thermal", sample)
+        opts = {"tau_max": 2.0, "tau_step": 0.2, "n_realizations": 4}
+        with pytest.raises(thermal.MonteCarloError) as failure:
+            run_scenario("two-atom-exchange", options=opts, seed=11)
+        assert str(failure.value).startswith(f"realization 2 (seed {seeds[2]}) failed")
+        assert "atoms 0 and 1 coincide" in str(failure.value)
+
     def test_spacing_bounds(self):
         with pytest.raises(ConfigError):
             run_scenario("two-atom-exchange", options={"spacing": 1.0})

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
+from xychain.errors import GeometryError, IntegrationError
 from xychain.model import PhysicalParams
 from xychain.thermal import (
-    EnsembleResult,
     MonteCarloError,
     ThermalSample,
-    monte_carlo,
     realization_seeds,
     recapture_epsilon,
+    run_ensemble,
     sample_thermal,
     sigma_position,
     sigma_velocity,
@@ -66,52 +66,58 @@ class TestFreeFlight:
 
 
 class TestMonteCarlo:
-    def test_single_realization_mean_is_the_run(self):
-        result = monte_carlo(
-            lambda seeds: np.array([[float(seed % 7), 1.0] for seed in seeds]), 1, 99
-        )
-        assert result.n_realizations == 1
+    def test_batch_is_drawn_once_in_seed_order(self, params):
+        calls = []
 
-    def test_mean_is_order_independent(self):
-        def run(seeds):
-            return np.stack([np.random.default_rng(s).normal(size=5) for s in seeds])
+        def run(samples):
+            calls.append(samples)
+            return "result"
 
-        result = monte_carlo(run, 24, 123)
-        assert np.array_equal(result.mean, run(realization_seeds(123, 24)).mean(axis=0))
+        assert run_ensemble(run, params, 3, 5, 123) == "result"
+        [samples] = calls
+        assert [s.seed for s in samples] == realization_seeds(123, 5)
+        expected = sample_thermal(params, 3, realization_seeds(123, 5)[4])
+        assert np.array_equal(samples[4].velocities, expected.velocities)
+
+    def test_zero_temperature_runs_one_chain_at_rest(self):
+        calls = []
+        run_ensemble(calls.append, PhysicalParams(temperature=0.0), 3, 5, 123)
+        assert calls == [[None]]
 
     def test_seeds_are_deterministic(self):
         assert realization_seeds(42, 5) == realization_seeds(42, 5)
         assert realization_seeds(42, 5) != realization_seeds(43, 5)
 
-    def test_failures_carry_seed_identification(self):
-        def run(seeds):
-            raise RuntimeError("boom")
+    def test_failures_carry_seed_identification(self, params):
+        seeds = realization_seeds(7, 3)
 
-        with pytest.raises(MonteCarloError, match=r"realization 0 \(seed \d+\)"):
-            monte_carlo(run, 3, 7)
+        def run(samples):
+            if any(s.seed == seeds[1] for s in samples):
+                raise GeometryError("atoms 0 and 1 coincide")
+            return len(samples)
 
-    def test_failure_only_in_a_batch_names_the_chunk(self):
-        def run(seeds):
-            if len(seeds) > 1:
-                raise RuntimeError("batch too large")
-            return np.zeros((1, 2))
+        with pytest.raises(MonteCarloError, match=rf"realization 1 \(seed {seeds[1]}\)"):
+            run_ensemble(run, params, 2, 3, 7)
+
+    def test_failure_only_in_a_batch_names_the_chunk(self, params):
+        def run(samples):
+            if len(samples) > 1:
+                raise IntegrationError("batch too large")
+            return len(samples)
 
         with pytest.raises(MonteCarloError, match=r"realizations 0-2 failed together"):
-            monte_carlo(run, 3, 7)
+            run_ensemble(run, params, 2, 3, 7)
 
-    def test_mean_definition(self):
-        values = {}
+    def test_programming_error_is_not_relabelled(self, params):
+        calls = []
 
-        def run(seeds):
-            rows = []
-            for _ in seeds:
-                values[len(values)] = float(len(values))
-                rows.append([values[len(values) - 1]])
-            return np.array(rows)
+        def run(samples):
+            calls.append(samples)
+            raise RuntimeError("boom")
 
-        result = monte_carlo(run, 4, 0)
-        data = np.array([0.0, 1.0, 2.0, 3.0])
-        assert result.mean[0] == pytest.approx(data.mean())
+        with pytest.raises(RuntimeError, match="boom"):
+            run_ensemble(run, params, 2, 3, 7)
+        assert len(calls) == 1
 
 
 class TestRecapture:
@@ -143,8 +149,3 @@ class TestRecapture:
         eps = recapture_epsilon(PhysicalParams(), 2092.0, 7.0, 400_000, seed=12, floor=0.01)
         assert eps == pytest.approx(0.20, abs=0.01)
 
-
-class TestEnsembleResult:
-    def test_fields(self):
-        result = EnsembleResult(mean=np.ones(3), n_realizations=5)
-        assert result.n_realizations == 5
