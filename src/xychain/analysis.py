@@ -20,6 +20,9 @@ from .errors import ConfigError, DataError, FitError
 #: Fewest points of a series :func:`fit_sinusoid` accepts.
 MIN_FIT_POINTS = 8
 
+#: Fewest sampling steps a window of :func:`envelope_contrast` spans.
+MIN_WINDOW_STEPS = 4.0
+
 #: Damped steps, accepted or rejected, before the sinusoid fit gives up.
 _MAX_ITERATIONS = 200
 
@@ -245,7 +248,7 @@ def envelope_contrast(times, values, window: float) -> tuple[np.ndarray, np.ndar
     if t.ndim != 1 or t.shape != v.shape:
         raise DataError("times and values must be 1-d arrays of equal length")
     spacing = _median(np.diff(t))
-    if window < 4.0 * spacing:
+    if window < MIN_WINDOW_STEPS * spacing:
         raise ConfigError(
             f"envelope window {window:g} us too small for sample spacing "
             f"{spacing:g} us"

@@ -359,7 +359,7 @@ def cmd_list_scenarios() -> int:
     for spec in catalog():
         print(f"{spec.name}  [{spec.anchor}]")
         print(f"  {spec.summary}")
-        for key, (default, help_text) in spec.options.items():
+        for key, (default, help_text, _) in spec.options.items():
             print(f"    {key} (default {default!r}): {help_text}")
     return EXIT_OK
 

@@ -19,11 +19,11 @@ seed; Monte-Carlo draws and noise realizations derive from it through a
 fixed seed lineage.
 
 A runner declares each of its options once, as a parameter
-``name: Annotated[<type>, "<help>"] = <default>``; the catalog, the
-option-key check and the options echoed in a result all derive from it.
-A default is one object shared by every direct call of its runner, so
-runners treat option values as read-only; ``run_scenario`` passes each run
-its own copies.
+``name: Annotated[<type>, "<help>", <check>] = <default>``; the catalog, the
+one check of option values (``scenario_options``) and the options echoed in
+a result all derive from it.  A default is one object shared by every direct
+call of its runner, so runners treat option values as read-only;
+``run_scenario`` passes each run its own copies.
 """
 
 from __future__ import annotations
@@ -51,34 +51,54 @@ RECAPTURE_TRAP_DEPTH = 2092.0
 EPSILON_FLOOR = 0.01
 EPSILON_SLOPE = 0.027  # per us
 
-#: Loss-model option keys, each with the values it accepts, or None when
-#: they form no fixed set (numbers are checked by ``_EPSILON_NUMBERS``).
-_EPSILON_OPTIONS = {
-    "backend": ("table", "recapture_mc", "none"), "table_path": None,
-    "table_kind": ("epsilon", "p111"), "floor": None, "slope": None,
-    "trap_depth": None, "n_mc": None,
-}
 
-#: Numeric option checks: the values a key accepts, and the test a real
-#: number must pass for it; ``_OPTION_NUMBERS`` for scenario options,
-#: ``_EPSILON_NUMBERS`` for loss-model options.
-_COUNT = ("an integer >= 1", lambda v: isinstance(v, numbers.Integral) and v >= 1)
-_FLOOR = ("a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-_SLOPE = ("a finite number", math.isfinite)
-_OPTION_NUMBERS = {
-    "n_realizations": _COUNT, "n_trials": _COUNT, "floor": _FLOOR, "slope": _SLOPE,
-    "temperature": ("a finite number >= 0", lambda v: math.isfinite(v) and v >= 0.0),
-}
-_EPSILON_NUMBERS = {
-    "floor": _FLOOR,
-    "slope": _SLOPE,
-    "trap_depth": ("a finite number > 0", lambda v: math.isfinite(v) and v > 0.0),
-    "n_mc": _COUNT,
+class Check(NamedTuple):
+    """The values an option accepts, in words and as a test; a choice lists them."""
+
+    expected: str
+    test: Callable[[object], bool]
+    choices: tuple[str, ...] = ()
+
+
+def _one_of(*choices: str) -> Check:
+    return Check("one of: " + ", ".join(choices), choices.__contains__, choices)
+
+
+def _number(expected: str, test: Callable, kind: type = numbers.Real) -> Check:
+    """A number of ``kind``, not a bool, that passes ``test``."""
+    return Check(expected, lambda v: type(v) is not bool and isinstance(v, kind) and test(v))
+
+
+_COUNT = _number("an integer >= 1", lambda v: v >= 1, numbers.Integral)
+_DEGREE = _number("an integer >= 0", lambda v: v >= 0, numbers.Integral)
+_N_ATOMS = _number("an integer in [1, 100]", lambda v: 1 <= v <= 100, numbers.Integral)
+_FINITE = _number("a finite number", lambda v: -math.inf < v < math.inf)
+_POSITIVE = _number("a finite number > 0", lambda v: 0.0 < v < math.inf)
+_NON_NEGATIVE = _number("a finite number >= 0", lambda v: 0.0 <= v < math.inf)
+_FLOOR = _number("a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_SPACING = _number("a number in [2, 100]", lambda v: 2.0 <= v <= 100.0)
+_RADII = Check("a list of at least 3 numbers in [2, 100]",
+               lambda v: isinstance(v, (list, tuple)) and len(v) >= 3
+               and all(map(_SPACING.test, v)))
+_MODE = _one_of("ideal", "full")
+_RANGE_MODE = _one_of(*xy.RANGE_MODES)
+_TEXT = Check("a string or null", lambda v: isinstance(v, str))
+_MAPPING = Check("a mapping", lambda v: v is None or isinstance(v, dict))
+
+#: Loss-model option key -> (default, accepted values).
+_EPSILON = {
+    "backend": ("table", _one_of("table", "recapture_mc", "none")),
+    "table_path": (None, _TEXT),
+    "table_kind": ("epsilon", _one_of("epsilon", "p111")),
+    "floor": (EPSILON_FLOOR, _FLOOR),
+    "slope": (EPSILON_SLOPE, _FINITE),
+    "trap_depth": (RECAPTURE_TRAP_DEPTH, _POSITIVE),
+    "n_mc": (200_000, _COUNT),
 }
 
 _EPSILON_HELP = "loss-model options: " + ", ".join(
-    f"{key} ({' | '.join(choices)})" if choices else key
-    for key, choices in _EPSILON_OPTIONS.items()
+    f"{key} ({' | '.join(check.choices)})" if check.choices else key
+    for key, (_, check) in _EPSILON.items()
 )
 
 #: Runner parameters that ``run_scenario`` supplies itself; every other
@@ -116,11 +136,11 @@ class ScenarioResult:
     summary: dict
 
 
-def _runner_options(runner: Callable) -> dict[str, tuple[object, str]]:
-    """Option name -> (default, help), read off the runner's signature.
+def _runner_options(runner: Callable) -> dict[str, tuple[object, str, Check]]:
+    """Option name -> (default, help, check), read off the runner's signature.
 
-    Each option parameter is declared ``Annotated[<type>, "<help>"] =
-    <default>``; one without help text or default is a programming error.
+    Each option parameter is declared ``Annotated[<type>, "<help>", <check>]
+    = <default>``; one without help, check or default is a programming error.
     """
     options = {}
     for name, param in inspect.signature(runner, eval_str=True).parameters.items():
@@ -128,11 +148,12 @@ def _runner_options(runner: Callable) -> dict[str, tuple[object, str]]:
             continue
         metadata = getattr(param.annotation, "__metadata__", ())
         helps = [m for m in metadata if isinstance(m, str)]
-        if not helps or param.default is param.empty:
+        checks = [m for m in metadata if isinstance(m, Check)]
+        if not helps or not checks or param.default is param.empty:
             raise TypeError(
-                f"{runner.__name__}: option {name!r} needs Annotated[type, help] = default"
+                f"{runner.__name__}: option {name!r} needs a help text, check and default"
             )
-        options[name] = (param.default, helps[0])
+        options[name] = (param.default, helps[0], checks[0])
     return options
 
 
@@ -144,15 +165,13 @@ class ScenarioSpec:
     summary: str
     anchor: str
     runner: Callable = field(repr=False, compare=False)
-    options: dict[str, tuple[object, str]] = field(init=False)
+    options: dict[str, tuple[object, str, Check]] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "options", _runner_options(self.runner))
 
 
 def _tau_grid(tau_max: float, tau_step: float) -> np.ndarray:
-    if tau_max <= 0 or tau_step <= 0:
-        raise ConfigError("tau_max and tau_step must be positive")
     n = int(round(tau_max / tau_step))
     return np.linspace(0.0, n * tau_step, n + 1)
 
@@ -200,60 +219,58 @@ def deexcite_suffix(params: PhysicalParams, n_atoms: int):
     return [obe.PulseSegment.optical(t_opt)]
 
 
-def _epsilon_choice(key: str, value):
-    """``value`` of the restricted loss-model option ``key``, checked."""
-    choices = _EPSILON_OPTIONS[key]
-    if value not in choices:
-        raise ConfigError(
-            f"options.epsilon.{key}: unknown value {value!r} "
-            f"(expected one of: {', '.join(choices)})"
-        )
-    return value
-
-
-def _check_number(path: str, value, expected: str, test: Callable) -> None:
-    """Refuse ``value`` at config ``path`` unless it is a real number
-    (not a bool) that passes ``test``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not test(value):
-        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+def _overlay(path: str, declared: dict, values: dict) -> dict:
+    """Copies of the defaults of ``declared`` (key -> (default, ..., check)),
+    overlaid by ``values``.  An unknown key, or a value its check refuses (None
+    passes where it is the default), raises ConfigError naming the key."""
+    merged = copy.deepcopy({key: entry[0] for key, entry in declared.items()})
+    for key, value in values.items():
+        if key not in declared:
+            raise ConfigError(
+                f"{path}.{key}: unknown key (expected one of: {', '.join(sorted(declared))})"
+            )
+        merged[key] = value
+    for key, (default, *_, check) in declared.items():
+        value = merged[key]
+        if (value is not None or default is not None) and not check.test(value):
+            refusal = (
+                f"unknown value {value!r} (expected {check.expected})" if check.choices
+                else f"expected {check.expected}, got {value!r}"
+            )
+            raise ConfigError(f"{path}.{key}: {refusal}")
+    return merged
 
 
 def resolve_epsilon_model(
     epsilon_options: Optional[dict], params: PhysicalParams, seed: int, t_max: float
 ) -> detection.EpsilonModel:
-    """Build the loss model a scenario declared in its options (keys and
-    choices checked by :func:`scenario_options`)."""
-    epsilon_options = epsilon_options or {}
-    backend = _epsilon_choice("backend", epsilon_options.get("backend", "table"))
-    if backend == "none":
+    """The loss model of ``epsilon_options``, checked and defaulted as ``_EPSILON`` says."""
+    eps = _overlay("options.epsilon", _EPSILON, epsilon_options or {})
+    if eps["backend"] == "none":
         return detection.EpsilonModel.constant(0.0)
-    if backend == "table":
-        path = epsilon_options.get("table_path")
-        if path:
-            t, eps = load_epsilon_table(path, epsilon_options.get("table_kind", "epsilon"))
-            return detection.EpsilonModel.from_table(t, eps)
-        floor = epsilon_options.get("floor", EPSILON_FLOOR)
-        slope = epsilon_options.get("slope", EPSILON_SLOPE)
+    if eps["backend"] == "table" and eps["table_path"]:
+        t, values = load_epsilon_table(eps["table_path"], eps["table_kind"])
+    elif eps["backend"] == "table":
         t = np.linspace(0.0, max(t_max, 12.0), 25)
-        return detection.EpsilonModel.from_table(t, np.clip(floor + slope * t, 0, 1))
-    depth = epsilon_options.get("trap_depth", RECAPTURE_TRAP_DEPTH)
-    floor = epsilon_options.get("floor", EPSILON_FLOOR)
-    n_mc = int(epsilon_options.get("n_mc", 200_000))
-    grid = np.linspace(0.0, max(t_max, 8.0), 17)
-    eps = [
-        thermal.recapture_epsilon(params, depth, t, n_mc, seed=seed, floor=floor)
-        for t in grid
-    ]
-    return detection.EpsilonModel.from_table(grid, eps)
+        values = np.clip(eps["floor"] + eps["slope"] * t, 0, 1)
+    else:
+        t = np.linspace(0.0, max(t_max, 8.0), 17)
+        values = [thermal.recapture_epsilon(params, eps["trap_depth"], ti, eps["n_mc"],
+                                            seed=seed, floor=eps["floor"]) for ti in t]
+    return detection.EpsilonModel.from_table(t, values)
 
 
-def load_epsilon_table(path, kind: str = "epsilon"):
-    """Two-column numeric text (t_us, epsilon or P_111); '#' comments allowed."""
-    data = np.loadtxt(path, comments="#", ndmin=2)
+def load_epsilon_table(path, kind: str = "epsilon", key: str = "options.epsilon.table_path"):
+    """Two-column numeric text (t_us, epsilon or P_111); '#' comments allowed.
+    A file that cannot be read raises ConfigError naming the option ``key``."""
+    try:
+        data = np.loadtxt(path, comments="#", ndmin=2)
+    except (OSError, ValueError) as exc:  # missing, or not a numeric table
+        raise ConfigError(f"{key}: cannot read {path}: {exc}") from exc
     if data.shape[1] < 2:
         raise DataError(f"calibration table {path} needs two columns")
     t, value = data[:, 0], data[:, 1]
-    if _epsilon_choice("table_kind", kind) == "epsilon":
+    if kind == "epsilon":
         return t, value
     if np.any((value <= 0) | (value > 1)):
         raise DataError("P_111 calibration values must lie in (0, 1]")
@@ -348,16 +365,14 @@ def _fit_summary(fit: analysis.OscillationFit) -> dict:
 def two_atom_exchange(
     params: PhysicalParams,
     seed: int,
-    spacing: Annotated[float, "atom spacing, um (2 to 100)"] = 30.0,
-    tau_max: Annotated[float, "longest free-evolution time, us"] = 10.0,
-    tau_step: Annotated[float, "free-evolution sampling step, us"] = 0.05,
-    mode: Annotated[str, "ideal (theory) or full (open-system) pipeline"] = "full",
-    n_realizations: Annotated[int, "thermal Monte-Carlo realizations"] = 100,
-    epsilon: Annotated[dict, _EPSILON_HELP] = {},
+    spacing: Annotated[float, "atom spacing, um (2 to 100)", _SPACING] = 30.0,
+    tau_max: Annotated[float, "longest free-evolution time, us", _POSITIVE] = 10.0,
+    tau_step: Annotated[float, "free-evolution sampling step, us", _POSITIVE] = 0.05,
+    mode: Annotated[str, "ideal (theory) or full (open-system) pipeline", _MODE] = "full",
+    n_realizations: Annotated[int, "thermal Monte-Carlo realizations", _COUNT] = 100,
+    epsilon: Annotated[dict, _EPSILON_HELP, _MAPPING] = {},
 ) -> tuple[dict[str, Table], dict]:
     """Exchange oscillation between two atoms at the given spacing."""
-    if not 2.0 <= spacing <= 100.0:
-        raise ConfigError(f"spacing must be in [2, 100] um, got {spacing}")
     taus = _fit_tau_grid(tau_max, tau_step)
     geometry = ChainGeometry.line(2, spacing)
 
@@ -371,8 +386,6 @@ def two_atom_exchange(
         }
         return {"populations": table}, summary
 
-    if mode != "full":
-        raise ConfigError(f"mode must be 'ideal' or 'full', got {mode!r}")
     [run] = _exchange_readouts(geometry, params, taus, n_realizations, seed, epsilon)
     tables = _pattern_tables(taus, run, 2)
     fit = analysis.fit_sinusoid(taus, tables["observed"].column("P_10"))
@@ -388,14 +401,18 @@ def two_atom_exchange(
 def distance_scan(
     params: PhysicalParams,
     seed: int,
-    radii: Annotated[list, "spacings, um"] = [20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0],
-    tau_max: Annotated[float, "longest free-evolution time, us"] = 10.0,
-    tau_step: Annotated[float, "free-evolution sampling step, us"] = 0.05,
-    mode: Annotated[str, "ideal or full pipeline per point"] = "ideal",
-    r_noise_frac: Annotated[float, "fractional spacing-calibration noise"] = 0.0,
-    n_trials: Annotated[int, "noisy-scan repetitions for scatter statistics"] = 1,
-    n_realizations: Annotated[int, "realizations per point in full mode"] = 20,
-    epsilon: Annotated[dict, _EPSILON_HELP] = {},
+    radii: Annotated[list, "spacings, um", _RADII] = [
+        20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0
+    ],
+    tau_max: Annotated[float, "longest free-evolution time, us", _POSITIVE] = 10.0,
+    tau_step: Annotated[float, "free-evolution sampling step, us", _POSITIVE] = 0.05,
+    mode: Annotated[str, "ideal or full pipeline per point", _MODE] = "ideal",
+    r_noise_frac: Annotated[
+        float, "fractional spacing-calibration noise", _NON_NEGATIVE
+    ] = 0.0,
+    n_trials: Annotated[int, "noisy-scan repetitions for scatter statistics", _COUNT] = 1,
+    n_realizations: Annotated[int, "realizations per point in full mode", _COUNT] = 20,
+    epsilon: Annotated[dict, _EPSILON_HELP, _MAPPING] = {},
 ) -> tuple[dict[str, Table], dict]:
     """Interaction energy versus distance, with a power-law fit.
 
@@ -404,10 +421,15 @@ def distance_scan(
     ``n_trials`` repeats the noisy scan to estimate the exponent scatter.
     """
     radii = [float(r) for r in radii]
-    if len(radii) < 3:
-        raise DataError(f"distance scan needs at least 3 radii, got {len(radii)}")
     seeds = thermal.realization_seeds(seed, 4)
     rng = np.random.default_rng(seeds[1])
+    noise = rng.standard_normal((n_trials, len(radii)))  # only this draws from rng
+    spacings = np.multiply(radii, 1.0 + r_noise_frac * noise)  # true, (trial, radius)
+    outside = [s for s in spacings.flat if not _SPACING.test(s)]
+    if outside:
+        raise ConfigError(
+            f"options.r_noise_frac: drew a spacing of {outside[0]:g} um, outside [2, 100]"
+        )
 
     def window(r_nominal: float) -> float:
         # scan long enough to cover the expected period at weak coupling
@@ -417,36 +439,23 @@ def distance_scan(
     for r in radii:
         _fit_tau_grid(window(r), tau_step)
 
-    def measure(r_nominal: float, r_true: float, sub_seed: int) -> float:
-        _, summary = two_atom_exchange(
-            params,
-            sub_seed,
-            spacing=r_true,
-            tau_max=window(r_nominal),
-            tau_step=tau_step,
-            mode=mode,
-            n_realizations=n_realizations,
-            epsilon=epsilon,
-        )
-        # oscillation frequency is twice the exchange coupling
-        return summary["fit_P_10"]["frequency_mhz"] / 2.0
-
-    exponents = []
-    prefactors = []
-    first_energies = None
-    for trial in range(n_trials):
+    def trial_energies(trial: int) -> list[float]:
         energies = []
-        for r in radii:
-            r_true = r * (1.0 + r_noise_frac * rng.standard_normal()) if r_noise_frac else r
-            energies.append(measure(r, r_true, seeds[0] + trial))
-        fit = analysis.fit_power_law(radii, energies)
-        exponents.append(fit.exponent)
-        prefactors.append(fit.prefactor)
-        if first_energies is None:
-            first_energies = energies
-    fit_free = analysis.fit_power_law(radii, first_energies)
-    fit_fixed = analysis.fit_power_law(radii, first_energies, exponent=-3.0)
-    table = Table(("R_um", "E_MHz"), np.column_stack([radii, first_energies]))
+        for r_nominal, r_true in zip(radii, spacings[trial]):
+            _, summary = two_atom_exchange(
+                params, seeds[0] + trial, spacing=r_true, tau_max=window(r_nominal),
+                tau_step=tau_step, mode=mode, n_realizations=n_realizations, epsilon=epsilon,
+            )
+            # oscillation frequency is twice the exchange coupling
+            energies.append(summary["fit_P_10"]["frequency_mhz"] / 2.0)
+        return energies
+
+    trials = [trial_energies(trial) for trial in range(n_trials)]
+    fits = [analysis.fit_power_law(radii, energies) for energies in trials]
+    exponents = [fit.exponent for fit in fits]
+    fit_free = fits[0]
+    fit_fixed = analysis.fit_power_law(radii, trials[0], exponent=-3.0)
+    table = Table(("R_um", "E_MHz"), np.column_stack([radii, trials[0]]))
     summary = {
         "mode": mode,
         "exponent": fit_free.exponent,
@@ -463,14 +472,16 @@ def distance_scan(
 def three_chain(
     params: PhysicalParams,
     seed: int,
-    spacing: Annotated[float, "nearest-neighbor spacing, um"] = 20.0,
-    tau_max: Annotated[float, "longest free-evolution time, us"] = 7.0,
-    tau_step: Annotated[float, "free-evolution sampling step, us"] = 0.05,
-    range_mode: Annotated[str, "full or nearest_neighbor coupling (ideal mode)"] = "full",
-    mode: Annotated[str, "ideal (theory) or full (open-system) pipeline"] = "full",
-    temperature: Annotated[Optional[float], "override temperature, uK"] = None,
-    n_realizations: Annotated[int, "thermal Monte-Carlo realizations"] = 100,
-    epsilon: Annotated[dict, _EPSILON_HELP] = {},
+    spacing: Annotated[float, "nearest-neighbor spacing, um", _POSITIVE] = 20.0,
+    tau_max: Annotated[float, "longest free-evolution time, us", _POSITIVE] = 7.0,
+    tau_step: Annotated[float, "free-evolution sampling step, us", _POSITIVE] = 0.05,
+    range_mode: Annotated[
+        str, "full or nearest_neighbor coupling (ideal mode)", _RANGE_MODE
+    ] = "full",
+    mode: Annotated[str, "ideal (theory) or full (open-system) pipeline", _MODE] = "full",
+    temperature: Annotated[Optional[float], "override temperature, uK", _NON_NEGATIVE] = None,
+    n_realizations: Annotated[int, "thermal Monte-Carlo realizations", _COUNT] = 100,
+    epsilon: Annotated[dict, _EPSILON_HELP, _MAPPING] = {},
 ) -> tuple[dict[str, Table], dict]:
     """Excitation transfer along the three-atom chain."""
     taus = _tau_grid(tau_max, tau_step)
@@ -491,8 +502,6 @@ def three_chain(
         }
         return {"populations": table}, summary
 
-    if mode != "full":
-        raise ConfigError(f"mode must be 'ideal' or 'full', got {mode!r}")
     if range_mode != "full":
         raise ConfigError("the open-system model always keeps the full-range coupling")
     [run] = _exchange_readouts(geometry, params, taus, n_realizations, seed, epsilon)
@@ -509,13 +518,13 @@ def three_chain(
 def temperature_ablation(
     params: PhysicalParams,
     seed: int,
-    spacing: Annotated[float, "nearest-neighbor spacing, um"] = 20.0,
-    tau_max: Annotated[float, "longest free-evolution time, us"] = 7.0,
-    tau_step: Annotated[float, "free-evolution sampling step, us"] = 0.05,
-    temperature: Annotated[float, "ensemble temperature, uK"] = 50.0,
-    n_realizations: Annotated[int, "thermal Monte-Carlo realizations"] = 100,
-    envelope_window: Annotated[float, "sliding window for envelopes, us"] = 1.0,
-    epsilon: Annotated[dict, _EPSILON_HELP] = {},
+    spacing: Annotated[float, "nearest-neighbor spacing, um", _POSITIVE] = 20.0,
+    tau_max: Annotated[float, "longest free-evolution time, us", _POSITIVE] = 7.0,
+    tau_step: Annotated[float, "free-evolution sampling step, us", _POSITIVE] = 0.05,
+    temperature: Annotated[float, "ensemble temperature, uK", _NON_NEGATIVE] = 50.0,
+    n_realizations: Annotated[int, "thermal Monte-Carlo realizations", _COUNT] = 100,
+    envelope_window: Annotated[float, "sliding window for envelopes, us", _POSITIVE] = 1.0,
+    epsilon: Annotated[dict, _EPSILON_HELP, _MAPPING] = {},
 ) -> tuple[dict[str, Table], dict]:
     """Decompose thermal damping of the far-site signal into loss and motion.
 
@@ -523,6 +532,11 @@ def temperature_ablation(
     zero-temperature dynamics, the same with only detection losses, motion
     only, and both effects together.
     """
+    if envelope_window < analysis.MIN_WINDOW_STEPS * tau_step:
+        raise ConfigError(
+            f"options.envelope_window: expected >= {analysis.MIN_WINDOW_STEPS:g} x "
+            f"options.tau_step, got {envelope_window:g} us"
+        )
     taus = _tau_grid(tau_max, tau_step)
     geometry = ChainGeometry.line(3, spacing)
     hot_params = replace(params, temperature=float(temperature))
@@ -560,15 +574,17 @@ def temperature_ablation(
 def long_chain(
     params: PhysicalParams,
     seed: int,
-    n_atoms: Annotated[int, "chain length (up to 100)"] = 20,
-    spacing: Annotated[float, "nearest-neighbor spacing, um"] = 20.0,
-    temperature: Annotated[Optional[float], "override temperature, uK"] = None,
-    tau_max: Annotated[float, "longest interaction time, us"] = 10.0,
-    tau_step: Annotated[float, "sampling step, us"] = 0.05,
-    n_realizations: Annotated[int, "thermal Monte-Carlo realizations"] = 100,
-    range_mode: Annotated[str, "full or nearest_neighbor coupling"] = "full",
-    baseline_window: Annotated[float, "pre-arrival window for the far site, us"] = 1.0,
-    epsilon: Annotated[dict, _EPSILON_HELP] = {},
+    n_atoms: Annotated[int, "chain length (up to 100)", _N_ATOMS] = 20,
+    spacing: Annotated[float, "nearest-neighbor spacing, um", _POSITIVE] = 20.0,
+    temperature: Annotated[Optional[float], "override temperature, uK", _NON_NEGATIVE] = None,
+    tau_max: Annotated[float, "longest interaction time, us", _POSITIVE] = 10.0,
+    tau_step: Annotated[float, "sampling step, us", _POSITIVE] = 0.05,
+    n_realizations: Annotated[int, "thermal Monte-Carlo realizations", _COUNT] = 100,
+    range_mode: Annotated[str, "full or nearest_neighbor coupling", _RANGE_MODE] = "full",
+    baseline_window: Annotated[
+        float, "pre-arrival window for the far site, us", _NON_NEGATIVE
+    ] = 1.0,
+    epsilon: Annotated[dict, _EPSILON_HELP, _MAPPING] = {},
 ) -> tuple[dict[str, Table], dict]:
     """Single-excitation transport along a long chain with thermal motion.
 
@@ -576,8 +592,6 @@ def long_chain(
     enters through the time-dependent couplings and through the detection
     scaling factor (1 - eps)^(N-1).
     """
-    if not 1 <= n_atoms <= 100:
-        raise ConfigError(f"n_atoms must be in [1, 100], got {n_atoms}")
     taus = _tau_grid(tau_max, tau_step)
     geometry = ChainGeometry.line(n_atoms, spacing)
     if temperature is not None:
@@ -618,12 +632,14 @@ def long_chain(
 def calibrate_epsilon(
     params: PhysicalParams,
     seed: int,
-    t_max: Annotated[float, "longest trap-off time, us"] = 10.0,
-    n_points: Annotated[int, "calibration grid size"] = 41,
-    degree: Annotated[int, "polynomial degree of the fit"] = 2,
-    floor: Annotated[float, "background loss at t = 0"] = EPSILON_FLOOR,
-    slope: Annotated[float, "synthetic loss slope, 1/us"] = EPSILON_SLOPE,
-    table_path: Annotated[Optional[str], "measured (t, epsilon) table to ingest"] = None,
+    t_max: Annotated[float, "longest trap-off time, us", _POSITIVE] = 10.0,
+    n_points: Annotated[int, "calibration grid size", _COUNT] = 41,
+    degree: Annotated[int, "polynomial degree of the fit", _DEGREE] = 2,
+    floor: Annotated[float, "background loss at t = 0", _FLOOR] = EPSILON_FLOOR,
+    slope: Annotated[float, "synthetic loss slope, 1/us", _FINITE] = EPSILON_SLOPE,
+    table_path: Annotated[
+        Optional[str], "measured (t, epsilon) table to ingest", _TEXT
+    ] = None,
 ) -> tuple[dict[str, Table], dict]:
     """Fit the loss probability from an all-ground recapture experiment.
 
@@ -632,12 +648,13 @@ def calibrate_epsilon(
     closed-form recapture partitions; with one, the measured data are used.
     """
     if table_path:
-        t, eps_true = load_epsilon_table(table_path, "epsilon")
-        p_all = (1.0 - eps_true) ** 3
+        t, eps_true = load_epsilon_table(table_path, key="options.table_path")
+    elif degree >= n_points:
+        raise ConfigError(f"options.degree {degree}: expected < options.n_points ({n_points})")
     else:
         t = np.linspace(0.0, t_max, n_points)
         eps_true = np.clip(floor + slope * t, 0.0, 1.0)
-        p_all = (1.0 - eps_true) ** 3
+    p_all = (1.0 - eps_true) ** 3
     model = detection.fit_epsilon(t, p_all, degree=degree)
     eps_fit = model(t)
     partitions = detection.loss_partitions(eps_fit)
@@ -715,40 +732,20 @@ def catalog() -> list[ScenarioSpec]:
 
 
 def scenario_options(name: str, options: Optional[dict] = None) -> dict:
-    """The options a scenario runs with: copies of its defaults, overlaid by
-    ``options``.  An unknown scenario, option key, ``epsilon`` key or
-    ``epsilon`` backend or table kind raises ConfigError, and so does a
-    count, ``floor``, ``slope``, ``temperature`` or ``epsilon`` number out of
-    its range."""
+    """The options a scenario runs with: its defaults, copied, and ``options``.
+
+    The one check of each option's value, shared by ``run_scenario`` and the
+    CLI's ``run`` and ``validate-config``: an unknown scenario, option key or
+    ``epsilon`` key, or a value outside what its runner or ``_EPSILON``
+    declares, raises ConfigError naming the key.  The runner refuses, before
+    any work, what involves two options, the chain or a drawn value.
+    """
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ConfigError(f"unknown scenario {name!r} (expected one of: {known})")
-    spec = SCENARIOS[name]
-    merged = copy.deepcopy({key: default for key, (default, _) in spec.options.items()})
-    for key, value in (options or {}).items():
-        if key not in merged:
-            raise ConfigError(
-                f"options.{key}: unknown key for scenario {name!r} "
-                f"(expected one of: {', '.join(sorted(merged))})"
-            )
-        merged[key] = value
-    for key, check in _OPTION_NUMBERS.items():
-        # None passes only where it is the default (an unset temperature)
-        if key in merged and (merged[key] is not None or spec.options[key][0] is not None):
-            _check_number(f"options.{key}", merged[key], *check)
-    epsilon = merged.get("epsilon") or {}
-    if not isinstance(epsilon, dict):
-        raise ConfigError(f"options.epsilon: expected a mapping, got {epsilon!r}")
-    for key, value in epsilon.items():
-        if key not in _EPSILON_OPTIONS:
-            raise ConfigError(
-                f"options.epsilon.{key}: unknown key (expected one of: "
-                f"{', '.join(sorted(_EPSILON_OPTIONS))})"
-            )
-        if _EPSILON_OPTIONS[key]:
-            _epsilon_choice(key, value)
-        if key in _EPSILON_NUMBERS:
-            _check_number(f"options.epsilon.{key}", value, *_EPSILON_NUMBERS[key])
+    merged = _overlay("options", SCENARIOS[name].options, options or {})
+    if merged.get("epsilon"):
+        _overlay("options.epsilon", _EPSILON, merged["epsilon"])
     return merged
 
 

@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import xychain
-from xychain import analysis, obe, xy
+from xychain import analysis, detection, obe, xy
 from xychain.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -183,6 +183,25 @@ class TestRun:
             ["two-atom-exchange", "--set", "params.gamma_eff=-1"],
             ["long-chain", "--set", "params.c3=abc"],
             ["long-chain", "--set", "params.c3=[1,2]"],
+            ["long-chain", "--set", "options.spacing=0"],
+            ["three-chain", "--set", "options.spacing=0"],
+            ["two-atom-exchange", "--set", "options.spacing=1"],
+            ["three-chain", "--set", "options.mode=ideal", "--set", "options.spacing=abc"],
+            ["two-atom-exchange", "--set", "options.mode=ideal",
+             "--set", "options.tau_step=abc"],
+            ["three-chain", "--set", "options.tau_max=0"],
+            ["three-chain", "--set", "options.mode=quantum"],
+            ["long-chain", "--set", "options.range_mode=all"],
+            ["long-chain", "--set", "options.n_atoms=2.5"],
+            ["long-chain", "--set", "options.baseline_window=-1"],
+            ["long-chain", "--set", "options.epsilon.table_path=5"],
+            ["distance-scan", "--set", "options.radii=abc"],
+            ["distance-scan", "--set", "options.radii=[30,40]"],
+            ["distance-scan", "--set", "options.r_noise_frac=-0.1"],
+            ["temperature-ablation", "--set", "options.envelope_window=0"],
+            ["calibrate-epsilon", "--set", "options.degree=-1"],
+            ["calibrate-epsilon", "--set", "options.t_max=-1"],
+            ["calibrate-epsilon", "--set", "options.n_points=0"],
         ],
         ids=["n_mc-0", "n_mc-negative", "n_mc-fraction", "floor-nan", "floor-2",
              "slope-inf", "trap_depth-string", "trap_depth-0",
@@ -195,7 +214,12 @@ class TestRun:
              "long-chain-temperature-negative", "ablation-temperature-nan",
              "ablation-temperature-null", "omega_perp-0", "omega_perp-negative",
              "mass-0", "gamma_up-negative", "gamma_eff-negative", "c3-string",
-             "c3-sequence"],
+             "c3-sequence", "long-chain-spacing-0", "three-chain-spacing-0",
+             "two-atom-spacing-1", "spacing-string", "tau_step-string", "tau_max-0",
+             "mode-unknown", "range_mode-unknown", "n_atoms-fraction",
+             "baseline_window-negative", "epsilon-table_path-number", "radii-string",
+             "radii-two", "r_noise_frac-negative", "envelope_window-0",
+             "degree-negative", "t_max-negative", "n_points-0"],
     )
     def test_out_of_range_option_exits_2_without_outputs(self, args, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -219,20 +243,28 @@ class TestRun:
             (["three-chain", "--set", "params.omega_opt=[5.2,5.3]"], "params.omega_opt"),
             (["two-atom-exchange", "--set", "params.omega_opt=0"], "params.omega_opt"),
             (["two-atom-exchange", "--set", "params.omega_mw=0"], "params.omega_mw"),
-            (["long-chain", "--set", "options.spacing=0"], "atoms 0 and 1 coincide"),
-            (["three-chain", "--set", "options.spacing=0"], "atoms 0 and 1 coincide"),
+            (["temperature-ablation", "--set", "options.envelope_window=0.1"],
+             "options.envelope_window"),
+            (["calibrate-epsilon", "--set", "options.n_points=3", "--set", "options.degree=3"],
+             "options.degree"),
+            (["calibrate-epsilon", "--set", "options.table_path=missing/epsilon.txt"],
+             "options.table_path: cannot read missing/epsilon.txt"),
+            (["three-chain", "--set", "options.epsilon.table_path=missing/epsilon.txt"],
+             "options.epsilon.table_path: cannot read missing/epsilon.txt"),
         ],
         ids=["omega_opt-per-atom-length", "omega_opt-0", "omega_mw-0",
-             "long-chain-spacing-0", "three-chain-spacing-0"],
+             "envelope_window-below-4-steps", "degree-not-below-n_points",
+             "calibrate-table-missing", "epsilon-table-missing"],
     )
     def test_refused_at_run_exits_2_before_any_work(self, args, named, tmp_path,
                                                     monkeypatch, capsys):
-        # settings that only the chain's length or geometry makes invalid
+        # settings that the chain, another option or a file makes invalid
         def propagate(*args, **kwargs):
             raise AssertionError("the run started before its inputs were checked")
 
         monkeypatch.setattr(xy, "propagate_ensemble", propagate)
         monkeypatch.setattr(obe, "readout_scan", propagate)
+        monkeypatch.setattr(detection, "fit_epsilon", propagate)
         out_dir = tmp_path / "out"
         assert run_cli(["run", *args, "--output-dir", str(out_dir)]) == EXIT_CONFIG
         assert named in capsys.readouterr().err

@@ -1,10 +1,11 @@
 import warnings
+from typing import Annotated
 
 import numpy as np
 import pytest
 
 from xychain import obe, thermal
-from xychain.errors import ConfigError, DataError, ExtrapolationWarning
+from xychain.errors import ConfigError, ExtrapolationWarning
 from xychain.model import PhysicalParams
 from xychain.scenarios import (
     ScenarioSpec,
@@ -50,8 +51,13 @@ class TestCatalog:
         def runner(params, seed, tau_max: float = 1.0):
             return {}, {}
 
+        def unchecked(params, seed, tau_max: Annotated[float, "longest time, us"] = 1.0):
+            return {}, {}
+
         with pytest.raises(TypeError, match="tau_max"):
             ScenarioSpec("bare", "no help text", "fig0", runner)
+        with pytest.raises(TypeError, match="tau_max"):
+            ScenarioSpec("unchecked", "no check", "fig0", unchecked)
 
     def test_option_defaults_are_copied_per_run(self):
         # a run's options are echoed in its result; editing them must not
@@ -157,7 +163,7 @@ class TestDistanceScan:
             run_scenario(scenario, options=options)
 
     def test_single_radius_refused(self):
-        with pytest.raises(DataError, match="at least 3"):
+        with pytest.raises(ConfigError, match="options.radii: expected a list of at least 3"):
             run_scenario("distance-scan", options={"radii": [30.0]})
 
 
@@ -362,6 +368,14 @@ class TestEpsilonResolution:
         )
         tt, ee = load_epsilon_table(path, "p111")
         assert np.allclose(ee, eps, atol=1e-9)
+
+    @pytest.mark.parametrize("text", [None, "0.0 0.01\n1.0 abc\n"], ids=["missing", "text"])
+    def test_unreadable_table_names_the_key(self, text, tmp_path):
+        path = tmp_path / "epsilon.txt"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=f"options.table_path: cannot read {path}"):
+            load_epsilon_table(path, key="options.table_path")
 
     def test_unknown_key_rejected_in_ideal_mode(self):
         # the loss model is never built, but a typo must not reach provenance
