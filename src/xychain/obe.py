@@ -48,16 +48,23 @@ drive once (for atoms at rest with the hopping too), and each factor of a
 moving step overwrites the hopping entries with the effective couplings of
 ``model.cf4_couplings`` (the closed-system engine's step), whose
 Gauss-point couplings are checked against the limit the order was picked
-for, a chunk of steps at a time under a fixed scratch budget.  Every sampled
-or branched state is checked for trace and positivity (a minimum eigenvalue
-below -1e-7 raises IntegrationError); a batched Cholesky factorization of
-rho + 1e-7 I screens the states, and eigenvalues are computed only for a
-stack that fails it, to name the offending row.  All states are
-batchable: a leading batch axis carries independent thermal realizations,
-and in a readout scan several readout branches of the whole realization
-batch at once.  Those branches run in chunks sized to a fixed scratch
-budget and share one step plan, so the output does not depend on the chunk
-size.  The scan's free evolution is one plan too: one segment cache over
+for, a chunk of steps at a time under a fixed scratch budget.
+
+After its prefix a readout scan keeps only the diagonal blocks of M with a
+fixed number of atoms in down.  The optical and free Hamiltonians conserve
+that number and a jump |g><d| lowers it on both sides, so block (a, a) is fed
+by itself and block (a+1, a+1) alone: the diagonal blocks, which hold every
+population, evolve exactly on their own, 245 of the 729 entries at N = 3.  A
+microwave pulse mixes them, so a readout suffix is optical and free only.
+Every sampled or branched state is checked for trace and positivity, block
+by block, as principal submatrices (a minimum eigenvalue below -1e-7 raises
+IntegrationError); a batched Cholesky factorization of rho + 1e-7 I screens
+the states, and eigenvalues are computed only for a stack that fails it, to
+name the offending row.  A stack of states carries independent thermal
+realizations and, in a readout scan, several readout branches of the whole
+realization batch at once.  Those branches run in chunks sized to a fixed
+scratch budget and share one step plan, so the output does not depend on
+the chunk size.  The scan's free evolution is one plan too: one segment cache over
 the whole window up to the last tau, one Taylor plan for the steps between
 consecutive taus, and their Gauss-point couplings planned in chunks across
 the taus.
@@ -65,11 +72,11 @@ the taus.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -188,83 +195,89 @@ def basis_rho(labels: str) -> np.ndarray:
     return rho
 
 
-def _site_operator(op: np.ndarray, site: int, n_atoms: int) -> np.ndarray:
-    mats = [np.eye(3)] * n_atoms
-    mats[site] = op
-    return reduce(np.kron, mats)
-
-
-def _transition(a: Level, b: Level) -> np.ndarray:
-    op = np.zeros((3, 3))
-    op[a, b] = 1.0
-    return op
-
-
 class _OperatorTable:
-    """Dense product-space operators for a given atom count."""
-
-    _cache: dict[int, "_OperatorTable"] = {}
+    """Product-basis structure of a given atom count, read off the base-3
+    level digits of the basis states (atom 0 most significant)."""
 
     def __init__(self, n_atoms: int):
-        self.n = n_atoms
-        self.d = 3**n_atoms
-        self.x_gu = [
-            _site_operator(
-                _transition(Level.UP, Level.G) + _transition(Level.G, Level.UP), i, n_atoms
-            )
-            for i in range(n_atoms)
-        ]
-        self.x_ud = [
-            _site_operator(
-                _transition(Level.DOWN, Level.UP) + _transition(Level.UP, Level.DOWN),
-                i,
-                n_atoms,
-            )
-            for i in range(n_atoms)
-        ]
-        levels = np.array(
-            [list(s) for s in itertools.product(range(3), repeat=n_atoms)]
-        )  # (d, n)
-        self.diag_up = [(levels[:, i] == Level.UP).astype(float) for i in range(n_atoms)]
-        self.diag_down = [
-            (levels[:, i] == Level.DOWN).astype(float) for i in range(n_atoms)
-        ]
-        self.diag_rydberg = [
-            self.diag_up[i] + self.diag_down[i] for i in range(n_atoms)
-        ]
-        # the recycling term reads a state as a (rows, 3,...,3, 3,...,3) tensor,
-        # one axis per atom for the row and for the column level; per atom
-        # the basic-slice indices of its (g, g), (up, up) and (down, down)
-        # blocks
-        self.tensor_shape = (3,) * (2 * n_atoms)
-        self.blocks = []
-        for i in range(n_atoms):
-            per_level = []
-            for level in Level:
-                index = [slice(None)] * (1 + 2 * n_atoms)
-                index[1 + i] = index[1 + n_atoms + i] = int(level)
-                per_level.append(tuple(index))
-            self.blocks.append(tuple(per_level))
+        self.d = d = 3**n_atoms
+        #: the basis-index step of raising atom i by one level, and the
+        #: (d, n) level digits of every basis state
+        self.strides = 3 ** np.arange(n_atoms - 1, -1, -1)
+        self.levels = levels = np.arange(d)[:, None] // self.strides % 3
         # flat positions of each pair's hopping entries |d u><u d| + h.c.,
         # one row per pair i < j in PairFlight's default order
-        pairs = [(i, j) for i in range(n_atoms) for j in range(i + 1, n_atoms)]
         hop = []
-        for i, j in pairs:
-            du_i = _site_operator(_transition(Level.DOWN, Level.UP), i, n_atoms)
-            ud_j = _site_operator(_transition(Level.UP, Level.DOWN), j, n_atoms)
-            op = du_i @ ud_j
-            hop.append(np.flatnonzero(op + op.T))
-        self.hop_index = np.stack(hop) if pairs else np.zeros((0, 0), dtype=np.intp)
+        for i, j in itertools.combinations(range(n_atoms), 2):
+            du = np.flatnonzero((levels[:, i] == Level.DOWN) & (levels[:, j] == Level.UP))
+            ud = du - self.strides[i] + self.strides[j]
+            hop.append(np.concatenate([du * d + ud, ud * d + du]))
+        self.hop_index = np.stack(hop) if hop else np.zeros((0, 0), dtype=np.intp)
         #: the number of hopping entries in each row of H
-        self.hop_count = np.bincount(self.hop_index.ravel() // self.d, minlength=self.d)
-
-    @classmethod
-    def get(cls, n_atoms: int) -> "_OperatorTable":
-        if n_atoms not in cls._cache:
-            cls._cache[n_atoms] = cls(n_atoms)
-        return cls._cache[n_atoms]
+        self.hop_count = np.bincount(self.hop_index.ravel() // d, minlength=d)
+        #: one sector of all d states, and one per number of atoms in down
+        n_down = np.count_nonzero(levels == Level.DOWN, axis=1)
+        self.full = _Layout(self, [np.arange(d)])
+        self.blocks = _Layout(self, [np.flatnonzero(n_down == a) for a in range(n_atoms + 1)])
 
 
+class _Stack(NamedTuple):
+    """Stacked states: a layout's flat buffer and its (rows, s, s) blocks."""
+
+    flat: np.ndarray
+    blocks: list
+
+
+class _Layout:
+    """Sectors of basis indices whose diagonal blocks stacked states keep:
+    R states lie in one flat buffer sector after sector, each sector's
+    blocks one C-contiguous (R, s, s) array.  Its tables number the kept
+    entries as in a one-row buffer; :meth:`positions` places them in R rows."""
+
+    def __init__(self, ops: _OperatorTable, sectors: list):
+        d = ops.d
+        self.sizes = [len(sector) for sector in sectors]
+        squares = np.array(self.sizes) ** 2
+        self.starts = np.concatenate([[0], np.cumsum(squares)])
+        self.entries = int(self.starts[-1])
+        #: the flat (row, column) basis position of every kept entry
+        self.pairs = np.concatenate([(s[:, None] * d + s[None, :]).ravel() for s in sectors])
+        self._sector = np.repeat(np.arange(len(sectors)), squares)
+        entry = np.full(d * d, -1)
+        entry[self.pairs] = np.arange(self.entries)
+        self.diagonal = entry[np.arange(d) * (d + 1)]
+        self.hop = entry[ops.hop_index]
+        self.hopping = set(self._sector[self.hop].ravel().tolist())
+        # Recycling: an entry whose row and column hold atom i in g gains
+        # the entries with atom i in up, then in down, on both sides (2N,
+        # dests); where atom i is not in g the source is padding of rate 0.
+        rows, cols = np.divmod(self.pairs, d)
+        ground = (ops.levels[rows] == Level.G) & (ops.levels[cols] == Level.G)
+        self.dests = np.flatnonzero(ground.any(axis=1))
+        self.valid = np.tile(ground[self.dests].T, (2, 1))
+        shift = np.concatenate([ops.strides, 2 * ops.strides])[:, None] * (d + 1)
+        sources = entry.take(self.pairs[self.dests] + shift, mode="clip")
+        self.sources = np.where(self.valid, sources, 0)
+
+    def positions(self, entries: np.ndarray, rows: int) -> np.ndarray:
+        """The (rows, *entries.shape) positions of kept entries in R rows."""
+        sector = self._sector[entries]
+        start, square = self.starts[sector], self.starts[sector + 1] - self.starts[sector]
+        row = np.arange(rows).reshape(-1, *(1,) * entries.ndim)
+        return rows * start + (entries - start) + row * square
+
+    def stack(self, flat: np.ndarray, rows: int) -> _Stack:
+        """The block views of a flat R-row buffer."""
+        bounds = zip(self.starts[:-1] * rows, self.starts[1:] * rows, self.sizes)
+        return _Stack(flat, [flat[a:b].reshape(rows, s, s) for a, b, s in bounds])
+
+    def fill(self, stack: _Stack, values: np.ndarray) -> None:
+        """Write the kept entries of one state, ``values``, into every row."""
+        for block, a, b, s in zip(stack.blocks, self.starts, self.starts[1:], self.sizes):
+            block[...] = values[a:b].reshape(s, s)
+
+
+@functools.cache
 def _dense_operators(n_atoms: int) -> _OperatorTable:
     """Operator table of a chain the dense master equation accepts."""
     if n_atoms > _MAX_OBE_ATOMS:
@@ -272,7 +285,7 @@ def _dense_operators(n_atoms: int) -> _OperatorTable:
             f"dense 3^N master equation is capped at N = {_MAX_OBE_ATOMS} "
             f"atoms, got {n_atoms}; use the closed-system module for long chains"
         )
-    return _OperatorTable.get(n_atoms)
+    return _OperatorTable(n_atoms)
 
 
 def _samples(trajectories) -> list[Optional[ThermalSample]]:
@@ -316,20 +329,37 @@ def _unpack(m: np.ndarray) -> np.ndarray:
 
 @dataclass(slots=True)
 class _SegmentCache:
-    """Per-segment constants: drive Hamiltonian, decay rates, the bound
-    ``norm`` on every generator a step applies, the step size, the step
-    ``check`` that ``PairFlight.couplings`` applies to the couplings; for
-    motionless atoms also their (P,) couplings.  The Hamiltonian and the
+    """Per-segment constants on the engine's layout: the kept entries of the
+    drive Hamiltonian and of -w, the recycling rates, the sectors whose
+    commutator is not zero, the bound ``norm`` on every generator a step
+    applies, the step size, the step ``check`` that ``PairFlight.couplings``
+    applies; for motionless atoms also their (P,) couplings.  H and the
     couplings are real and in angular units, 2 pi H and 2 pi nu (rad/us)."""
 
     h_drive_flat: np.ndarray
-    w_matrix: np.ndarray
-    rates_up: np.ndarray
-    rate_down: float
+    minus_w: np.ndarray
+    rates: np.ndarray
+    active: list
     norm: float
     dt: float
     check: float
     nu_rest: Optional[np.ndarray] = None
+
+
+class _Frame(NamedTuple):
+    """Scratch views, segment coefficients and index positions for one
+    layout and row count; the recycling sources are (2N, rows, dests)."""
+
+    terms: tuple
+    ham: _Stack
+    m1: list
+    m2: list
+    m2_t: list
+    decay: _Stack
+    rates: np.ndarray
+    hop: np.ndarray
+    sources: np.ndarray
+    dests: np.ndarray
 
 
 class _Engine:
@@ -337,7 +367,9 @@ class _Engine:
 
     The batch axis carries independent realizations (distinct thermal
     trajectories); all states evolve under the same segment structure but
-    their own time-dependent couplings.  The scratch holds ``self.branches``
+    their own time-dependent couplings.  States are flat buffers of the
+    engine's layout: the full one-sector layout until :meth:`to_blocks`
+    keeps the down-number blocks.  The scratch holds ``self.branches``
     copies of the batch (up to ``branches``, as many as fit the budget), so
     that a state of up to ``self.branches * batch`` rows (branch-major,
     times of shape (branches, batch)) advances in one pass.  A segment's
@@ -368,21 +400,48 @@ class _Engine:
         self.batch = len(samples)
         self.branches = min(branches, _branch_chunk(self.batch, n))
         self.gamma_eff = params.gamma_eff_per_atom(n)
+        self.layout = self.ops.full
 
-        # scratch buffers for the allocation-free Taylor loop; a smaller
-        # state uses their leading rows
-        rows = self.branches * self.batch
-        shape = (rows, self.d, self.d)
-        self._terms = (np.empty(shape), np.empty(shape))
-        self._m1 = np.empty(shape)
-        self._m2 = np.empty(shape)
-        self._hflat = np.empty((rows, self.d * self.d))
+        # scratch buffers for the allocation-free Taylor loop, sized for the
+        # full layout; a smaller state uses their leading entries
+        size = self.branches * self.batch * self.d * self.d
+        self._scratch = [np.empty(size) for _ in range(5)]
+        self._frames: dict = {}
+
+    def _frame(self, rows: int) -> _Frame:
+        """The layout's views and index tables for ``rows`` rows, built once."""
+        layout = self.layout
+        if (layout, rows) not in self._frames:
+            size = rows * layout.entries
+            a, b, ham, m1, m2 = (layout.stack(x[:size], rows) for x in self._scratch)
+            sources = layout.positions(layout.sources, rows).transpose(1, 0, 2)
+            self._frames[layout, rows] = _Frame(
+                (a, b), ham, m1.blocks, m2.blocks, [x.transpose(0, 2, 1) for x in m2.blocks],
+                layout.stack(np.empty(size), rows), np.empty(sources.shape),
+                layout.positions(layout.hop, rows), np.ascontiguousarray(sources),
+                layout.positions(layout.dests, rows),
+            )
+        return self._frames[layout, rows]
+
+    def to_blocks(self, m: np.ndarray) -> np.ndarray:
+        """The down-number blocks of full states m; the engine carries blocks
+        from now on."""
+        rows = m.size // (self.d * self.d)
+        self.layout = kept = self.ops.blocks
+        out = np.empty(rows * kept.entries)
+        out[kept.positions(np.arange(kept.entries), rows)] = m.reshape(rows, -1)[:, kept.pairs]
+        return out
+
+    def populations(self, m: np.ndarray) -> np.ndarray:
+        """The (rows, d) level populations of stacked states, in basis order."""
+        return m[self.layout.positions(self.layout.diagonal, m.size // self.layout.entries)]
 
     def _segment_cache(self, segment: PulseSegment, t_start, t_end=None) -> _SegmentCache:
         """Constants of one segment whose step suits the couplings over
         [t_start, t_end], by default the segment itself."""
-        ops, params, n, d = self.ops, self.params, self.n, self.d
-        # drive Hamiltonian (MHz)
+        ops, params, n, d, layout = self.ops, self.params, self.n, self.d, self.layout
+        levels = ops.levels  # (d, n) level digits
+        # drive Hamiltonian (MHz), whose entries no two atoms share
         h_drive = np.zeros((d, d))
         if segment.kind == "optical":
             mask = segment.addressing_mask
@@ -394,18 +453,23 @@ class _Engine:
                 delta_eff += np.asarray(mask, dtype=float) * params.addressing_shift
             diag = np.zeros(d)
             for i in range(n):
-                h_drive = h_drive + 0.5 * omega_opt[i] * ops.x_gu[i]
-                diag -= delta_eff[i] * ops.diag_rydberg[i]
+                g = np.flatnonzero(levels[:, i] == Level.G)
+                up = g + ops.strides[i]
+                h_drive[g, up] = h_drive[up, g] = 0.5 * omega_opt[i]
+                diag -= delta_eff[i] * (levels[:, i] != Level.G)
             h_drive[np.diag_indices(d)] += diag
         elif segment.kind == "microwave":
             for i in range(n):
-                h_drive = h_drive + 0.5 * params.omega_mw * ops.x_ud[i]
+                up = np.flatnonzero(levels[:, i] == Level.UP)
+                down = up + ops.strides[i]
+                h_drive[up, down] = h_drive[down, up] = 0.5 * params.omega_mw
         gamma_optical = self.gamma_eff if segment.kind == "optical" else 0.0
         rates_up = params.gamma_up + np.broadcast_to(gamma_optical, (n,)).astype(float)
         rate_down = params.gamma_down
         w = np.zeros(d)
+        is_up, is_down = levels == Level.UP, levels == Level.DOWN
         for i in range(n):
-            w += rates_up[i] * ops.diag_up[i] + rate_down * ops.diag_down[i]
+            w += rates_up[i] * is_up[:, i] + rate_down * is_down[:, i]
         w_matrix = 0.5 * (w[:, None] + w[None, :])
 
         t_start = np.atleast_1d(t_start)
@@ -420,30 +484,37 @@ class _Engine:
         h_drive_rows = np.abs(h_drive - 0.5 * (diag.max() + diag.min()) * np.eye(d)).sum(axis=1)
         h_rows = h_drive_rows + ops.hop_count * nu_hop
         norm = 4.0 * np.pi * float(h_rows.max()) + float(rates_up.sum() + n * rate_down)
+        h_drive_flat = (2.0 * np.pi * h_drive.reshape(-1))[layout.pairs]
+        bounds = zip(layout.starts, layout.starts[1:])
+        source_rates = np.concatenate([rates_up, np.full(n, rate_down)])[:, None]  # up, down
         cache = _SegmentCache(
-            2.0 * np.pi * h_drive.reshape(-1), w_matrix, rates_up, rate_down, norm,
-            dt=2.0 * self.dt_scale / norm if norm > 0.0 else np.inf,
+            h_drive_flat, -w_matrix.reshape(-1)[layout.pairs],
+            np.where(layout.valid, source_rates, 0.0)[:, None, :],
+            [k for k, (a, b) in enumerate(bounds) if layout.sizes[k] > 1
+             and (k in layout.hopping or np.any(h_drive_flat[a:b]))],
+            norm, dt=2.0 * self.dt_scale / norm if norm > 0.0 else np.inf,
             check=PHASE_CAP / (2.0 * np.pi * nu_lim) if nu_lim > 0.0 else np.inf,
         )
         if self.flight.static:
             cache.nu_rest = 2.0 * np.pi * self.flight.couplings(t_start, cache.check)[0]
         return cache
 
-    def _hamiltonian(self, cache: _SegmentCache, rows: int) -> np.ndarray:
-        """The flat (rows, d*d) Hamiltonian buffer filled for one segment:
-        the drive and, for atoms at rest, the hopping.  A hopping entry
-        changes two atoms and a drive entry one or none, so the CF4 factors of
-        moving atoms rewrite their hopping (:meth:`_hop`) and keep the drive."""
-        h = self._hflat[:rows]
-        h[...] = cache.h_drive_flat
-        self._hop(h, cache.nu_rest)
-        return h
+    def _load(self, cache: _SegmentCache, frame: _Frame) -> None:
+        """Fill the frame for one segment: -w, the recycling rates, and the
+        Hamiltonians: the drive and, for atoms at rest, the hopping.  A
+        hopping entry changes two atoms and a drive entry one or none, so the
+        CF4 factors of moving atoms rewrite the hopping (:meth:`_hop`) alone."""
+        self.layout.fill(frame.decay, cache.minus_w)
+        frame.rates[...] = cache.rates
+        self.layout.fill(frame.ham, cache.h_drive_flat)
+        self._hop(frame, cache.nu_rest)
 
-    def _hop(self, h, nu) -> None:
+    @staticmethod
+    def _hop(frame: _Frame, nu) -> None:
         """Write the angular couplings nu, (rows, P) or (P,) for every row,
-        into the hopping entries of the flat Hamiltonians h; None writes none."""
+        into the frame's hopping entries; None writes none."""
         if nu is not None:
-            h[:, self.ops.hop_index] = nu[..., None]
+            frame.ham.flat[frame.hop] = nu[..., None]
 
     def _cf4_couplings(self, t_starts, h, n_steps, rows: int, check: float):
         """The effective angular couplings (2, rows, P) of every CF4 step of
@@ -467,63 +538,54 @@ class _Engine:
             factors *= 2.0 * np.pi
             yield from factors
 
-    def _rhs(self, h, m, cache: _SegmentCache, out) -> np.ndarray:
-        """dM/dt of the packed states M = Re rho + Im rho into ``out``, under
-        the angular Hamiltonians h (rows, d, d):
-
-            dM/dt = 2 pi (H M - M H)^T - w * M + R[M],
-
-        computed as M^T (2 pi H) - (2 pi H) M^T.  H is symmetric, so the
-        second product is (M (2 pi H))^T: the contiguous M H written through
-        a transposed view, which is cheaper than H times the strided M^T.
-        R adds, per atom, its (up, up) and (down, down) blocks times their
-        decay rates to its (g, g) block, through basic-slice views of the
-        level tensor.
-        """
-        rows, ops = len(m), self.ops
-        m1, m2 = self._m1[:rows], self._m2[:rows]
-        np.matmul(m.transpose(0, 2, 1), h, out=m1)
-        np.matmul(m, h, out=m2.transpose(0, 2, 1))
-        np.subtract(m1, m2, out=out)
-        np.multiply(cache.w_matrix, m, out=m1)
-        out -= m1
-        shape = (rows, *ops.tensor_shape)
-        m_levels = m.reshape(shape, copy=False)
-        out_levels = out.reshape(shape, copy=False)
-        for i, (g, up, down) in enumerate(ops.blocks):
-            out_g = out_levels[g]
-            out_g += cache.rates_up[i] * m_levels[up]
-            out_g += cache.rate_down * m_levels[down]
+    def _rhs(self, frame: _Frame, cache: _SegmentCache, m: _Stack, out: _Stack) -> _Stack:
+        """dM/dt = 2 pi (H M - M H)^T - w * M + R[M] of the stacked packed
+        states into ``out``, for the segment loaded into the frame.  The
+        commutator, per sector whose Hamiltonian block is not zero, is
+        M^T (2 pi H) - (M (2 pi H))^T (H is symmetric): the contiguous M H
+        written through a transposed view, cheaper than H times the strided
+        M^T.  R gathers every destination's sources at once."""
+        np.multiply(frame.decay.flat, m.flat, out=out.flat)
+        for k in cache.active:
+            block, h, m1 = m.blocks[k], frame.ham.blocks[k], frame.m1[k]
+            np.matmul(block.transpose(0, 2, 1), h, out=m1)
+            np.matmul(block, h, out=frame.m2_t[k])
+            m1 -= frame.m2[k]
+            out.blocks[k] += m1
+        sources = m.flat.take(frame.sources)
+        sources *= frame.rates
+        out.flat[frame.dests] += sources.sum(axis=0)
         return out
 
-    def _taylor(self, m, ham, cache: _SegmentCache, tau: float, count: int, order: int):
-        """Apply exp(tau L) ``count`` times to the packed states m in place,
+    def _taylor(self, frame: _Frame, cache: _SegmentCache, m: _Stack, tau: float, count: int,
+                order: int) -> None:
+        """Apply exp(tau L) ``count`` times to the stacked states m in place,
         each by its Taylor series to ``order`` terms: a term is L of the
         term before, times tau / k."""
-        terms = [buffer[: len(m)] for buffer in self._terms]
         for _ in range(count):
             term = m
             for k in range(1, order + 1):
-                out = self._rhs(ham, term, cache, terms[k % 2])
-                out *= tau / k
-                m += out
+                out = self._rhs(frame, cache, term, frame.terms[k % 2])
+                np.multiply(out.flat, tau / k, out=out.flat)
+                np.add(m.flat, out.flat, out=m.flat)
                 term = out
-        return m
 
     def _advance(self, m, t_starts, spans, cache: _SegmentCache):
-        """Advance the packed states in place through consecutive spans,
-        yielding after each.  Span k starts at ``t_starts[k]``, of shape
-        (B,), or (branches, B) for a stack of branches, and takes equal
+        """Advance the flat stacked states in place through consecutive
+        spans, yielding after each.  Span k starts at ``t_starts[k]``, of
+        shape (B,), or (branches, B) for a stack of branches, and takes equal
         steps no longer than the segment's; an empty span takes none.  Atoms
         at rest take exp(h L) per step; moving atoms take the two factors of
         a CF4 step, each a rewrite of the hopping entries and exp(h L / 2).
-        One Taylor plan serves all spans; each span refills the Hamiltonian
-        buffer, so the caller may use it between spans.  A single span runs
+        One Taylor plan serves all spans; each span reloads the segment into
+        the frame, so the caller may use it between spans.  A single span runs
         whole at the first ``next``."""
         spans = np.asarray(spans, dtype=float)
         n_steps = np.where(spans > 0.0, np.maximum(1, np.ceil(spans / cache.dt)), 0).astype(int)
         h = spans / np.maximum(n_steps, 1)
-        rows = len(m)
+        layout = self.layout
+        rows = m.size // layout.entries
+        frame, state = self._frame(rows), layout.stack(m, rows)
         static = cache.nu_rest is not None
         if static:
             substeps, orders = taylor_plan(h * cache.norm)
@@ -532,32 +594,31 @@ class _Engine:
             steps = self._cf4_couplings(t_starts, h, n_steps, rows, cache.check)
         plan = zip(n_steps.tolist(), h.tolist(), substeps.tolist(), orders.tolist())
         for n, step, sub, order in plan:
-            h_flat = self._hamiltonian(cache, rows)
-            ham = h_flat.reshape(rows, self.d, self.d)
+            self._load(cache, frame)
             if static:
-                self._taylor(m, ham, cache, step / sub, n * sub, order)
+                self._taylor(frame, cache, state, step / sub, n * sub, order)
             else:
                 for _ in range(n):
                     for nu in next(steps):
-                        self._hop(h_flat, nu)
-                        self._taylor(m, ham, cache, 0.5 * step / sub, sub, order)
+                        self._hop(frame, nu)
+                        self._taylor(frame, cache, state, 0.5 * step / sub, sub, order)
             yield
 
     def check_state(self, m, t) -> float:
-        """Largest trace deviation of the stacked packed states; raises on a
-        positivity violation of their density matrices, naming the time (of
-        t, one per row or broadcast) of the offending row.  A batched
-        Cholesky factorization of rho + 1e-7 I screens the stack: in exact
-        arithmetic it exists exactly when every eigenvalue of rho is above
-        -1e-7, so the eigenvalues are only computed when it fails."""
-        trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
-        shifted = _unpack(m)
-        diag = np.arange(self.d)
-        shifted[:, diag, diag] -= _POSITIVITY_TOL
+        """Largest trace deviation of the flat stacked states; raises on a
+        positivity violation of a kept block, a principal submatrix of rho,
+        naming the time (of t, one per row or broadcast) of its row.  A
+        batched Cholesky factorization of each block of rho + 1e-7 I screens
+        the stack: in exact arithmetic it exists exactly when every
+        eigenvalue is above -1e-7, so eigenvalues are computed only if not."""
+        trace_dev = float(np.max(np.abs(self.populations(m).sum(axis=-1) - 1.0)))
+        blocks = self.layout.stack(m, m.size // self.layout.entries).blocks
         try:
-            np.linalg.cholesky(shifted)
+            for block in blocks:
+                np.linalg.cholesky(_unpack(block) - _POSITIVITY_TOL * np.eye(block.shape[-1]))
         except np.linalg.LinAlgError:
-            min_eigs = np.linalg.eigvalsh(_unpack(m)).min(axis=-1)
+            eigs = [np.linalg.eigvalsh(_unpack(block)).min(axis=-1) for block in blocks]
+            min_eigs = np.min(eigs, axis=0)
             row = int(np.argmin(min_eigs))
             if min_eigs[row] < _POSITIVITY_TOL:
                 t_row = float(np.broadcast_to(np.ravel(t), min_eigs.shape)[row])
@@ -620,14 +681,14 @@ def run_sequence(
     if np.any(times < 0) or np.any(times > total + 1e-9) or np.any(np.diff(times) < 0):
         raise ConfigError("sample times must be sorted within the sequence duration")
 
-    m = _resolve_initial(initial, n)[None, :, :]
+    m = _resolve_initial(initial, n).reshape(-1)
     t0 = np.zeros(1)
     populations = np.empty((len(times), engine.d))
     max_dev = 0.0
     cursor = 0.0
     k = 0
     while k < len(times) and times[k] <= cursor + 1e-12:
-        populations[k] = np.diagonal(m[0])
+        populations[k] = engine.populations(m)[0]
         max_dev = max(max_dev, engine.check_state(m, cursor))
         k += 1
     for seg in sequence.segments:
@@ -641,13 +702,13 @@ def run_sequence(
         stream = engine._advance(m, starts, np.diff(offsets), engine._segment_cache(seg, t0))
         for j in range(first, k):
             next(stream)
-            populations[j] = np.diagonal(m[0])
+            populations[j] = engine.populations(m)[0]
             max_dev = max(max_dev, engine.check_state(m, cursor + offsets[j - first + 1]))
         next(stream)  # the rest of the segment
         t0 = t0 + seg.duration
         cursor = seg_end
     max_dev = max(max_dev, engine.check_state(m, cursor))
-    final_state = _unpack(m[0])
+    final_state = _unpack(m.reshape(engine.d, engine.d))
     final_state.flags.writeable = False
     return SequenceResult(
         times=times,
@@ -706,16 +767,19 @@ def readout_scan(
         raise ConfigError("tau grid must be non-empty, non-negative and strictly increasing")
     prefix = list(prefix)
     suffix = list(suffix)
+    if any(seg.kind == "microwave" for seg in suffix):  # it mixes the down-number blocks
+        raise ConfigError("a readout suffix takes optical and free-evolution segments only, "
+                          "no microwave pulse")
     engine = _Engine(geometry, params, trajectories, dt_scale, len(taus))
     batch, chunk, d = engine.batch, engine.branches, engine.d
 
-    m = np.broadcast_to(_resolve_initial(initial, n), (batch, d, d)).copy()
+    m = np.tile(_resolve_initial(initial, n).reshape(-1), batch)
     t_now = np.zeros(batch)
     for seg in prefix:
         next(engine._advance(m, [t_now], [seg.duration], engine._segment_cache(seg, t_now)))
         t_now = t_now + seg.duration
-    prefix_duration = float(sum(s.duration for s in prefix))
-    suffix_duration = float(sum(s.duration for s in suffix))
+    m = engine.to_blocks(m)
+    layout, state = engine.layout, engine.layout.stack(m, batch)
 
     plan = []
     first, last = t_now + taus[0], t_now + taus[-1]
@@ -734,28 +798,33 @@ def readout_scan(
         window = engine._segment_cache(PulseSegment.free(taus[-1]), t_now)
         free = engine._advance(m, ends[:-1], spans, window)
 
-    branches = np.empty((chunk * batch, d, d))
+    branches = np.empty(chunk * batch * layout.entries)
     starts = np.empty((chunk, batch))
     populations = np.empty((batch, len(taus), d))
     max_dev = 0.0
     for k, _ in enumerate(free):
         j = k % chunk
-        branches[j * batch : (j + 1) * batch] = m
+        if j == 0:  # the branches of this chunk, stacked as one state
+            size = min(chunk, len(taus) - k)
+            stack = layout.stack(branches[: size * batch * layout.entries], size * batch)
+        for block, source in zip(stack.blocks, state.blocks):
+            block[j * batch : (j + 1) * batch] = source
         starts[j] = ends[k + 1]
-        if j + 1 < chunk and k + 1 < len(taus):
+        if j + 1 < size:
             continue
-        stack, t_branch = branches[: (j + 1) * batch], starts[: j + 1]
-        max_dev = max(max_dev, engine.check_state(stack, t_branch))
+        t_branch = starts[:size]
+        max_dev = max(max_dev, engine.check_state(stack.flat, t_branch))
         for duration, cache in plan:
-            next(engine._advance(stack, [t_branch], [duration], cache))
+            next(engine._advance(stack.flat, [t_branch], [duration], cache))
             t_branch = t_branch + duration
-        max_dev = max(max_dev, engine.check_state(stack, t_branch))
-        pops = np.diagonal(stack, axis1=-2, axis2=-1).reshape(j + 1, batch, d)
+        max_dev = max(max_dev, engine.check_state(stack.flat, t_branch))
+        pops = engine.populations(stack.flat).reshape(size, batch, d)
         populations[:, k - j : k + 1, :] = pops.transpose(1, 0, 2)
     return ReadoutScanResult(
         tau_grid=taus,
         populations=populations,
-        total_durations=prefix_duration + taus + suffix_duration,
+        total_durations=float(sum(s.duration for s in prefix)) + taus
+        + float(sum(s.duration for s in suffix)),
         max_trace_deviation=max_dev,
     )
 

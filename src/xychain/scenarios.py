@@ -38,7 +38,7 @@ from typing import Annotated, Callable, NamedTuple, Optional
 import numpy as np
 
 from . import analysis, detection, obe, thermal, xy
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .model import ChainGeometry, PhysicalParams
 
 #: Trap depth (uK) of the recapture-model epsilon backend, calibrated by
@@ -262,19 +262,26 @@ def resolve_epsilon_model(
 
 def load_epsilon_table(path, kind: str = "epsilon", key: str = "options.epsilon.table_path"):
     """Two-column numeric text (t_us, epsilon or P_111); '#' comments allowed.
-    A file that cannot be read raises ConfigError naming the option ``key``."""
+    A file that cannot be read, or that holds no loss table, raises
+    ConfigError naming the option ``key`` and the path."""
     try:
         data = np.loadtxt(path, comments="#", ndmin=2)
     except (OSError, ValueError) as exc:  # missing, or not a numeric table
         raise ConfigError(f"{key}: cannot read {path}: {exc}") from exc
-    if data.shape[1] < 2:
-        raise DataError(f"calibration table {path} needs two columns")
-    t, value = data[:, 0], data[:, 1]
-    if kind == "epsilon":
-        return t, value
-    if np.any((value <= 0) | (value > 1)):
-        raise DataError("P_111 calibration values must lie in (0, 1]")
-    return t, 1.0 - value ** (1.0 / 3.0)
+    if data.shape[1] < 2 or len(data) < 2:
+        problem = "needs two columns (t_us, value) and at least two rows"
+    elif not np.all(np.isfinite(data[:, :2])):
+        problem = "holds a non-finite value"
+    elif np.any(np.diff(data[:, 0]) <= 0):
+        problem = "times must strictly increase"
+    elif kind == "epsilon" and np.any((data[:, 1] < 0) | (data[:, 1] > 1)):
+        problem = "epsilon values must lie in [0, 1]"
+    elif kind == "p111" and np.any((data[:, 1] <= 0) | (data[:, 1] > 1)):
+        problem = "P_111 values must lie in (0, 1]"
+    else:
+        t, value = data[:, 0], data[:, 1]
+        return (t, value) if kind == "epsilon" else (t, 1.0 - value ** (1.0 / 3.0))
+    raise ConfigError(f"{key}: {path}: {problem}")
 
 
 def _ideal_run(

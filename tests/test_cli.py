@@ -24,6 +24,16 @@ from xychain.errors import ConfigError
 
 IDEAL_ARGS = ["--ideal", "--set", "options.tau_max=3.0", "--set", "options.tau_step=0.1"]
 
+#: Loss tables whose content a run refuses, written under ``tables/`` of the
+#: working directory.
+BAD_TABLES = {
+    "one-column": "0.0\n1.0\n",
+    "non-finite": "0.0 0.01\n1.0 nan\n",
+    "times-not-increasing": "0.0 0.01\n1.0 0.02\n1.0 0.03\n",
+    "epsilon-above-1": "0.0 0.01\n1.0 1.7\n",
+    "p111-0": "0.0 1.0\n1.0 0.0\n",
+}
+
 # A short full-mode exchange run, sinusoid fit included, in a fresh interpreter;
 # prints the scipy and numpy.ma modules it loaded.
 NO_SCIPY_SCRIPT = """
@@ -251,10 +261,26 @@ class TestRun:
              "options.table_path: cannot read missing/epsilon.txt"),
             (["three-chain", "--set", "options.epsilon.table_path=missing/epsilon.txt"],
              "options.epsilon.table_path: cannot read missing/epsilon.txt"),
+            (["calibrate-epsilon", "--set", "options.table_path=tables/one-column.txt"],
+             "options.table_path: tables/one-column.txt: needs two columns"),
+            (["calibrate-epsilon", "--set", "options.table_path=tables/non-finite.txt"],
+             "options.table_path: tables/non-finite.txt: holds a non-finite value"),
+            (["calibrate-epsilon", "--set",
+              "options.table_path=tables/times-not-increasing.txt"],
+             "options.table_path: tables/times-not-increasing.txt: times must strictly"),
+            (["two-atom-exchange", "--set",
+              "options.epsilon.table_path=tables/epsilon-above-1.txt"],
+             "options.epsilon.table_path: tables/epsilon-above-1.txt: epsilon values"),
+            (["two-atom-exchange", "--set", "options.epsilon.table_path=tables/p111-0.txt",
+              "--set", "options.epsilon.table_kind=p111"],
+             "options.epsilon.table_path: tables/p111-0.txt: P_111 values"),
         ],
         ids=["omega_opt-per-atom-length", "omega_opt-0", "omega_mw-0",
              "envelope_window-below-4-steps", "degree-not-below-n_points",
-             "calibrate-table-missing", "epsilon-table-missing"],
+             "calibrate-table-missing", "epsilon-table-missing",
+             "calibrate-table-one-column", "calibrate-table-non-finite",
+             "calibrate-table-times-not-increasing", "epsilon-table-above-1",
+             "p111-table-0"],
     )
     def test_refused_at_run_exits_2_before_any_work(self, args, named, tmp_path,
                                                     monkeypatch, capsys):
@@ -262,6 +288,10 @@ class TestRun:
         def propagate(*args, **kwargs):
             raise AssertionError("the run started before its inputs were checked")
 
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tables").mkdir()
+        for name, text in BAD_TABLES.items():
+            (tmp_path / "tables" / f"{name}.txt").write_text(text)
         monkeypatch.setattr(xy, "propagate_ensemble", propagate)
         monkeypatch.setattr(obe, "readout_scan", propagate)
         monkeypatch.setattr(detection, "fit_epsilon", propagate)

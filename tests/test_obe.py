@@ -152,6 +152,29 @@ def test_oracles_import_no_private_names():
     assert private == []
 
 
+def engine_rhs(engine, cache, m, t=None):
+    """The engine's dM/dt of the flat stacked states m on its layout, one row
+    per realization, with the Hamiltonian buffer filled as a CF4 factor at t
+    fills it (None: the segment's fill alone)."""
+    layout, rows = engine.layout, engine.batch
+    frame = engine._frame(rows)
+    engine._load(cache, frame)
+    if t is not None:
+        engine._hop(frame, 2.0 * np.pi * engine.flight.couplings(np.full(rows, t)))
+    out = layout.stack(np.empty(m.size), rows)
+    return engine._rhs(frame, cache, layout.stack(m, rows), out).flat
+
+
+def blocks_to_full(engine, m):
+    """The packed (rows, d, d) states of flat stacked states on the engine's
+    layout, zero outside its blocks."""
+    layout, d = engine.layout, engine.d
+    rows = m.size // layout.entries
+    full = np.zeros((rows, d * d))
+    full[:, layout.pairs] = m[layout.positions(np.arange(layout.entries), rows)]
+    return full.reshape(rows, d, d)
+
+
 class TestRhsOracle:
     """The engine's right-hand side against the reference operators."""
 
@@ -172,8 +195,16 @@ class TestRhsOracle:
         )
         self.assert_rhs_matches(n_atoms, moving, per_atom, rng)
 
+    # the readout runs on the down-number blocks of a block-diagonal state,
+    # under the segments that keep it block-diagonal
+    @pytest.mark.parametrize("moving", [False, True], ids=["static", "moving"])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+    def test_blocks_match_commutator_plus_dissipator(self, n_atoms, moving, params, rng):
+        per_atom = replace(params, gamma_eff=[1.0, 0.4, 2.5, 0.8][:n_atoms])
+        self.assert_rhs_matches(n_atoms, moving, per_atom, rng, blocks=True)
+
     @staticmethod
-    def assert_rhs_matches(n_atoms, moving, params, rng):
+    def assert_rhs_matches(n_atoms, moving, params, rng, blocks=False):
         geometry = ChainGeometry.line(n_atoms, 20.0)
         samples = [sample_thermal(params, n_atoms, s) for s in (5, 6, 7)] if moving else None
         engine = _Engine(geometry, params, samples)
@@ -185,18 +216,21 @@ class TestRhsOracle:
             PulseSegment.free(3.0),
         )
         d, batch, t = engine.d, engine.batch, 1.7
+        n_down = np.array([label.count("d") for label in level_labels(n_atoms)])
+        same_block = n_down[:, None] == n_down[None, :]
+        if blocks:  # a microwave pulse mixes the blocks
+            segments = tuple(seg for seg in segments if seg.kind != "microwave")
         for segment in segments:
-            cache = engine._segment_cache(segment, np.zeros(batch))
             a = rng.normal(size=(batch, d, d)) + 1j * rng.normal(size=(batch, d, d))
             rho = (a + a.conj().transpose(0, 2, 1)) / d
-            m = pack_state(rho)
-            # the buffer fill of a CF4 factor at t
-            h = engine._hamiltonian(cache, batch)
-            if moving:
-                engine._hop(h, 2.0 * np.pi * engine.flight.couplings(np.full(batch, t)))
-            out = unpack_state(
-                engine._rhs(h.reshape(batch, d, d), m, cache, np.empty_like(m))
-            )
+            m = pack_state(rho).reshape(-1)
+            if blocks:
+                rho *= same_block
+                engine.layout = engine.ops.full
+                m = engine.to_blocks(m)
+            cache = engine._segment_cache(segment, np.zeros(batch))
+            out = unpack_state(blocks_to_full(engine, engine_rhs(engine, cache, m,
+                                                                 t if moving else None)))
             for b in range(batch):
                 h = hamiltonian_at(
                     t, segment, params, geometry, samples[b] if moving else None
@@ -204,6 +238,8 @@ class TestRhsOracle:
                 expected = -2j * np.pi * (h @ rho[b] - rho[b] @ h) + lindblad_dissipator(
                     rho[b], params, segment.kind
                 )
+                if blocks:
+                    assert np.all(expected[~same_block] == 0.0)
                 assert np.abs(out[b] - expected).max() < 1e-12
 
 
@@ -232,10 +268,12 @@ def test_hamiltonian_buffer_matches_dense_build(n_atoms, moving, params):
     for segment in segments:
         cache = engine._segment_cache(segment, np.zeros(batch))
         assert np.all(cache.h_drive_flat[hop.any(axis=0)] == 0.0)
-        h = engine._hamiltonian(cache, batch)
+        frame = engine._frame(batch)
+        engine._load(cache, frame)
         nu = engine.flight.couplings(np.full(batch, t if moving else 0.0))
         if moving:
-            engine._hop(h, 2.0 * np.pi * nu)
+            engine._hop(frame, 2.0 * np.pi * nu)
+        h = frame.ham.flat.reshape(batch, -1)
         assert np.array_equal(h, cache.h_drive_flat + 2.0 * np.pi * nu @ hop)
 
 
@@ -360,7 +398,7 @@ def test_couplings_are_evaluated_once_per_planned_chunk(chain3, params, moving,
 
     def advance(engine, m, t_starts, spans, cache):
         n_steps = sum(max(1, int(np.ceil(span / cache.dt))) for span in spans if span > 0.0)
-        chunk = obe._step_chunk(len(m), len(engine.flight.pairs))
+        chunk = obe._step_chunk(m.size // engine.layout.entries, len(engine.flight.pairs))
         calls["steps"] += n_steps
         calls["chunks"] += -(-n_steps // chunk)
         return advance.wrapped(engine, m, t_starts, spans, cache)
@@ -664,6 +702,32 @@ class TestReadoutScan:
         assert np.abs(scan.populations[0] - exact(rho0)).max() < 1e-6
         assert np.abs(exact(rho0) - exact(rho0.real)).max() > 0.1
 
+    # the scan keeps the down-number blocks after its prefix; the same scan on
+    # the full state must give the same populations
+    @pytest.mark.parametrize("with_suffix", [True, False], ids=["suffix", "no-suffix"])
+    @pytest.mark.parametrize("moving", [False, True], ids=["static", "moving"])
+    @pytest.mark.parametrize("n_atoms", [2, 3])
+    def test_blocks_match_the_full_state(self, n_atoms, moving, with_suffix, params,
+                                         monkeypatch):
+        geometry = ChainGeometry.line(n_atoms, 20.0)
+        samples = [sample_thermal(params, n_atoms, s) for s in (1, 2)] if moving else None
+        args = (geometry, params, exchange_prefix(params, n_atoms), np.linspace(0.0, 1.0, 6),
+                deexcite_suffix(params, n_atoms) if with_suffix else [], samples)
+        blocked = readout_scan(*args)
+        monkeypatch.setattr(_Engine, "to_blocks", lambda engine, m: m)
+        full = readout_scan(*args)
+        assert np.abs(blocked.populations - full.populations).max() < 1e-12
+        assert abs(blocked.max_trace_deviation - full.max_trace_deviation) < 1e-12
+
+    def test_microwave_suffix_refused_before_any_work(self, pair30, params, monkeypatch):
+        def advance(*args, **kwargs):
+            raise AssertionError("the scan started before its suffix was checked")
+
+        monkeypatch.setattr(_Engine, "_advance", advance)
+        suffix = [PulseSegment.optical(0.1), PulseSegment.microwave(0.1)]
+        with pytest.raises(ConfigError, match="microwave"):
+            readout_scan(pair30, params, exchange_prefix(params, 2), [0.5], suffix)
+
     def test_total_durations(self, pair30, params):
         taus = np.array([0.0, 1.0])
         prefix = exchange_prefix(params, 2)
@@ -794,7 +858,7 @@ class TestCheckState:
         rho[0, 0, 0] = -1e-5
         rho[0, 1, 1] = 1.0 + 1e-5
         with pytest.raises(IntegrationError, match="t = 1.25"):
-            engine.check_state(pack_state(rho), np.array([1.25]))
+            engine.check_state(pack_state(rho).reshape(-1), np.array([1.25]))
 
     def test_positivity_sees_the_imaginary_coherences(self, pair30):
         # diagonal 1/2, 1/2 and coherence 0.3 + 0.45i: |coherence| = 0.54 > 1/2,
@@ -806,7 +870,7 @@ class TestCheckState:
         assert np.linalg.eigvalsh(rho.real).min() > -1e-15
         engine = _Engine(pair30, PhysicalParams())
         with pytest.raises(IntegrationError, match="positivity"):
-            engine.check_state(pack_state(rho)[None], 0.0)
+            engine.check_state(pack_state(rho).reshape(-1), 0.0)
 
     @staticmethod
     def dipped(labels, depth):
@@ -824,14 +888,28 @@ class TestCheckState:
         stack = np.stack([self.dipped("uu", 0.0), self.dipped("uu", 2e-7),
                           self.dipped("uu", 5e-8)])
         with pytest.raises(IntegrationError) as err:
-            engine.check_state(pack_state(stack), np.array([0.25, 0.75, 1.25]))
+            engine.check_state(pack_state(stack).reshape(-1), np.array([0.25, 0.75, 1.25]))
+        assert str(err.value) == (
+            "density matrix positivity violated at t = 0.75 us (min eigenvalue -2e-07)"
+        )
+
+    def test_positivity_names_the_row_whose_block_dips(self, pair30):
+        # on the down-number blocks, the 1 x 1 block 'dd' of the second row
+        # dips below -1e-7 and the 'uu' entry of the third, in another
+        # block, stays above it
+        engine = _Engine(pair30, PhysicalParams())
+        stack = np.stack([self.dipped("uu", 0.0), self.dipped("dd", 2e-7),
+                          self.dipped("uu", 5e-8)])
+        m = engine.to_blocks(pack_state(stack).reshape(-1))
+        with pytest.raises(IntegrationError) as err:
+            engine.check_state(m, np.array([0.25, 0.75, 1.25]))
         assert str(err.value) == (
             "density matrix positivity violated at t = 0.75 us (min eigenvalue -2e-07)"
         )
 
     def test_eigenvalue_above_the_tolerance_passes(self, pair30):
         engine = _Engine(pair30, PhysicalParams())
-        state = pack_state(self.dipped("uu", 5e-8)[None])
+        state = pack_state(self.dipped("uu", 5e-8)).reshape(-1)
         assert np.linalg.eigvalsh(self.dipped("uu", 5e-8)).min() < -4e-8
         assert engine.check_state(state, 0.5) < 1e-15
 
@@ -844,4 +922,4 @@ class TestCheckState:
         m = pack_state(stack)
         expected = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
         assert expected > 6e-9
-        assert engine.check_state(m, np.zeros(3)) == expected
+        assert engine.check_state(m.reshape(-1), np.zeros(3)) == expected
