@@ -245,6 +245,56 @@ def cf4_couplings(flight: "PairFlight", starts, h, check=0.0) -> np.ndarray:
     return factors
 
 
+#: Scratch bytes one chunk of CF4 steps planned by :func:`cf4_plan` may hold.
+_STEP_BUDGET_BYTES = 2**20
+
+
+def _step_chunk(rows: int, n_pairs: int, words: int = 0) -> int:
+    """CF4 steps that :func:`cf4_plan` plans together under the budget: per
+    row, each of a step's two Gauss points holds a time and the (3, P)
+    separation ``PairFlight.couplings`` reduces to (P,) couplings, and each
+    of its two factors (P,) effective couplings and their temporary, plus
+    the caller's ``words``, in 8-byte words.  At least one step."""
+    per_step = 2 * (1 + 6 * n_pairs) + words
+    return max(1, _STEP_BUDGET_BYTES // (8 * rows * per_step))
+
+
+def cf4_plan(flight: "PairFlight", starts, h, counts, check=0.0, words: int = 0):
+    """The CF4 steps of consecutive spans, planned a chunk at a time.
+
+    Span k starts at ``starts[k]``, of shape (..., B), and takes
+    ``counts[k]`` steps of ``h[k]``, each a scalar or shaped like the start;
+    step i starts at ``starts[k] + i * h[k]``.  The span takes as many step
+    slots as its largest count, and a row that has taken all its steps waits
+    at the span end with zero steps, which ``check`` (a scalar or (..., B))
+    skips.  The slots run in chunks of :func:`_step_chunk` steps, counting
+    ``words`` per step and row of the caller's own.  Each chunk yields the
+    (S,) span of every slot, the step lengths, (S, ...) broadcasting against
+    the starts, and the effective couplings (S, 2, ..., B, P) of
+    :func:`cf4_couplings`, so a failing check names the earliest Gauss point.
+    """
+    starts = np.asarray(starts, dtype=float)
+    trailing = (1,) * (starts.ndim - 1)
+    h, counts = np.asarray(h, dtype=float), np.asarray(counts)
+    per_row = counts.ndim > 1
+    if not per_row:
+        h, counts = h.reshape(-1, *trailing), counts.reshape(-1, *trailing)
+    slots = counts.max(axis=tuple(range(1, counts.ndim)), initial=0)
+    span = np.repeat(np.arange(len(slots)), slots)
+    index = np.arange(len(span)) - np.repeat(np.cumsum(slots) - slots, slots)
+    chunk = _step_chunk(int(np.prod(starts.shape[1:])), len(flight.pairs), words)
+    for first in range(0, len(span), chunk):
+        k = span[first : first + chunk]
+        i, step, limit = index[first : first + chunk].reshape(-1, *trailing), h[k], check
+        if per_row:
+            live = i < counts[k]
+            t = starts[k] + np.minimum(i, counts[k]) * step
+            step, limit = np.where(live, step, 0.0), np.where(live, check, 0.0)
+        else:
+            t = starts[k] + i * step
+        yield k, step, cf4_couplings(flight, t, step, limit)
+
+
 class PairFlight:
     """Ballistic pair separations and their c3 / R^3 couplings, batched.
 

@@ -45,10 +45,10 @@ the drive and effective couplings from the step's Gauss points.  One step
 size serves the whole batch, h ||L|| <= 2 ``dt_scale``.  Only the hopping
 entries of H change with time: a segment fills a Hamiltonian buffer with its
 drive once (for atoms at rest with the hopping too), and each factor of a
-moving step overwrites the hopping entries with the effective couplings of
-``model.cf4_couplings`` (the closed-system engine's step), whose
-Gauss-point couplings are checked against the limit the order was picked
-for, a chunk of steps at a time under a fixed scratch budget.
+moving step overwrites the hopping entries with the effective couplings
+planned by ``model.cf4_plan`` (the closed-system engine's step planner), a
+chunk of steps at a time under its fixed scratch budget, whose Gauss-point
+couplings are checked against the limit the order was picked for.
 
 After its prefix a readout scan keeps only the diagonal blocks of M with a
 fixed number of atoms in down.  The optical and free Hamiltonians conserve
@@ -63,11 +63,11 @@ the states, and eigenvalues are computed only for a stack that fails it, to
 name the offending row.  A stack of states carries independent thermal
 realizations and, in a readout scan, several readout branches of the whole
 realization batch at once.  Those branches run in chunks sized to a fixed
-scratch budget and share one step plan, so the output does not depend on
-the chunk size.  The scan's free evolution is one plan too: one segment cache over
-the whole window up to the last tau, one Taylor plan for the steps between
-consecutive taus, and their Gauss-point couplings planned in chunks across
-the taus.
+scratch budget, counting the down-number blocks each holds, and share one
+step plan, so the output does not depend on the chunk size.  The scan's
+free evolution is one plan too: one segment cache over the whole window up
+to the last tau, one Taylor plan for the steps between consecutive taus,
+and their Gauss-point couplings planned in chunks across the taus.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .model import (_A2, PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams,
-                    cf4_couplings, taylor_plan)
+from .model import (_A2, PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams, cf4_plan,
+                    taylor_plan)
 from .thermal import ThermalSample
 
 SEGMENT_KINDS = ("optical", "microwave", "free_evolution")
@@ -95,15 +95,13 @@ _HERMITIAN_TOL = 1e-12
 #: because the branches gain little from batches beyond a few hundred
 #: density matrices while peak memory keeps growing.
 _BRANCH_BUDGET_BYTES = 2 * 2**20
-# B x d x d real arrays one branch occupies while it runs: its state in the
-# branch buffer (1), the engine's two Taylor terms (2), the RHS scratch and
-# Hamiltonian (3), the complex rho the positivity check hands to the Cholesky
-# screen (2) and the factor it returns (2), and the elementwise temporaries
-# of the RHS and the check.  Counted generously: tracemalloc measures a peak
-# of about 11 per branch at N = 3.
+# Real block states of B rows (the kept entries of the down-number blocks)
+# one branch occupies while it runs: its state in the branch buffer (1), the
+# engine's two Taylor terms (2), the RHS scratch and Hamiltonian (3), the
+# complex rho the positivity check hands to the Cholesky screen (2) and the
+# factor it returns (2), and the elementwise temporaries of the RHS and the
+# check.  Counted generously: tracemalloc measures 15 to 16 per extra branch.
 _ARRAYS_PER_BRANCH = 17
-#: Scratch bytes the couplings planned for a chunk of CF4 steps may hold.
-_STEP_PLAN_BYTES = 2**18
 
 
 class Level(IntEnum):
@@ -369,14 +367,14 @@ class _Engine:
     trajectories); all states evolve under the same segment structure but
     their own time-dependent couplings.  States are flat buffers of the
     engine's layout: the full one-sector layout until :meth:`to_blocks`
-    keeps the down-number blocks.  The scratch holds ``self.branches``
-    copies of the batch (up to ``branches``, as many as fit the budget), so
-    that a state of up to ``self.branches * batch`` rows (branch-major,
-    times of shape (branches, batch)) advances in one pass.  A segment's
-    step and Taylor orders follow from its norm bound, as the module
-    describes; the CF4 factors of a moving step rewrite only the hopping
-    entries of the Hamiltonian buffer, from couplings planned per chunk of
-    steps.
+    keeps the down-number blocks.  The scratch holds the batch in the full
+    layout and ``self.branches`` copies of it in the blocks (up to
+    ``branches``, as many as fit the budget), so that a block state of up to
+    ``self.branches * batch`` rows (branch-major, times of shape (branches,
+    batch)) advances in one pass.  A segment's step and Taylor orders follow
+    from its norm bound, as the module describes; the CF4 factors of a
+    moving step rewrite only the hopping entries of the Hamiltonian buffer,
+    from couplings that ``model.cf4_plan`` plans per chunk of steps.
     """
 
     def __init__(
@@ -403,8 +401,9 @@ class _Engine:
         self.layout = self.ops.full
 
         # scratch buffers for the allocation-free Taylor loop, sized for the
-        # full layout; a smaller state uses their leading entries
-        size = self.branches * self.batch * self.d * self.d
+        # batch in the full layout and the branches in the blocks; a smaller
+        # state uses their leading entries
+        size = self.batch * max(self.d**2, self.branches * self.ops.blocks.entries)
         self._scratch = [np.empty(size) for _ in range(5)]
         self._frames: dict = {}
 
@@ -516,28 +515,6 @@ class _Engine:
         if nu is not None:
             frame.ham.flat[frame.hop] = nu[..., None]
 
-    def _cf4_couplings(self, t_starts, h, n_steps, rows: int, check: float):
-        """The effective angular couplings (2, rows, P) of every CF4 step of
-        consecutive spans, in order, the first factor to act first.  Span k
-        starts at ``t_starts[k]`` and takes ``n_steps[k]`` steps of
-        ``h[k]``.  The steps are planned a chunk at a time across the spans
-        by :func:`xychain.model.cf4_couplings`, which checks every Gauss
-        point against ``check`` in time order."""
-        t_starts = np.asarray(t_starts)
-        trailing = (1,) * (t_starts.ndim - 1)
-        # each step's span and its place in that span
-        span = np.repeat(np.arange(len(n_steps)), n_steps)
-        index = np.concatenate([np.arange(n) for n in n_steps])
-        chunk = _step_chunk(rows, len(self.flight.pairs))
-        for first in range(0, len(span), chunk):
-            k = span[first : first + chunk]
-            steps = h[k].reshape(-1, *trailing)
-            starts = t_starts[k] + index[first : first + chunk].reshape(steps.shape) * steps
-            factors = cf4_couplings(self.flight, starts, steps, check)
-            factors = factors.reshape(len(starts), 2, rows, -1)
-            factors *= 2.0 * np.pi
-            yield from factors
-
     def _rhs(self, frame: _Frame, cache: _SegmentCache, m: _Stack, out: _Stack) -> _Stack:
         """dM/dt = 2 pi (H M - M H)^T - w * M + R[M] of the stacked packed
         states into ``out``, for the segment loaded into the frame.  The
@@ -591,7 +568,10 @@ class _Engine:
             substeps, orders = taylor_plan(h * cache.norm)
         else:
             substeps, orders = taylor_plan(0.5 * h * cache.norm)
-            steps = self._cf4_couplings(t_starts, h, n_steps, rows, cache.check)
+            # the angular couplings (2, rows, P) of each step's factors, in order
+            steps = (factors for _, _, nu in cf4_plan(self.flight, t_starts, h, n_steps,
+                                                      cache.check)
+                     for factors in 2.0 * np.pi * nu.reshape(len(nu), 2, rows, -1))
         plan = zip(n_steps.tolist(), h.tolist(), substeps.tolist(), orders.tolist())
         for n, step, sub, order in plan:
             self._load(cache, frame)
@@ -718,18 +698,11 @@ def run_sequence(
     )
 
 
-def _step_chunk(rows: int, n_pairs: int) -> int:
-    """CF4 steps whose couplings are planned together under the budget: per
-    row, each of a step's two Gauss points holds a time and the (3, P)
-    separation ``PairFlight.couplings`` reduces to (P,) couplings, and each
-    of its two factors (P,) effective couplings and their temporary, in
-    8-byte words.  At least one step."""
-    return max(1, _STEP_PLAN_BYTES // (8 * 2 * rows * (1 + 6 * n_pairs)))
-
-
 def _branch_chunk(batch: int, n_atoms: int) -> int:
-    """Readout branches that run together within the scratch budget."""
-    per_branch = _ARRAYS_PER_BRANCH * batch * 9**n_atoms * np.dtype(float).itemsize
+    """Readout branches that run together within the scratch budget, each
+    holding the down-number blocks of its batch."""
+    entries = _dense_operators(n_atoms).blocks.entries
+    per_branch = _ARRAYS_PER_BRANCH * batch * entries * np.dtype(float).itemsize
     return max(1, _BRANCH_BUDGET_BYTES // per_branch)
 
 
@@ -752,11 +725,11 @@ def readout_scan(
     pass.  Equivalent to running the full sequence separately for every tau.
 
     The branches wait in a buffer and run the suffix together, as many at a
-    time as fit the module's scratch budget (one at a time for 100
-    realizations of two or more atoms).  Each suffix segment has one step
-    size for all branches, sized for its couplings from the first branch's
-    start to the last branch's end, so the result does not depend on how the
-    branches are chunked.  The free evolution likewise has one step size,
+    time as fit the module's scratch budget (four at a time for 100
+    realizations of two atoms, one at a time for three or more).  Each
+    suffix segment has one step size for all branches, sized for its
+    couplings from the first branch's start to the last branch's end, so the
+    result does not depend on how the branches are chunked.  The free evolution likewise has one step size,
     sized for its couplings from the prefix end to the last tau.  Every
     branch's state is checked for trace and positivity as it enters and
     leaves the suffix.

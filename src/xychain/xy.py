@@ -24,12 +24,12 @@ over 80 twenty-atom realizations of 10 us at 50 uK it deviated from 1 by at
 most 5.3e-15 (Taylor orders 12-13), and the populations stayed within
 4.7e-15 of the exact exponentials of the same steps.
 
-Each sample interval is set up before its steps run, in chunks of steps
-under a fixed scratch budget (``_STEP_BUDGET_BYTES``), with no object
-holding buffers: the Gauss-point couplings of all its steps and
-realizations in one call, checked by ``PairFlight``, and each factor's
-norms, Taylor orders and generator entries.  A factor then gathers its own
-generator and runs the products of its Taylor series.
+The steps of all sample intervals come from ``model.cf4_plan``, the step
+planner of both engines, in chunks under its scratch budget that may end
+mid-interval or span several, with no object holding buffers.  A chunk sets
+up the Gauss-point couplings, norms, Taylor orders and generator entries of
+all its steps and realizations; a factor then gathers its own generator and
+runs the products of its Taylor series.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .model import (PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams, cf4_couplings,
-                    taylor_plan)
+from .model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams, cf4_plan, taylor_plan
 from .thermal import ThermalSample
 
 RANGE_MODES = ("full", "nearest_neighbor")
@@ -175,38 +174,6 @@ def propagate(
     return (np.abs(amplitudes) ** 2).T
 
 
-#: Scratch bytes one sample interval's step plan and step arrays may hold
-#: at once.  An interval whose plan does not fit is set up in chunks of
-#: consecutive steps.
-_STEP_BUDGET_BYTES = 2**20
-
-
-def _step_chunk(rows: int, n: int, n_pairs: int) -> int:
-    """CF4 steps of one sample interval that are set up together under the budget.
-
-    Each row holds, for every step of the chunk, the (3, P) separations and
-    (P,) couplings that ``PairFlight.couplings`` computes at the two Gauss
-    points, and for each of the two factors its (P,) effective couplings,
-    their magnitudes and complex generator entries with a zero slot, the
-    (N, N) gathered magnitudes whose row sums give the norm, and an 18-term
-    weight array; and once, the complex (N, N) generator a factor gathers
-    and a few (N,) complex states of the matrix-vector products.  Counted
-    in 8-byte words, at least one step.
-    """
-    per_step = 8 * n_pairs + 2 * (n * n + 4 * (n_pairs + 1) + 18)
-    fixed = 2 * n * n + 8 * n
-    words = _STEP_BUDGET_BYTES // np.dtype(float).itemsize // rows
-    return max(1, (words - fixed) // per_step)
-
-
-def _step_count(duration: float, rate: np.ndarray) -> np.ndarray:
-    """Steps per row for one sample interval: none if it is empty, else the
-    fewest equal steps h with h * rate <= 1, at least one."""
-    if duration <= 0.0:
-        return np.zeros(rate.shape, dtype=int)
-    return np.maximum(1, np.ceil(duration * rate)).astype(int)
-
-
 def _row_norm(magnitudes: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Infinity norms (...,) of the hopping matrices whose (..., P) entry
     magnitudes the ``slots`` of :func:`_pair_slots` gather."""
@@ -256,18 +223,20 @@ def propagate_ensemble(
     h * 2*pi*R <= 1, where R sums ``PairFlight.bound``'s pair bounds over
     the run along each row of the hopping matrix and takes the largest sum;
     each sample interval takes the row's own number of equal steps, and rows
-    that finish an interval early wait with zero steps.  Each interval is set
-    up before its steps run, in chunks of steps under a fixed scratch budget:
-    the effective couplings of both factors of all its steps and rows from
-    ``model.cf4_couplings``, whose Gauss-point couplings ``PairFlight``
-    checks against 1.05 times the row's largest pair bound (a violation
-    means the bound was wrong and raises IntegrationError naming the
-    earliest Gauss point), and each factor's norm, Taylor order and
-    generator -2*pi*i*H*h/2.  A factor then gathers its generator and
-    applies the Taylor series of its exponential to the row's own order.  A
-    row's populations are therefore the same whichever realizations share
-    its batch and however the intervals are chunked.  The truncation leaves
-    the norm unconserved at the 1e-15 level.
+    that finish an interval early wait with zero steps.  ``model.cf4_plan``
+    sets the steps up across the intervals, in chunks under a fixed scratch
+    budget that may end mid-interval or span several: the effective
+    couplings of both factors of all their steps and rows, whose Gauss-point
+    couplings ``PairFlight`` checks against 1.05 times the row's largest
+    pair bound (a violation means the bound was wrong and raises
+    IntegrationError naming the earliest Gauss point); then each factor's
+    norm, Taylor order and generator -2*pi*i*H*h/2.  A factor gathers its
+    generator and applies the Taylor series of its exponential to the row's
+    own order, and an interval's populations are recorded after its last
+    step.  A row's populations are therefore the same whichever
+    realizations share its batch and however the steps are chunked.  An
+    empty time grid gives (B, N, 0).  The truncation leaves the norm
+    unconserved at the 1e-15 level.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0) or np.any(np.diff(times) < 0):
@@ -279,37 +248,39 @@ def propagate_ensemble(
         raise ValueError("state dimension does not match geometry")
     flight = PairFlight.of_samples(geometry, params, samples, _pairs(n, range_mode))
     slots = _pair_slots(n, flight.pairs)
-    bound = flight.bound(0.0, float(times[-1]))                       # (B, P)
+    bound = flight.bound(0.0, float(times.max(initial=0.0)))          # (B, P)
     rate = 2.0 * np.pi * _row_norm(bound, slots)                      # (B,)
     with np.errstate(divide="ignore"):
         check = PHASE_CAP / (2.0 * np.pi * 1.05 * bound.max(axis=-1, initial=0.0))
 
-    chunk = _step_chunk(len(samples), n, len(flight.pairs))
+    # interval k, from the previous sample (or 0) to times[k], takes the
+    # row's fewest equal steps h with h * rate <= 1: at least one, none if empty
+    spans = np.diff(times, prepend=0.0)[:, None]                      # (T, 1)
+    counts = np.where(spans > 0.0, np.maximum(1, np.ceil(spans * rate)), 0).astype(int)
+    starts = np.broadcast_to(np.concatenate(([0.0], times))[:-1, None], counts.shape)
+    # per step and row, each factor's gathered (N, N) magnitudes for its norm
+    # and its complex generator entries with a zero slot
+    words = 2 * (n * n + 2 * (len(flight.pairs) + 1))
+    plan = cf4_plan(flight, starts, spans / np.maximum(counts, 1), counts, check, words)
+
     psi = np.empty((len(samples), n, 1), dtype=complex)
     psi[...] = initial.amplitudes[:, None]
     populations = np.empty((len(samples), n, len(times)))
-    t_start = 0.0
-    for k, t_target in enumerate(times):
-        span = t_target - t_start
-        n_steps = _step_count(span, rate)
-        h = span / np.maximum(n_steps, 1)
-        for first in range(0, n_steps.max(initial=0), chunk):
-            step = np.arange(first, min(first + chunk, n_steps.max()))[:, None]
-            live = step < n_steps                                     # (S, B)
-            h_live = np.where(live, h, 0.0)
-            nu = cf4_couplings(flight, np.where(live, t_start + step * h, t_target),
-                               h_live, np.where(live, check, 0.0))    # (S, 2, B, P)
-            # a factor advances by h/2; as h * rate <= 1 its norm is at most
-            # a2 < 1, so one Taylor series covers it (one substep)
-            theta = np.pi * h_live[:, None]                           # (S, 1, B)
-            orders = taylor_plan(theta * _row_norm(np.abs(nu), slots))[1]
-            entries = np.zeros(nu.shape[:-1] + (nu.shape[-1] + 1,), dtype=complex)
-            np.multiply(nu, -theta[..., None], out=entries.imag[..., :-1])
-            for factor, order in zip(entries.reshape(-1, *entries.shape[2:]),
-                                     orders.reshape(-1, len(samples))):
+    recorded = 0  # the intervals whose populations are written
+    for span, h, nu in plan:
+        # a factor advances by h/2; as h * rate <= 1 its norm is at most
+        # a2 < 1, so one Taylor series covers it (one substep)
+        theta = np.pi * h[:, None]                                    # (S, 1, B)
+        orders = taylor_plan(theta * _row_norm(np.abs(nu), slots))[1]
+        entries = np.zeros(nu.shape[:-1] + (nu.shape[-1] + 1,), dtype=complex)
+        np.multiply(nu, -theta[..., None], out=entries.imag[..., :-1])
+        for k, step_entries, step_orders in zip(span.tolist(), entries, orders):
+            if k > recorded:  # the intervals before k are complete
+                populations[..., recorded:k] = np.abs(psi) ** 2
+                recorded = k
+            for factor, order in zip(step_entries, step_orders):
                 psi = _taylor_apply(factor.take(slots, axis=-1), _taylor_weights(order), psi)
-        t_start = t_target
-        populations[..., k] = np.abs(psi[..., 0]) ** 2
+    populations[..., recorded:] = np.abs(psi) ** 2
     return populations
 
 

@@ -20,7 +20,7 @@ from oracles import (
     pack_state,
     unpack_state,
 )
-from xychain import obe, xy
+from xychain import model, obe, xy
 from xychain.detection import forward_detection, pattern_labels
 from xychain.errors import ConfigError, GeometryError, IntegrationError
 from xychain.model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams
@@ -323,7 +323,7 @@ def test_step_plan_chunking_does_not_change_output(n_atoms, moving, params, monk
     scans = []
     # one step at a time, three at a time, whole plans
     for budget, chunk in ((0, 1), (3 * per_step, 3), (10**9, None)):
-        monkeypatch.setattr(obe, "_STEP_PLAN_BYTES", budget)
+        monkeypatch.setattr(model, "_STEP_BUDGET_BYTES", budget)
         planned.clear()
         advanced.clear()
         scans.append(
@@ -333,7 +333,7 @@ def test_step_plan_chunking_does_not_change_output(n_atoms, moving, params, monk
             assert planned == {}
             continue
         if chunk is not None:
-            assert obe._step_chunk(batch, n_pairs) == chunk
+            assert model._step_chunk(batch, n_pairs) == chunk
             assert chunk == 1 or any(n % chunk for n in advanced)  # a partial chunk
         assert planned == {
             plan: [min(chunk or n, n - first) for first in range(0, n, chunk or n)]
@@ -370,7 +370,7 @@ def test_step_violation_names_the_earliest_step_start(pair30, params, monkeypatc
         pytest.fail("no step out-runs its couplings")
     per_step = 8 * 2 * (1 + 6)  # one row, one pair
     for budget in (0, 3 * per_step, 10**9):
-        monkeypatch.setattr(obe, "_STEP_PLAN_BYTES", budget)
+        monkeypatch.setattr(model, "_STEP_BUDGET_BYTES", budget)
         with pytest.raises(IntegrationError, match="step size violation") as err:
             readout_scan(pair30, params, [], [12.0], [], trajectories=sample,
                          initial="ud")
@@ -398,7 +398,7 @@ def test_couplings_are_evaluated_once_per_planned_chunk(chain3, params, moving,
 
     def advance(engine, m, t_starts, spans, cache):
         n_steps = sum(max(1, int(np.ceil(span / cache.dt))) for span in spans if span > 0.0)
-        chunk = obe._step_chunk(m.size // engine.layout.entries, len(engine.flight.pairs))
+        chunk = model._step_chunk(m.size // engine.layout.entries, len(engine.flight.pairs))
         calls["steps"] += n_steps
         calls["chunks"] += -(-n_steps // chunk)
         return advance.wrapped(engine, m, t_starts, spans, cache)
@@ -612,7 +612,8 @@ class TestReadoutScan:
         initial = "u" + "d" * (n_atoms - 1)
         taus = np.linspace(0.0, 0.4, 5)
         batch = 2 if moving else 1
-        per_branch = obe._ARRAYS_PER_BRANCH * batch * 9**n_atoms * np.dtype(float).itemsize
+        entries = obe._dense_operators(n_atoms).blocks.entries
+        per_branch = obe._ARRAYS_PER_BRANCH * batch * entries * np.dtype(float).itemsize
         scans = []
         # one branch at a time, two at a time (the last chunk partial), all at once
         for budget, chunk in ((0, 1), (2 * per_branch, 2), (10**9, taus.size)):
@@ -624,7 +625,9 @@ class TestReadoutScan:
             assert scan.max_trace_deviation == scans[0].max_trace_deviation
 
     def test_production_batch_runs_one_branch_at_a_time(self):
-        for n_atoms in range(2, 7):
+        # a branch holds the down-number blocks: 33 entries at N = 2, 245 at 3
+        assert obe._branch_chunk(100, 2) == 4
+        for n_atoms in range(3, 7):
             assert obe._branch_chunk(100, n_atoms) == 1
         assert obe._branch_chunk(10, 2) > 1
 
@@ -714,7 +717,10 @@ class TestReadoutScan:
         args = (geometry, params, exchange_prefix(params, n_atoms), np.linspace(0.0, 1.0, 6),
                 deexcite_suffix(params, n_atoms) if with_suffix else [], samples)
         blocked = readout_scan(*args)
+        # full states, one branch at a time: the scratch holds the batch in
+        # the full layout, and more branches only in the blocks
         monkeypatch.setattr(_Engine, "to_blocks", lambda engine, m: m)
+        monkeypatch.setattr(obe, "_BRANCH_BUDGET_BYTES", 0)
         full = readout_scan(*args)
         assert np.abs(blocked.populations - full.populations).max() < 1e-12
         assert abs(blocked.max_trace_deviation - full.max_trace_deviation) < 1e-12

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from oracles import brute_force_populations, cf4_populations, midpoint_populations
-from xychain import xy
+from xychain import model, xy
 from xychain.errors import GeometryError, IntegrationError
 from xychain.model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams, taylor_plan
 from xychain.scenarios import run_scenario
@@ -190,6 +190,12 @@ class TestPropagateTimeDependent:
         out = propagate_time_dependent(chain3, params, None, "full", state, times)
         assert np.abs(out.sum(axis=0) - 1.0).max() < 1e-8
 
+    def test_empty_time_grid_gives_no_columns(self, chain3, params):
+        sample = sample_thermal(params, 3, seed=1)
+        state = SpinState.excitation_at(3, 0)
+        pops = propagate_time_dependent(chain3, params, sample, "full", state, [])
+        assert pops.shape == (3, 0)
+
     def test_norm_conserved_with_motion(self, chain3, params):
         sample = sample_thermal(PhysicalParams(temperature=50.0), 3, seed=11)
         times = np.linspace(0.0, 7.0, 36)
@@ -348,7 +354,7 @@ class TestPropagateEnsemble:
         order = np.argsort(np.linalg.norm(sites, axis=1), kind="stable")
         return ChainGeometry(positions=sites[order[:n_atoms]] * spacing / np.sqrt(2.0))
 
-    @pytest.mark.parametrize("case", ["mixed-temperatures", "dense-cluster"])
+    @pytest.mark.parametrize("case", ["mixed-temperatures", "dense-cluster", "hot-and-rest"])
     def test_chunk_size_does_not_change_output(self, case, params, monkeypatch):
         if case == "mixed-temperatures":
             # a 3 mK draw, a chain at rest and 50 uK draws: other step
@@ -357,39 +363,95 @@ class TestPropagateEnsemble:
             hot = sample_thermal(PhysicalParams(temperature=3000.0), 6, seed=9)
             samples = [hot, None] + self.samples(6, (7, 8))
             times = np.linspace(0.0, 3.0, 16)
-        else:
+        elif case == "dense-cluster":
             # a 79-site cluster at rest: 3081 pairs, and the centre site's row
             # sum, which sets the step, is 22 times its largest coupling
             geometry = self.fcc_cluster(79, 5.0)
             samples = [None]
             row_sum = build_coupling_matrix(geometry, params).entries.sum(axis=1).max()
             times = np.array([0.0, 7.5, 10.6]) / (2.0 * np.pi * row_sum)
+        else:
+            # a 3 mK draw and a chain at rest over intervals of 1 to 35 steps,
+            # which the two rows split differently, so that chunks of three
+            # steps span intervals and end inside them
+            geometry = ChainGeometry.line(6, 20.0)
+            samples = [sample_thermal(PhysicalParams(temperature=3000.0), 6, seed=9), None]
+            times = np.array([0.0, 0.02, 0.04, 0.1, 0.12, 0.3, 1.0, 1.03, 3.0])
         state = SpinState.excitation_at(geometry.n_atoms, 0)
         rows, n = len(samples), geometry.n_atoms
         n_pairs = n * (n - 1) // 2
-        seen = []
+        # xy's own words per step and row: each factor's norm gather and entries
+        words = 2 * (n * n + 2 * (n_pairs + 1))
+        per_step = 2 * (1 + 6 * n_pairs) + words
+        chunks = []
 
-        def step_count(duration, rate):
-            counts = step_count.wrapped(duration, rate)
-            seen.append(int(counts.max(initial=0)))
-            return counts
+        def plan(*args):
+            for chunk in plan.wrapped(*args):
+                chunks.append(chunk)
+                yield chunk
 
-        step_count.wrapped = xy._step_count
-        monkeypatch.setattr(xy, "_step_count", step_count)
-        per_step = 8 * n_pairs + 2 * (n * n + 4 * (n_pairs + 1) + 18)
-        fixed = 2 * n * n + 8 * n
+        plan.wrapped = xy.cf4_plan
+        monkeypatch.setattr(xy, "cf4_plan", plan)
         runs = []
-        # one step at a time, three at a time, whole intervals
-        for budget, chunk in ((0, 1), (8 * rows * (fixed + 3 * per_step), 3), (10**9, None)):
-            monkeypatch.setattr(xy, "_STEP_BUDGET_BYTES", budget)
+        # one step at a time, three at a time, the whole run
+        for budget, chunk in ((0, 1), (8 * rows * 3 * per_step, 3), (10**9, None)):
+            monkeypatch.setattr(model, "_STEP_BUDGET_BYTES", budget)
             if chunk is not None:
-                assert xy._step_chunk(rows, n, n_pairs) == chunk
-            seen.clear()
+                assert model._step_chunk(rows, n_pairs, words) == chunk
+            chunks.clear()
             runs.append(propagate_ensemble(geometry, params, samples, "full", state, times))
-        assert xy._step_chunk(rows, n, n_pairs) >= max(seen)
-        assert any(count > 3 and count % 3 for count in seen)  # a partial chunk
+            spans = np.concatenate([span for span, _, _ in chunks])
+            if chunk is None:
+                whole = spans
+            assert [len(span) for span, _, _ in chunks] == [
+                min(chunk or len(spans), len(spans) - first)
+                for first in range(0, len(spans), chunk or len(spans))]
+            if chunk == 3:
+                firsts = [span[0] for span, _, _ in chunks[1:]]
+                lasts = [span[-1] for span, _, _ in chunks[:-1]]
+                assert any(a == b for a, b in zip(firsts, lasts))  # ends mid-interval
+                assert any(span[0] != span[-1] for span, _, _ in chunks)  # spans several
+        assert model._step_chunk(rows, n_pairs, words) >= len(whole)
+        assert np.array_equal(np.unique(whole), np.flatnonzero(np.diff(times, prepend=0.0)))
+        if case != "dense-cluster":
+            # a row waits with zero steps where the other still steps
+            steps = np.concatenate([step for _, step, _ in chunks])
+            assert np.any((steps == 0.0).any(axis=1) & (steps > 0.0).any(axis=1))
         for run in runs[1:]:
             assert np.array_equal(run, runs[0])
+
+    def test_couplings_are_evaluated_once_per_planned_chunk(self, params, monkeypatch):
+        """A regression guard on the count, not the time: the 200 sample
+        intervals of a 20-atom run of 10 realizations are planned across the
+        intervals, so ``PairFlight.couplings`` runs once per planned chunk of
+        steps, not once per interval."""
+        geometry = ChainGeometry.line(20, 20.0)
+        samples = self.samples(20, range(10))
+        times = np.linspace(0.0, 10.0, 201)
+        calls, chunks = [], []
+
+        def couplings(flight, t, step=0.0):
+            calls.append(np.shape(t))
+            return couplings.wrapped(flight, t, step)
+
+        def plan(*args):
+            for chunk in plan.wrapped(*args):
+                chunks.append(len(chunk[0]))
+                yield chunk
+
+        couplings.wrapped, plan.wrapped = PairFlight.couplings, xy.cf4_plan
+        monkeypatch.setattr(PairFlight, "couplings", couplings)
+        monkeypatch.setattr(xy, "cf4_plan", plan)
+        propagate_ensemble(geometry, params, samples, "full",
+                           SpinState.excitation_at(20, 0), times)
+        assert calls == [(size, 2, len(samples)) for size in chunks]
+        assert sum(chunks) >= len(times) - 1 > len(calls)
+
+    def test_empty_time_grid_gives_no_columns(self, chain3, params):
+        # like propagate, which returns (N, 0)
+        state = SpinState.excitation_at(3, 0)
+        pops = propagate_ensemble(chain3, params, self.samples(3, (1, 2)), "full", state, [])
+        assert pops.shape == (2, 3, 0)
 
     def test_step_scratch_is_bounded(self, params):
         # one interval of about 30 CF4 steps: their setup all at once would
@@ -407,7 +469,7 @@ class TestPropagateEnsemble:
             inputs = sum(s.displacements.nbytes + s.velocities.nbytes for s in samples)
             # the same inputs resolved per pair: PairFlight's (3, B, P) vectors
             pair_vectors = 2 * 3 * len(samples) * 190 * np.dtype(float).itemsize
-            assert peak < xy._STEP_BUDGET_BYTES + inputs + pair_vectors + pops.nbytes
+            assert peak < model._STEP_BUDGET_BYTES + inputs + pair_vectors + pops.nbytes
 
     def test_taylor_step_substeps_large_norms(self, rng):
         # norms 1, about 0.05 and 0: the largest a factor could reach, and
