@@ -197,6 +197,11 @@ def angular_c3(c3_tilde: float, theta: float) -> float:
 #: the step checks of both engines are stated against it.
 PHASE_CAP = 0.05
 
+#: Largest Taylor order :func:`taylor_plan` counts, and so the most terms a
+#: series of either engine takes; as a / substeps <= 1 and 1 / 18! < 1e-15,
+#: the plan stops at 17.
+TAYLOR_ORDER_CAP = 18
+
 
 def taylor_plan(norm) -> tuple[np.ndarray, np.ndarray]:
     """Substeps and Taylor orders of exp(A) for ||A|| <= ``norm``.
@@ -209,7 +214,7 @@ def taylor_plan(norm) -> tuple[np.ndarray, np.ndarray]:
     """
     norm = np.asarray(norm, dtype=float)
     substeps = np.maximum(1, np.ceil(norm)).astype(int)
-    ratio = (norm / substeps)[..., None] / np.arange(1, 19)
+    ratio = (norm / substeps)[..., None] / np.arange(1, TAYLOR_ORDER_CAP + 1)
     orders = np.count_nonzero(np.cumprod(ratio, axis=-1) > 1e-15, axis=-1)
     return substeps, orders
 

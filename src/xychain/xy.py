@@ -13,27 +13,32 @@ Time-dependent couplings (thermal motion) are handled by propagating all
 realizations at once with the master equation's step, the 4th-order
 commutator-free Magnus step (CF4) of Alvermann & Fehske, J. Comput. Phys.
 230, 5930 (2011): two exponentials over h/2, at effective couplings from the
-step's two Gauss points (``model.cf4_couplings``).  Each exponential is
-applied through a truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 488 (2011)), whose order each realization picks from its own
-matrix norm so that the first omitted term is at most 1e-15.  A
-realization's step h obeys h 2 pi R <= 1, where R bounds the row sums of its
-hopping matrix over the run, so every factor's norm is at most a2 = 0.54 and
-one series covers it.  The truncation does not preserve the norm exactly:
-over 80 twenty-atom realizations of 10 us at 50 uK it deviated from 1 by at
-most 5.3e-15 (Taylor orders 12-13), and the populations stayed within
-4.7e-15 of the exact exponentials of the same steps.
+step's two Gauss points (``model.cf4_couplings``).  A factor is
+exp(-iK) with K = pi h nu real symmetric, so the state is carried as real
+and imaginary parts, (B, 2, N), and the exponential is applied through a
+truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+(2011)), whose order each realization picks from its own matrix norm so
+that the first omitted term is at most 1e-15.  A realization's step h
+obeys h 2 pi R <= 1, where R bounds the row sums of its hopping matrix over
+the run, so every factor's norm is at most a2 = 0.54 and one series covers
+it.  The series takes one real matmul per term, psi K^k from psi K^(k-1),
+into a buffer of terms held for the whole run, and one more that sums the
+terms with the weights (-i)^k / k! of each row's own order (``_SERIES``).
+The truncation does not preserve the norm exactly: over 80 twenty-atom
+realizations of 10 us at 50 uK (200 sample intervals) it deviated from 1 by
+at most 5.7e-15 (Taylor orders 10-13, mostly 12-13), and the populations
+stayed within 4.6e-15 of the exact exponentials of the same steps.
 
 The steps of all sample intervals come from ``model.cf4_plan``, the step
 planner of both engines, in chunks under its scratch budget that may end
-mid-interval or span several, with no object holding buffers.  A chunk sets
-up the Gauss-point couplings, norms, Taylor orders and generator entries of
-all its steps and realizations; a factor then gathers its own generator and
-runs the products of its Taylor series.
+mid-interval or span several.  A chunk sets up the Gauss-point couplings,
+norms, Taylor orders and generator entries of all its steps and
+realizations; a factor then gathers its own generator and runs its series.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -41,7 +46,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .model import PHASE_CAP, ChainGeometry, PairFlight, PhysicalParams, cf4_plan, taylor_plan
+from .model import (PHASE_CAP, TAYLOR_ORDER_CAP, ChainGeometry, PairFlight, PhysicalParams,
+                    cf4_plan, taylor_plan)
 from .thermal import ThermalSample
 
 RANGE_MODES = ("full", "nearest_neighbor")
@@ -174,37 +180,61 @@ def propagate(
     return (np.abs(amplitudes) ** 2).T
 
 
-def _row_norm(magnitudes: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Infinity norms (...,) of the hopping matrices whose (..., P) entry
-    magnitudes the ``slots`` of :func:`_pair_slots` gather."""
-    padded = np.zeros(magnitudes.shape[:-1] + (magnitudes.shape[-1] + 1,))
-    padded[..., :-1] = magnitudes
+def _row_norm(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Infinity norms (...,) of the hopping matrices whose (..., P) entries
+    the ``slots`` of :func:`_pair_slots` gather."""
+    padded = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
+    np.abs(values, out=padded[..., :-1])
     return padded.take(slots, axis=-1).sum(axis=-1).max(axis=-1)
 
 
-def _taylor_weights(orders: np.ndarray) -> np.ndarray:
-    """Weights (M, B, 1, 1) of the Taylor series of exp(A) to the (B,)
-    ``orders`` (from :func:`xychain.model.taylor_plan`): 1/k for term k up
-    to the row's order, zero past it, with M the largest order.  A row's
-    weights do not depend on the other rows."""
-    k = np.arange(1, orders.max(initial=0) + 1)[:, None]
-    return np.where(k <= orders, 1.0 / k, 0.0)[..., None, None]
+def _series_table(cap: int) -> np.ndarray:
+    """Weights (cap + 1, 2, 2 (cap + 1)) of the Taylor series of exp(-iK),
+    acting on real and imaginary parts: row o maps the stacked parts of the
+    terms psi K^k, k <= cap, to the parts of the sum of (-i)^k / k! psi K^k
+    up to k = o, with zero weight on every term past o."""
+    k = np.arange(cap + 1)
+    re, im = np.array([(1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.0, 1.0)])[k % 4].T
+    inverse = 1.0 / np.array([math.factorial(j) for j in k], dtype=float)
+    # (x + iy)(re + i im) = (re x - im y) + i (im x + re y)
+    blocks = np.stack([np.stack([re, -im], axis=-1), np.stack([im, re], axis=-1)])
+    blocks *= inverse[:, None]                                        # (2, cap + 1, 2)
+    kept = (k <= k[:, None])[:, None, :, None]                        # (order, 1, k, 1)
+    return np.where(kept, blocks, 0.0).reshape(cap + 1, 2, 2 * (cap + 1))
 
 
-def _taylor_apply(generator: np.ndarray, weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply the truncated Taylor series of exp(A) to every row of psi.
+_SERIES = _series_table(TAYLOR_ORDER_CAP)
 
-    ``generator`` is (B, N, N) complex and holds A_b, ``psi`` is (B, N, 1)
-    and ``weights`` (M, B, 1, 1) as from :func:`_taylor_weights`.  A row
-    past its order adds exact zeros, so its result does not depend on the
-    other rows of the batch.
+
+def _series_buffer(rows: int, n: int) -> tuple[np.ndarray, list]:
+    """A zeroed buffer of the Taylor terms psi K^k, k = 0 .. M with M =
+    ``TAYLOR_ORDER_CAP``, of ``rows`` states as real and imaginary parts,
+    (rows, M + 1, 2, N); the state psi is term 0.  Returns it stacked,
+    (rows, 2 (M + 1), N), and the views (term k - 1, term k) of k = 1 .. M,
+    for :func:`_exp_minus_i`."""
+    buffer = np.zeros((rows, TAYLOR_ORDER_CAP + 1, 2, n))
+    terms = [(buffer[:, k - 1], buffer[:, k]) for k in range(1, TAYLOR_ORDER_CAP + 1)]
+    return buffer.reshape(rows, -1, n), terms
+
+
+def _exp_minus_i(generator: np.ndarray, orders: np.ndarray, stacked: np.ndarray,
+                 terms: list, scratch: np.ndarray) -> None:
+    """Replace every row's state psi in a :func:`_series_buffer` by the
+    truncated Taylor series of exp(-iK) psi.
+
+    ``generator`` is (B, N, N) real symmetric and holds K_b, ``orders`` the
+    (B,) orders from :func:`xychain.model.taylor_plan` and ``scratch`` is
+    (B, 2, N).  The terms psi K^k up to the largest order take one real
+    matmul each, the terms past it are zeroed, and one matmul against each
+    row's weights of :data:`_SERIES` sums all the terms, so a row's arithmetic
+    does not depend on the orders of the other rows.
     """
-    term, psi = psi, psi.copy()
-    for weight in weights:
-        term = np.matmul(generator, term)
-        term *= weight
-        psi += term
-    return psi
+    top = orders.max(initial=0)
+    for previous, term in terms[:top]:
+        np.matmul(previous, generator, out=term)
+    stacked[:, 2 * (top + 1):] = 0.0
+    np.matmul(_SERIES[orders], stacked, out=scratch)
+    terms[0][0][...] = scratch
 
 
 def propagate_ensemble(
@@ -219,8 +249,8 @@ def propagate_ensemble(
 
     ``samples`` holds one trajectory draw per realization (``None`` is an
     atom chain at rest).  All realizations advance together as one (B, N)
-    state, but each keeps its own step plan: its CF4 step h obeys
-    h * 2*pi*R <= 1, where R sums ``PairFlight.bound``'s pair bounds over
+    state, held as its real and imaginary parts, but each keeps its own step
+    plan: its CF4 step h obeys h * 2*pi*R <= 1, where R sums ``PairFlight.bound``'s pair bounds over
     the run along each row of the hopping matrix and takes the largest sum;
     each sample interval takes the row's own number of equal steps, and rows
     that finish an interval early wait with zero steps.  ``model.cf4_plan``
@@ -230,10 +260,10 @@ def propagate_ensemble(
     couplings ``PairFlight`` checks against 1.05 times the row's largest
     pair bound (a violation means the bound was wrong and raises
     IntegrationError naming the earliest Gauss point); then each factor's
-    norm, Taylor order and generator -2*pi*i*H*h/2.  A factor gathers its
-    generator and applies the Taylor series of its exponential to the row's
-    own order, and an interval's populations are recorded after its last
-    step.  A row's populations are therefore the same whichever
+    norm, Taylor order and real generator K = 2*pi*H*h/2.  A factor gathers
+    its K and applies the Taylor series of exp(-iK) to the row's own order
+    (:func:`_exp_minus_i`), and an interval's populations are recorded after
+    its last step.  A row's populations are therefore the same whichever
     realizations share its batch and however the steps are chunked.  An
     empty time grid gives (B, N, 0).  The truncation leaves the norm
     unconserved at the 1e-15 level.
@@ -258,29 +288,35 @@ def propagate_ensemble(
     spans = np.diff(times, prepend=0.0)[:, None]                      # (T, 1)
     counts = np.where(spans > 0.0, np.maximum(1, np.ceil(spans * rate)), 0).astype(int)
     starts = np.broadcast_to(np.concatenate(([0.0], times))[:-1, None], counts.shape)
-    # per step and row, each factor's gathered (N, N) magnitudes for its norm
-    # and its complex generator entries with a zero slot
+    # per step and row, each factor's norm gather of (N, N) magnitudes from a
+    # zero-padded |nu|, and its real generator entries with a zero slot
     words = 2 * (n * n + 2 * (len(flight.pairs) + 1))
     plan = cf4_plan(flight, starts, spans / np.maximum(counts, 1), counts, check, words)
 
-    psi = np.empty((len(samples), n, 1), dtype=complex)
-    psi[...] = initial.amplitudes[:, None]
+    stacked, terms = _series_buffer(len(samples), n)
+    psi = terms[0][0]                                                 # (B, 2, N)
+    psi[:, 0], psi[:, 1] = initial.amplitudes.real, initial.amplitudes.imag
+    scratch = np.empty_like(psi)
     populations = np.empty((len(samples), n, len(times)))
     recorded = 0  # the intervals whose populations are written
     for span, h, nu in plan:
         # a factor advances by h/2; as h * rate <= 1 its norm is at most
         # a2 < 1, so one Taylor series covers it (one substep)
         theta = np.pi * h[:, None]                                    # (S, 1, B)
-        orders = taylor_plan(theta * _row_norm(np.abs(nu), slots))[1]
-        entries = np.zeros(nu.shape[:-1] + (nu.shape[-1] + 1,), dtype=complex)
-        np.multiply(nu, -theta[..., None], out=entries.imag[..., :-1])
-        for k, step_entries, step_orders in zip(span.tolist(), entries, orders):
+        orders = taylor_plan(theta * _row_norm(nu, slots))[1]
+        entries = np.zeros(nu.shape[:-1] + (nu.shape[-1] + 1,))     # K = theta nu
+        np.multiply(nu, theta[..., None], out=entries[..., :-1])
+        for slot, k in enumerate(span.tolist()):
             if k > recorded:  # the intervals before k are complete
-                populations[..., recorded:k] = np.abs(psi) ** 2
+                populations[..., recorded:k] = np.square(psi).sum(axis=1)[..., None]
                 recorded = k
-            for factor, order in zip(step_entries, step_orders):
-                psi = _taylor_apply(factor.take(slots, axis=-1), _taylor_weights(order), psi)
-    populations[..., recorded:] = np.abs(psi) ** 2
+            for factor in (0, 1):
+                generator = entries[slot, factor].take(slots, axis=-1)
+                _exp_minus_i(generator, orders[slot, factor], stacked, terms, scratch)
+        # the Taylor terms stay while the planner sets up the next chunk;
+        # this chunk's couplings and generators make room for them
+        del nu, entries, generator
+    populations[..., recorded:] = np.square(psi).sum(axis=1)[..., None]
     return populations
 
 

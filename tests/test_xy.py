@@ -16,8 +16,8 @@ from xychain.thermal import ThermalSample, realization_seeds, sample_thermal
 from xychain.xy import (
     CouplingMatrix,
     SpinState,
-    _taylor_apply,
-    _taylor_weights,
+    _exp_minus_i,
+    _series_buffer,
     build_coupling_matrix,
     eigenmodes,
     propagate,
@@ -478,15 +478,17 @@ class TestPropagateEnsemble:
         hops = hops + hops.transpose(0, 2, 1)
         row_sums = np.abs(hops).sum(axis=2).max(axis=1)
         theta = np.array([1.0, 0.05, 0.0]) / row_sums
-        psi = rng.normal(size=(3, 6, 1)) + 1j * rng.normal(size=(3, 6, 1))
+        psi = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
         substeps, orders = taylor_plan(theta * row_sums)
-        generator = hops * (-1j * theta)[:, None, None]
-        out = _taylor_apply(generator, _taylor_weights(orders), psi)
+        stacked, terms = _series_buffer(3, 6)
+        out = terms[0][0]
+        out[:, 0], out[:, 1] = psi.real, psi.imag
+        _exp_minus_i(hops * theta[:, None, None], orders, stacked, terms, np.empty_like(out))
         assert np.all(substeps == 1) and orders[0] == 17 > orders[1] > orders[2] == 0
         for b in range(3):
             exact = expm(-1j * theta[b] * hops[b]) @ psi[b]
-            assert np.abs(out[b] - exact).max() < 1e-13
-        assert np.array_equal(out[2], psi[2])
+            assert np.abs(out[b, 0] + 1j * out[b, 1] - exact).max() < 1e-13
+        assert np.array_equal(out[2, 0], psi[2].real) and np.array_equal(out[2, 1], psi[2].imag)
 
     def test_default_step_is_close_to_a_refined_midpoint_run(self, params):
         # the ensemble mean of the golden long-chain run (N = 4, scenario
@@ -509,16 +511,16 @@ class TestPropagateEnsemble:
         # per interval; CF4 takes one step of two factors per interval
         terms = []
 
-        def counting(generator, weights, psi):
-            terms.append(len(weights))
-            return taylor_apply(generator, weights, psi)
+        def counting(generator, orders, *buffers):
+            terms.append(orders.max())
+            return exp_minus_i(generator, orders, *buffers)
 
-        taylor_apply = xy._taylor_apply
-        monkeypatch.setattr(xy, "_taylor_apply", counting)
+        exp_minus_i = xy._exp_minus_i
+        monkeypatch.setattr(xy, "_exp_minus_i", counting)
         result = run_scenario("long-chain", seed=1, options={
             "n_atoms": 20, "n_realizations": 10, "temperature": 50.0})
         intervals = len(result.tables["populations"].data) - 1
-        assert len(terms) <= 2 * intervals == 400
+        assert len(terms) == 2 * intervals == 400
         assert sum(terms) <= 30 * intervals
 
 
