@@ -28,7 +28,8 @@ real matrix M = A + B and integrates
 
 where w_kl = (w_k + w_l)/2 holds the total decay rates w_k of the basis
 states and R moves each atom's up and down blocks, times their decay rates,
-into its g block.  Populations are diag(M).  The Hermitian
+into its g block, summing each destination's real sources in a fixed order.
+Populations are diag(M).  The Hermitian
 rho = (M + M^T)/2 + i (M - M^T)/2 is rebuilt only where a complex matrix is
 needed: by the positivity check and for ``SequenceResult.final_state``.
 
@@ -90,6 +91,7 @@ SEGMENT_KINDS = ("optical", "microwave", "free_evolution")
 _MAX_OBE_ATOMS = 6
 _POSITIVITY_TOL = -1e-7
 _HERMITIAN_TOL = 1e-12
+_TRACE_TOL = 1e-9
 
 #: Scratch bytes the readout branches of one scan may hold at once.  Small,
 #: because the branches gain little from batches beyond a few hundred
@@ -100,7 +102,8 @@ _BRANCH_BUDGET_BYTES = 2 * 2**20
 # engine's two Taylor terms (2), the RHS scratch and Hamiltonian (3), the
 # complex rho the positivity check hands to the Cholesky screen (2) and the
 # factor it returns (2), and the elementwise temporaries of the RHS and the
-# check.  Counted generously: tracemalloc measures 15 to 16 per extra branch.
+# check.  Counted generously: tracemalloc measures 10 to 13 per extra branch
+# (N = 2 and 3, 2 to 10 rows).
 _ARRAYS_PER_BRANCH = 17
 
 
@@ -180,6 +183,8 @@ def basis_index(labels: str) -> int:
     """Product-basis index of a label string, atom 0 most significant."""
     idx = 0
     for ch in labels:
+        if ch not in _LEVEL_CHARS:
+            raise ConfigError(f"basis label {labels!r} may hold only 'g', 'u' and 'd'")
         idx = 3 * idx + int(_LEVEL_CHARS[ch])
     return idx
 
@@ -246,16 +251,15 @@ class _Layout:
         self.diagonal = entry[np.arange(d) * (d + 1)]
         self.hop = entry[ops.hop_index]
         self.hopping = set(self._sector[self.hop].ravel().tolist())
-        # Recycling: an entry whose row and column hold atom i in g gains
-        # the entries with atom i in up, then in down, on both sides (2N,
-        # dests); where atom i is not in g the source is padding of rate 0.
+        # Recycling: an entry whose row and column hold atom i in g gains the
+        # entries with atom i in up, then in down, on both sides: one source
+        # (kept entry, rate index, slot in dests) per gain, by destination.
         rows, cols = np.divmod(self.pairs, d)
         ground = (ops.levels[rows] == Level.G) & (ops.levels[cols] == Level.G)
-        self.dests = np.flatnonzero(ground.any(axis=1))
-        self.valid = np.tile(ground[self.dests].T, (2, 1))
-        shift = np.concatenate([ops.strides, 2 * ops.strides])[:, None] * (d + 1)
-        sources = entry.take(self.pairs[self.dests] + shift, mode="clip")
-        self.sources = np.where(self.valid, sources, 0)
+        gains, self.rate = np.nonzero(np.tile(ground, 2))
+        self.dests, self.targets = np.unique(gains, return_inverse=True)
+        shift = np.concatenate([ops.strides, 2 * ops.strides]) * (d + 1)
+        self.sources = entry[self.pairs[gains] + shift[self.rate]]
 
     def positions(self, entries: np.ndarray, rows: int) -> np.ndarray:
         """The (rows, *entries.shape) positions of kept entries in R rows."""
@@ -311,6 +315,9 @@ def _resolve_initial(initial, n_atoms: int) -> np.ndarray:
         raise ConfigError(
             f"initial rho must be Hermitian, got |rho - rho^dagger| up to {skew:.3g}"
         )
+    trace = float(np.trace(rho).real)
+    if not abs(trace - 1.0) <= _TRACE_TOL:
+        raise ConfigError(f"initial rho must have unit trace, got {trace:.6g}")
     return rho.real + rho.imag
 
 
@@ -328,7 +335,7 @@ def _unpack(m: np.ndarray) -> np.ndarray:
 @dataclass(slots=True)
 class _SegmentCache:
     """Per-segment constants on the engine's layout: the kept entries of the
-    drive Hamiltonian and of -w, the recycling rates, the sectors whose
+    drive Hamiltonian and of -w, the recycling source rates, the sectors whose
     commutator is not zero, the bound ``norm`` on every generator a step
     applies, the step size, the step ``check`` that ``PairFlight.couplings``
     applies; for motionless atoms also their (P,) couplings.  H and the
@@ -345,8 +352,8 @@ class _SegmentCache:
 
 
 class _Frame(NamedTuple):
-    """Scratch views, segment coefficients and index positions for one
-    layout and row count; the recycling sources are (2N, rows, dests)."""
+    """Scratch views, -w and index positions for one layout and row count;
+    ``targets`` bins the (rows, S) recycling sources into ``dests``."""
 
     terms: tuple
     ham: _Stack
@@ -354,9 +361,9 @@ class _Frame(NamedTuple):
     m2: list
     m2_t: list
     decay: _Stack
-    rates: np.ndarray
     hop: np.ndarray
     sources: np.ndarray
+    targets: np.ndarray
     dests: np.ndarray
 
 
@@ -413,12 +420,12 @@ class _Engine:
         if (layout, rows) not in self._frames:
             size = rows * layout.entries
             a, b, ham, m1, m2 = (layout.stack(x[:size], rows) for x in self._scratch)
-            sources = layout.positions(layout.sources, rows).transpose(1, 0, 2)
+            slots = len(layout.dests) * np.arange(rows)[:, None]
             self._frames[layout, rows] = _Frame(
                 (a, b), ham, m1.blocks, m2.blocks, [x.transpose(0, 2, 1) for x in m2.blocks],
-                layout.stack(np.empty(size), rows), np.empty(sources.shape),
-                layout.positions(layout.hop, rows), np.ascontiguousarray(sources),
-                layout.positions(layout.dests, rows),
+                layout.stack(np.empty(size), rows), layout.positions(layout.hop, rows),
+                layout.positions(layout.sources, rows), (layout.targets + slots).ravel(),
+                layout.positions(layout.dests, rows).ravel(),
             )
         return self._frames[layout, rows]
 
@@ -485,10 +492,9 @@ class _Engine:
         norm = 4.0 * np.pi * float(h_rows.max()) + float(rates_up.sum() + n * rate_down)
         h_drive_flat = (2.0 * np.pi * h_drive.reshape(-1))[layout.pairs]
         bounds = zip(layout.starts, layout.starts[1:])
-        source_rates = np.concatenate([rates_up, np.full(n, rate_down)])[:, None]  # up, down
         cache = _SegmentCache(
             h_drive_flat, -w_matrix.reshape(-1)[layout.pairs],
-            np.where(layout.valid, source_rates, 0.0)[:, None, :],
+            np.concatenate([rates_up, np.full(n, rate_down)])[layout.rate],
             [k for k, (a, b) in enumerate(bounds) if layout.sizes[k] > 1
              and (k in layout.hopping or np.any(h_drive_flat[a:b]))],
             norm, dt=2.0 * self.dt_scale / norm if norm > 0.0 else np.inf,
@@ -499,12 +505,11 @@ class _Engine:
         return cache
 
     def _load(self, cache: _SegmentCache, frame: _Frame) -> None:
-        """Fill the frame for one segment: -w, the recycling rates, and the
-        Hamiltonians: the drive and, for atoms at rest, the hopping.  A
-        hopping entry changes two atoms and a drive entry one or none, so the
-        CF4 factors of moving atoms rewrite the hopping (:meth:`_hop`) alone."""
+        """Fill the frame for one segment: -w and the Hamiltonians, the drive
+        and, for atoms at rest, the hopping.  A hopping entry changes two
+        atoms and a drive entry one or none, so the CF4 factors of moving
+        atoms rewrite the hopping (:meth:`_hop`) alone."""
         self.layout.fill(frame.decay, cache.minus_w)
-        frame.rates[...] = cache.rates
         self.layout.fill(frame.ham, cache.h_drive_flat)
         self._hop(frame, cache.nu_rest)
 
@@ -521,7 +526,8 @@ class _Engine:
         commutator, per sector whose Hamiltonian block is not zero, is
         M^T (2 pi H) - (M (2 pi H))^T (H is symmetric): the contiguous M H
         written through a transposed view, cheaper than H times the strided
-        M^T.  R gathers every destination's sources at once."""
+        M^T.  R sums each destination's real sources, times their rates, in
+        list order from 0.0: one gather and one ``bincount`` for all rows."""
         np.multiply(frame.decay.flat, m.flat, out=out.flat)
         for k in cache.active:
             block, h, m1 = m.blocks[k], frame.ham.blocks[k], frame.m1[k]
@@ -529,9 +535,9 @@ class _Engine:
             np.matmul(block, h, out=frame.m2_t[k])
             m1 -= frame.m2[k]
             out.blocks[k] += m1
-        sources = m.flat.take(frame.sources)
-        sources *= frame.rates
-        out.flat[frame.dests] += sources.sum(axis=0)
+        gains = m.flat.take(frame.sources)
+        gains *= cache.rates
+        out.flat[frame.dests] += np.bincount(frame.targets, gains.ravel(), frame.dests.size)
         return out
 
     def _taylor(self, frame: _Frame, cache: _SegmentCache, m: _Stack, tau: float, count: int,

@@ -243,6 +243,31 @@ class TestRhsOracle:
                 assert np.abs(out[b] - expected).max() < 1e-12
 
 
+class TestRecyclingList:
+    """The dissipator's recycling sources, one per atom in g on both sides of
+    a kept entry and per level it decays from, with no padding."""
+
+    @pytest.mark.parametrize("n_atoms, n_blocks, n_full", [(3, 198, 486), (4, 1960, 5832)])
+    def test_sources_are_the_real_jumps(self, n_atoms, n_blocks, n_full):
+        ops = obe._dense_operators(n_atoms)
+        for layout, count in ((ops.blocks, n_blocks), (ops.full, n_full)):
+            assert layout.sources.shape == layout.rate.shape == layout.targets.shape == (count,)
+            dest_rows, dest_cols = np.divmod(layout.pairs[layout.dests[layout.targets]], ops.d)
+            rows, cols = np.divmod(layout.pairs[layout.sources], ops.d)
+            atom, level = layout.rate % n_atoms, obe.Level.UP + layout.rate // n_atoms
+            assert np.all(layout.rate < 2 * n_atoms)
+            for dest, source in ((dest_rows, rows), (dest_cols, cols)):
+                assert np.all(ops.levels[dest, atom] == obe.Level.G)
+                assert np.all(ops.levels[source, atom] == level)
+                # the jump moves that atom alone
+                assert np.array_equal(source - ops.strides[atom] * level, dest)
+            # sorted by destination, then by rate, each pair once: the order
+            # in which every destination sums its sources
+            key = layout.targets * 2 * n_atoms + layout.rate
+            assert np.all(np.diff(key) > 0)
+            assert np.array_equal(np.unique(layout.targets), np.arange(len(layout.dests)))
+
+
 @pytest.mark.parametrize("moving", [False, True], ids=["static", "moving"])
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
 def test_hamiltonian_buffer_matches_dense_build(n_atoms, moving, params):
@@ -524,6 +549,21 @@ class TestRunSequence:
         seq = PulseSequence(segments=(PulseSegment.free(0.1),))
         with pytest.raises(ConfigError, match="Hermitian"):
             run_sequence(seq, pair30, params, initial=rho)
+
+    @pytest.mark.parametrize("scale", [0.0, 2.0, np.nan])
+    def test_unnormalized_initial_refused_before_any_work(self, pair30, params, scale,
+                                                          monkeypatch):
+        def advance(*args, **kwargs):
+            raise AssertionError("the run started before its initial state was checked")
+
+        monkeypatch.setattr(_Engine, "_advance", advance)
+        seq = PulseSequence(segments=(PulseSegment.free(0.1),))
+        rho = scale * basis_rho("ud")
+        with pytest.raises(ConfigError, match="unit trace"):
+            run_sequence(seq, pair30, params, initial=rho)
+        with pytest.raises(ConfigError, match="unit trace"):
+            readout_scan(pair30, params, exchange_prefix(params, 2), [0.5],
+                         deexcite_suffix(params, 2), initial=rho)
 
     def test_invalid_sample_times_rejected(self, chain3, params):
         seq = PulseSequence(segments=(PulseSegment.free(1.0),))
@@ -853,6 +893,15 @@ class TestReadoutProjection:
         pops = np.zeros(9)
         pops[basis_index("gd")] = 1.0
         assert pattern_labels(2)[int(np.argmax(forward_detection(pops, 0.0)))] == "10"
+
+
+    def test_unknown_level_label_refused(self, pair30, params):
+        with pytest.raises(ConfigError, match="'ab'"):
+            basis_rho("ab")
+        with pytest.raises(ConfigError, match="'gx'"):
+            basis_index("gx")
+        with pytest.raises(ConfigError, match="'gx'"):
+            readout_scan(pair30, params, [], [0.5], [], initial="gx")
 
 
 class TestCheckState:
